@@ -41,7 +41,7 @@
 // otherwise (the AED_METRICS_OUT environment variable is a fallback when
 // the flag is absent). --solver-stats prints the per-destination solver
 // breakdown — which degradation-ladder rung answered and why, plus Z3
-// conflicts/decisions/restarts, peak memory, and encoding sizes.
+// conflicts/decisions/restarts and encoding sizes.
 // --progress streams phase/round/subproblem completion to stderr while the
 // run is in flight.
 //
@@ -132,22 +132,16 @@ void printSolverStats(const aed::AedResult& result) {
               << stats.checks << " checks, " << stats.conflicts
               << " conflicts, " << stats.decisions << " decisions, "
               << stats.restarts << " restarts, " << stats.vars << " vars, "
-              << stats.assertions << " assertions";
-    if (stats.maxMemoryMb > 0.0) {
-      std::cout << ", " << stats.maxMemoryMb << " MB peak";
-    }
-    std::cout << "\n";
+              << stats.assertions << " assertions\n";
     if (!report.rungReason.empty()) {
       std::cout << "    why: " << report.rungReason << "\n";
     }
   }
   std::cout << "  rung totals:";
-  static const char* kRungLabels[] = {"none",      "warm-start", "full",
-                                      "no-minimality", "hard-only", "unsat",
-                                      "gave-up"};
   for (std::size_t i = 0; i < result.stats.rungCounts.size(); ++i) {
     if (result.stats.rungCounts[i] == 0) continue;
-    std::cout << " " << kRungLabels[i] << "=" << result.stats.rungCounts[i];
+    std::cout << " " << aed::solveRungName(static_cast<aed::SolveRung>(i))
+              << "=" << result.stats.rungCounts[i];
   }
   std::cout << "\n";
 }

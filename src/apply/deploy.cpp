@@ -1,11 +1,11 @@
 #include "apply/deploy.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <string>
 
 #include "conftree/journal.hpp"
 #include "obs/flight.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
@@ -29,29 +29,6 @@ MetricsRegistry::Histogram& histStageValidateSeconds() {
   return hist;
 }
 
-std::string jsonEscapeStage(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Pre-rendered JSON array of per-stage outcomes for the flight dump.
 std::string stagesJson(const DeploymentPlan& plan) {
   std::string out = "[";
@@ -60,12 +37,12 @@ std::string stagesJson(const DeploymentPlan& plan) {
     if (!first) out += ",";
     first = false;
     out += "{\"index\":" + std::to_string(stage.index);
-    out += ",\"label\":\"" + jsonEscapeStage(stage.label) + "\"";
+    out += ",\"label\":\"" + jsonEscape(stage.label) + "\"";
     out += ",\"status\":\"";
     out += stageStatusName(stage.status);
     out += "\",\"apply_seconds\":" + std::to_string(stage.applySeconds);
     out += ",\"validate_seconds\":" + std::to_string(stage.validateSeconds);
-    out += ",\"detail\":\"" + jsonEscapeStage(stage.detail) + "\"}";
+    out += ",\"detail\":\"" + jsonEscape(stage.detail) + "\"}";
   }
   out += "]";
   return out;

@@ -13,8 +13,8 @@
 //     plan's execution summary (code / error / per-stage status + detail).
 //
 // DeployFaultInjection mirrors core::FaultInjection's deployment-specific
-// kinds (this module sits below core and cannot include it); core/aed.cpp
-// translates between the two.
+// kinds (this module sits below core and cannot include it); core's
+// deployFault() translates between the two.
 #pragma once
 
 #include <cstddef>

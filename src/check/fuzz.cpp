@@ -7,38 +7,10 @@
 #include "check/repro.hpp"
 #include "obs/export.hpp"
 #include "obs/flight.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace aed::check {
-
-namespace {
-
-/// JSON string escaping (control characters, quotes, backslashes).
-std::string jsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xf];
-          out += hex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string FuzzReport::toJson() const {
   std::ostringstream out;

@@ -463,19 +463,9 @@ class Checker {
     DeploymentPlan plan =
         planStagedRollout(scenario_.tree, patch, scenario_.policies, options);
 
-    DeployFaultInjection fault;
-    if (scenario_.fault.kind == FaultInjection::Kind::kStageCommitFailure) {
-      fault.kind = DeployFaultInjection::Kind::kStageCommitFailure;
-      fault.stage = scenario_.fault.applyStage;
-      fault.atEdit = scenario_.fault.applyEdit;
-    } else if (scenario_.fault.kind ==
-               FaultInjection::Kind::kStageValidationTimeout) {
-      fault.kind = DeployFaultInjection::Kind::kValidationTimeout;
-      fault.stage = scenario_.fault.applyStage;
-    }
-
     ConfigTree work = scenario_.tree.clone();
-    const bool committed = executeDeployment(work, plan, options, fault);
+    const bool committed = executeDeployment(work, plan, options,
+                                             deployFault(scenario_.fault));
     if (!committed) {
       std::ostringstream detail;
       detail << "staged deployment aborted after " << plan.committedStages

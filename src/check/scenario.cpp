@@ -52,7 +52,6 @@ AedOptions Scenario::options() const {
   // minute do not oversubscribe a CI runner.
   options.workers = 2;
   options.validateWithSimulator = true;
-  options.memoizedSimulator = true;
   options.incrementalResolve = true;
   return options;
 }

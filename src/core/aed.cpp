@@ -2,19 +2,20 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <exception>
+#include <future>
 #include <memory>
+#include <optional>
 #include <set>
 #include <thread>
 
 #include "core/subsolver.hpp"
 #include "obs/flight.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "simulate/engine.hpp"
-#include "simulate/simulator.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
@@ -44,59 +45,35 @@ SubResult failedSubResult(SubOutcome outcome, ErrorCode code,
   return result;
 }
 
-// Latency/effort histograms (§12). Handles are cached once (function-local
-// statics into the leaked global registry) so the record path is pure
-// relaxed atomics. All four are recorded on the coordinating thread at the
-// post-join merge points, like every other engine metric.
-MetricsRegistry::Histogram& histCheckSeconds() {
-  static MetricsRegistry::Histogram h =
-      MetricsRegistry::global().histogram("smt.check_seconds");
-  return h;
-}
-MetricsRegistry::Histogram& histSubproblemSeconds() {
-  static MetricsRegistry::Histogram h =
-      MetricsRegistry::global().histogram("aed.subproblem_seconds");
-  return h;
-}
-MetricsRegistry::Histogram& histRoundSeconds() {
-  static MetricsRegistry::Histogram h =
-      MetricsRegistry::global().histogram("aed.round_seconds");
-  return h;
-}
-MetricsRegistry::Histogram& histConflicts() {
-  static MetricsRegistry::Histogram h =
-      MetricsRegistry::global().histogram("smt.conflicts");
-  return h;
-}
-MetricsRegistry::Histogram& histDecisions() {
-  static MetricsRegistry::Histogram h =
-      MetricsRegistry::global().histogram("smt.decisions");
-  return h;
+/// Infrastructure failures (timeouts, solver exceptions, fault injection,
+/// cancellation) are recorded in their subproblem's slot, so one poisoned
+/// destination never discards sibling work. Every other AedError is
+/// deterministic (malformed policies, invariant violations) and fails the
+/// run.
+bool isolatable(ErrorCode code) {
+  return code == ErrorCode::kSubproblemFailed || code == ErrorCode::kTimeout ||
+         code == ErrorCode::kSolverUnknown || code == ErrorCode::kCancelled;
 }
 
-/// JSON escaping for the flight-dump subproblem section.
-std::string jsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+// Latency/effort histograms (§12). The handles are resolved once (a
+// function-local static over the leaked global registry), so the record
+// path is pure relaxed atomics. All are recorded on the coordinating thread
+// at the post-join merge points, like every other engine metric.
+struct EngineHistograms {
+  MetricsRegistry::Histogram checkSeconds =
+      MetricsRegistry::global().histogram("smt.check_seconds");
+  MetricsRegistry::Histogram subproblemSeconds =
+      MetricsRegistry::global().histogram("aed.subproblem_seconds");
+  MetricsRegistry::Histogram roundSeconds =
+      MetricsRegistry::global().histogram("aed.round_seconds");
+  MetricsRegistry::Histogram conflicts =
+      MetricsRegistry::global().histogram("smt.conflicts");
+  MetricsRegistry::Histogram decisions =
+      MetricsRegistry::global().histogram("smt.decisions");
+};
+const EngineHistograms& histograms() {
+  static const EngineHistograms handles;
+  return handles;
 }
 
 /// Renders the per-subproblem states (outcome, rung, solver effort) as a
@@ -136,10 +113,11 @@ void publishPhase(MetricsRegistry& metrics, const std::string& prefix,
 }
 
 /// Mirrors the finished run's AedStats (and the absorbed SimCacheStats) into
-/// the registry. Called exactly once per synthesize() exit — success, failed,
-/// cancelled, or unwinding — from the coordinating thread, after every worker
-/// has been joined: workers only ever report through their own SubResult
-/// slot, so the merge here cannot race (see DESIGN.md §10).
+/// the registry. Called once per synthesize() call — success, failed,
+/// cancelled, or thrown — from SynthesisRun::finish() on the coordinating
+/// thread, after every worker has been joined: workers only ever report
+/// through their own SubResult slot, so the merge here cannot race (see
+/// DESIGN.md §10).
 void publishStats(const AedResult& result) {
   MetricsRegistry& metrics = MetricsRegistry::global();
   const AedStats& stats = result.stats;
@@ -175,24 +153,593 @@ void publishStats(const AedResult& result) {
               static_cast<double>(sim.parallelBatches));
   metrics.add("sim.parallel_tasks", static_cast<double>(sim.parallelTasks));
 
-  // Ladder-rung outcome counters (§12), registered even at zero so the
-  // snapshot is complete (a missing known stat fails tests/obs_test.cpp).
-  static const char* const kRungCounterNames[] = {
-      "smt.rung.none",          "smt.rung.warm_start", "smt.rung.full",
-      "smt.rung.no_minimality", "smt.rung.hard_only",  "smt.rung.unsat",
-      "smt.rung.gave_up",
-  };
+  // Ladder-rung outcome counters (§12), e.g. smt.rung.warm_start, registered
+  // even at zero so the snapshot is complete (a missing known stat fails
+  // tests/obs_test.cpp).
   for (std::size_t r = 1; r < stats.rungCounts.size(); ++r) {
-    metrics.add(kRungCounterNames[r], static_cast<double>(stats.rungCounts[r]));
+    std::string name =
+        std::string("smt.rung.") + solveRungName(static_cast<SolveRung>(r));
+    std::replace(name.begin(), name.end(), '-', '_');
+    metrics.add(name, static_cast<double>(stats.rungCounts[r]));
   }
 
   // Touch the engine histograms so they exist in every post-run snapshot,
   // recorded or not.
-  histCheckSeconds();
-  histSubproblemSeconds();
-  histRoundSeconds();
-  histConflicts();
-  histDecisions();
+  histograms();
+}
+
+/// One synthesize() call. The run's state is members and its phases are
+/// methods; synthesize() runs execute() inside its only try/catch and then
+/// finish(), exactly once, however execute() ended.
+class SynthesisRun {
+ public:
+  SynthesisRun(const ConfigTree& tree, const PolicySet& policies,
+               const std::vector<Objective>& objectives,
+               const AedOptions& options)
+      : tree_(tree),
+        policies_(policies),
+        objectives_(objectives),
+        options_(options),
+        effective_(options),
+        deadline_(options.timeBudgetMs != 0
+                      ? Deadline::after(options.timeBudgetMs)
+                      : Deadline::unlimited()),
+        workers_(options.workers != 0
+                     ? options.workers
+                     : std::max<std::size_t>(
+                           1, std::thread::hardware_concurrency())) {
+    result_.updated = tree.clone();
+  }
+  // Pool tasks hold `this`.
+  SynthesisRun(const SynthesisRun&) = delete;
+  SynthesisRun& operator=(const SynthesisRun&) = delete;
+
+  /// Runs the phases. Returns with the result successful, or failed through
+  /// fail(); deterministic AedErrors propagate.
+  void execute();
+
+  /// The run's single exit: frees the solvers and the simulation engine,
+  /// then fills the per-subproblem report and the stats, stamps
+  /// totalSeconds, publishes the metrics and writes the flight dump of a
+  /// bad exit. `thrown` says execute() left by exception.
+  AedResult finish(bool thrown);
+
+ private:
+  void partition();
+  void solveRound(int round, const std::vector<std::size_t>& pending);
+  void solveOne(std::size_t i, std::uint64_t perSubproblemMs);
+  bool checkOutcomes();
+  PolicySet mergeAndValidate(int round);
+  PolicySet injectedRejection(int round) const;
+  bool blame(int round, const PolicySet& violated);
+  void deploy();
+
+  /// Marks the run failed; returns false so a phase can `return fail(...)`.
+  bool fail(ErrorCode code, std::string message) {
+    result_.error = std::move(message);
+    result_.errorCode = code;
+    return false;
+  }
+  bool cancelled() const {
+    return options_.cancel != nullptr && options_.cancel->stopRequested();
+  }
+  /// Phase timing, split by round kind: round 0 is where every subproblem
+  /// pays sketch + encode; with incrementalResolve the repair bucket's
+  /// sketch/encode stay ~0 because the persistent solvers keep their
+  /// encodings.
+  PhaseBreakdown& phaseBucket(int round) {
+    return round == 0 ? result_.stats.firstRound : result_.stats.repair;
+  }
+
+  // Declared first: the clock starts before anything else runs, and the
+  // run's span closes last, after finish().
+  const Clock::time_point start_ = Clock::now();
+  Span span_{"aed.synthesize"};
+
+  const ConfigTree& tree_;
+  const PolicySet& policies_;
+  const std::vector<Objective>& objectives_;
+  const AedOptions& options_;
+  AedOptions effective_;  // plus destination-scoped sketches when decomposed
+  const Deadline deadline_;
+  const std::size_t workers_;
+  Topology topo_;
+
+  // One slot per destination group (subproblem), in destination order. A
+  // pool worker writes only its own group's subResults_ and solvers_ slots.
+  std::vector<PolicySet> groups_;
+  std::vector<std::string> destinations_;
+  std::vector<SubResult> subResults_;      // the group's latest solve
+  std::vector<SolverStats> solverTotals_;  // effort summed across rounds
+  // One persistent solver per group, alive across repair rounds: a repair
+  // round pushes only the new blocked-delta clauses into the live
+  // z3::optimize instead of re-encoding (see core/subsolver.hpp). Each owns
+  // its own z3::context. With incrementalResolve off a fresh solver is
+  // built per round (the baseline bench_incremental compares against).
+  std::vector<std::unique_ptr<SubproblemSolver>> solvers_;
+  std::vector<bool> needsSolve_;  // coordinating thread only
+  std::vector<std::vector<std::string>> blocked_;  // grows across rounds
+
+  // Validation engine, persistent across repair rounds. Each round's tree
+  // is short-lived, so the engine keeps its own copy; a later round re-binds
+  // it with the old and new merged patches (both relative to the input
+  // tree), invalidating only the destinations their differing edits affect.
+  std::unique_ptr<SimulationEngine> simEngine_;
+  Patch lastMerged_;
+
+  AedResult result_;
+};
+
+void SynthesisRun::execute() {
+  {
+    AED_SPAN("aed.topology");
+    topo_ = Topology::fromConfigs(tree_);
+  }
+  partition();
+  for (int round = 0; round <= options_.maxRepairIterations; ++round) {
+    std::vector<std::size_t> pending;
+    for (std::size_t i = 0; i < groups_.size(); ++i) {
+      if (needsSolve_[i]) pending.push_back(i);
+    }
+    if (pending.empty()) break;
+
+    Span roundSpan("aed.round");
+    if (roundSpan.active()) {
+      roundSpan.setDetail("round=" + std::to_string(round) +
+                          " pending=" + std::to_string(pending.size()));
+    }
+    // Round duration (solve + validate), recorded however the iteration
+    // exits (success break, failure return, or rethrow).
+    struct RoundTimer {
+      Clock::time_point start = Clock::now();
+      ~RoundTimer() { histograms().roundSeconds.record(secondsSince(start)); }
+    } roundTimer;
+
+    solveRound(round, pending);
+    if (!checkOutcomes()) return;
+    const PolicySet violated = mergeAndValidate(round);
+    if (violated.empty()) break;
+    if (!blame(round, violated)) return;
+  }
+  deploy();
+  result_.success = true;
+}
+
+void SynthesisRun::partition() {
+  AED_SPAN("aed.partition");
+  if (options_.perDestination) {
+    for (auto& [dst, set] : groupByDestination(policies_)) {
+      groups_.push_back(std::move(set));
+      destinations_.push_back(dst.str());
+    }
+    // Confine each subproblem to destination-local changes so parallel
+    // solutions cannot conflict (§8; see SketchOptions::destinationScoped).
+    if (groups_.size() > 1) effective_.sketch.destinationScoped = true;
+  } else if (!policies_.empty()) {
+    groups_.push_back(policies_);
+    destinations_.push_back("*");
+  }
+  result_.stats.subproblems = groups_.size();
+  subResults_.resize(groups_.size());
+  solverTotals_.resize(groups_.size());
+  solvers_.resize(groups_.size());
+  needsSolve_.assign(groups_.size(), true);
+}
+
+void SynthesisRun::solveRound(int round,
+                              const std::vector<std::size_t>& pending) {
+  Progress::setPhase(round == 0 ? "solve" : "repair");
+  Progress::setRound(static_cast<std::size_t>(round));
+  Progress::setWork(pending.size());
+
+  // Split the remaining global budget across the queued subproblems: each
+  // of the ceil(pending/workers) sequential batches gets an equal share.
+  std::uint64_t perSubproblemMs = Deadline::kForeverMs;
+  if (!deadline_.isUnlimited()) {
+    const std::size_t lanes = std::min(workers_, pending.size());
+    const std::size_t batches = (pending.size() + lanes - 1) / lanes;
+    perSubproblemMs =
+        std::max<std::uint64_t>(1, deadline_.remainingMillis() / batches);
+  }
+
+  // solveOne() isolates expected failures itself, so anything escaping it
+  // is fatal to the run. It is rethrown only after every sibling has been
+  // collected: a throwing solve must not abandon in-flight siblings or
+  // skip their results. Without a pool, deferred futures run each solve
+  // on this thread as it is collected.
+  std::exception_ptr fatal;
+  {
+    std::optional<ThreadPool> pool;
+    if (options_.perDestination && pending.size() > 1 && workers_ > 1) {
+      pool.emplace(std::min(workers_, pending.size()));
+    }
+    std::vector<std::future<void>> solves;
+    for (const std::size_t i : pending) {
+      const auto task = [this, i, perSubproblemMs] {
+        solveOne(i, perSubproblemMs);
+      };
+      solves.push_back(pool ? pool->submit(task)
+                            : std::async(std::launch::deferred, task));
+    }
+    for (std::size_t k = 0; k < pending.size(); ++k) {
+      const std::size_t i = pending[k];
+      try {
+        solves[k].get();
+      } catch (const AedError& e) {
+        if (!fatal) fatal = std::current_exception();
+        subResults_[i] =
+            failedSubResult(SubOutcome::kError, e.code(), e.what());
+      } catch (const std::exception& e) {
+        if (!fatal) fatal = std::current_exception();
+        subResults_[i] = failedSubResult(SubOutcome::kError,
+                                         ErrorCode::kInternal, e.what());
+      }
+    }
+  }
+  for (const std::size_t i : pending) needsSolve_[i] = false;
+
+  // Merged before the fatal rethrow below, so the work the siblings
+  // completed this round stays attributable when the run unwinds.
+  PhaseBreakdown& bucket = phaseBucket(round);
+  const EngineHistograms& hist = histograms();
+  for (const std::size_t i : pending) {
+    const SubResult& sub = subResults_[i];
+    bucket.sketchSeconds += sub.phases.sketchSeconds;
+    bucket.encodeSeconds += sub.phases.encodeSeconds;
+    bucket.solveSeconds += sub.phases.solveSeconds;
+    bucket.extractSeconds += sub.phases.extractSeconds;
+    if (sub.warmStart) ++result_.stats.warmStartSolves;
+    // §12 introspection, merged post-join on this thread: per-solve
+    // latency/effort distributions and ladder-rung outcomes.
+    hist.subproblemSeconds.record(sub.seconds);
+    if (sub.rung != SolveRung::kNone) {
+      hist.checkSeconds.record(sub.phases.solveSeconds);
+      hist.conflicts.record(static_cast<double>(sub.solverStats.conflicts));
+      hist.decisions.record(static_cast<double>(sub.solverStats.decisions));
+      ++result_.stats.rungCounts[static_cast<std::size_t>(sub.rung)];
+      solverTotals_[i].accumulate(sub.solverStats);
+    }
+  }
+  if (fatal) std::rethrow_exception(fatal);
+}
+
+void SynthesisRun::solveOne(std::size_t i, std::uint64_t perSubproblemMs) {
+  // On a pool worker the submitting thread's span context is installed, so
+  // this span parents under the round span whichever thread runs it.
+  Span span("aed.subproblem");
+  if (span.active()) span.setDetail("dst=" + destinations_[i]);
+  try {
+    const FaultInjection& fault = options_.faultInjection;
+    const bool injected = fault.kind != FaultInjection::Kind::kNone &&
+                          fault.subproblem >= 0 &&
+                          static_cast<std::size_t>(fault.subproblem) == i;
+    if (injected && fault.kind == FaultInjection::Kind::kThrow) {
+      throw AedError(ErrorCode::kSubproblemFailed,
+                     "fault injection: subproblem " + std::to_string(i) +
+                         " threw");
+    }
+    if (injected && fault.kind == FaultInjection::Kind::kDelay) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(fault.delayMs));
+    }
+    if (cancelled()) {
+      subResults_[i] = failedSubResult(SubOutcome::kCancelled,
+                                       ErrorCode::kCancelled,
+                                       "cancelled before solving");
+      return;
+    }
+    Deadline deadline = deadline_;
+    if (!deadline_.isUnlimited()) {
+      deadline = Deadline::after(perSubproblemMs).min(deadline_);
+    }
+    if (options_.subproblemTimeoutMs != 0) {
+      deadline = Deadline::after(options_.subproblemTimeoutMs).min(deadline);
+    }
+    if (solvers_[i] == nullptr || !effective_.incrementalResolve) {
+      solvers_[i] = std::make_unique<SubproblemSolver>(
+          tree_, topo_, groups_[i], objectives_, effective_);
+    }
+    subResults_[i] = solvers_[i]->solve(
+        blocked_, deadline,
+        injected && fault.kind == FaultInjection::Kind::kUnknown);
+  } catch (const AedError& e) {
+    // A throwing solver may hold a poisoned Z3 state; rebuild it before any
+    // future re-solve of this group.
+    solvers_[i].reset();
+    if (!isolatable(e.code())) throw;
+    const SubOutcome outcome = e.code() == ErrorCode::kTimeout
+                                   ? SubOutcome::kTimedOut
+                               : e.code() == ErrorCode::kCancelled
+                                   ? SubOutcome::kCancelled
+                                   : SubOutcome::kError;
+    subResults_[i] = failedSubResult(outcome, e.code(), e.what());
+  } catch (const std::exception& e) {
+    // Covers z3::exception: solver infrastructure trouble, isolated.
+    solvers_[i].reset();
+    subResults_[i] = failedSubResult(
+        SubOutcome::kError, ErrorCode::kSubproblemFailed, e.what());
+  }
+  Progress::incrDone();
+}
+
+/// Fails the run on unsat anywhere, or when no subproblem produced a usable
+/// patch; otherwise logs the failed ones, whose patches the merge skips.
+bool SynthesisRun::checkOutcomes() {
+  // Unsat is fatal for the whole run: the policies conflict (§11 "SMT
+  // output for special cases"), and a partial patch would silently drop a
+  // policy the operator asked for.
+  for (std::size_t i = 0; i < groups_.size(); ++i) {
+    if (subResults_[i].outcome == SubOutcome::kUnsat) {
+      return fail(ErrorCode::kUnsat,
+                  "unsatisfiable: the policies cannot all be implemented "
+                  "(subproblem " +
+                      std::to_string(i) + ", " +
+                      std::to_string(groups_[i].size()) + " policies)");
+    }
+  }
+
+  // Fault isolation: infrastructure failures (timeout, exception, solver
+  // unknown, cancellation) are reported per subproblem; the survivors'
+  // patches are still merged. Only when nothing survived is the whole run
+  // a failure.
+  if (std::none_of(subResults_.begin(), subResults_.end(), usable)) {
+    const auto firstWith = [this](SubOutcome outcome) -> const SubResult* {
+      for (const SubResult& sub : subResults_) {
+        if (sub.outcome == outcome) return &sub;
+      }
+      return nullptr;
+    };
+    if (firstWith(SubOutcome::kCancelled) != nullptr) {
+      return fail(ErrorCode::kCancelled, "cancelled by the caller");
+    }
+    if (firstWith(SubOutcome::kTimedOut) != nullptr) {
+      return fail(ErrorCode::kTimeout,
+                  "time budget exhausted before any subproblem was solved");
+    }
+    const SubResult* errored = firstWith(SubOutcome::kError);
+    return fail(errored != nullptr ? errored->code : ErrorCode::kInternal,
+                "all subproblems failed" +
+                    (errored != nullptr && !errored->detail.empty()
+                         ? " (first: " + errored->detail + ")"
+                         : std::string()));
+  }
+  for (std::size_t i = 0; i < groups_.size(); ++i) {
+    if (!usable(subResults_[i])) {
+      logWarn() << "subproblem " << i << " (" << destinations_[i]
+                << ") failed: " << subOutcomeName(subResults_[i].outcome)
+                << (subResults_[i].detail.empty()
+                        ? ""
+                        : " — " + subResults_[i].detail);
+    }
+  }
+  return true;
+}
+
+/// Merges the surviving patches and validates the patched tree against the
+/// simulator. Policies owned by failed subproblems are left out: they are
+/// already reported as unsatisfied. Returns the violated policies; when
+/// there are none, the merged patch becomes the result.
+PolicySet SynthesisRun::mergeAndValidate(int round) {
+  std::vector<Patch> patches;
+  PolicySet survivingPolicies;
+  for (std::size_t i = 0; i < groups_.size(); ++i) {
+    if (!usable(subResults_[i])) continue;
+    patches.push_back(subResults_[i].patch);
+    survivingPolicies.insert(survivingPolicies.end(), groups_[i].begin(),
+                             groups_[i].end());
+  }
+  Patch merged;
+  ConfigTree updated;
+  {
+    AED_SPAN("aed.merge_apply");
+    merged = mergePatches(patches);
+    updated = merged.applied(tree_);
+  }
+
+  PolicySet violated;
+  if (options_.validateWithSimulator) {
+    const auto simulateStart = Clock::now();
+    {
+      AED_SPAN("aed.validate");
+      Progress::setPhase("validate");
+      if (simEngine_ == nullptr) {
+        simEngine_ = std::make_unique<SimulationEngine>(
+            updated, options_.workers, options_.simCacheMaxEntries);
+      } else {
+        simEngine_->rebind(updated, {&lastMerged_, &merged});
+      }
+      lastMerged_ = merged;
+      violated = simEngine_->violations(survivingPolicies);
+      result_.stats.simulate = simEngine_->cacheStats();
+    }
+    phaseBucket(round).simulateSeconds += secondsSince(simulateStart);
+    if (violated.empty()) violated = injectedRejection(round);
+  }
+  if (violated.empty()) {
+    result_.patch = std::move(merged);
+    result_.updated = std::move(updated);
+  }
+  return violated;
+}
+
+/// Deterministic fault injection for repair-heavy scenarios: the first
+/// rejectRounds passing verdicts become failures, so blocking and the
+/// incremental re-solve run for real (tests and bench_incremental). Only
+/// policies whose subproblem made changes can be rejected: an empty patch
+/// has no delta set to block, so rejecting its policies would fabricate a
+/// model/simulator divergence.
+PolicySet SynthesisRun::injectedRejection(int round) const {
+  const FaultInjection& fault = options_.faultInjection;
+  if (fault.kind != FaultInjection::Kind::kRejectValidation ||
+      round >= fault.rejectRounds) {
+    return {};
+  }
+  PolicySet rejectable;
+  for (std::size_t i = 0; i < groups_.size(); ++i) {
+    if (!usable(subResults_[i]) || subResults_[i].activeDeltas.empty()) {
+      continue;
+    }
+    rejectable.insert(rejectable.end(), groups_[i].begin(), groups_[i].end());
+  }
+  if (!rejectable.empty()) {
+    logWarn() << "fault injection: rejecting the round-" << round
+              << " validation verdict";
+  }
+  return rejectable;
+}
+
+/// Counts a repair round and blocks the active delta sets of the groups
+/// blamed for `violated`, marking them for re-solve. Fails the run when no
+/// repair round is left, on cancellation, when the budget is spent, or when
+/// no group can be blamed.
+bool SynthesisRun::blame(int round, const PolicySet& violated) {
+  ++result_.stats.repairRounds;
+  if (round == options_.maxRepairIterations) {
+    return fail(ErrorCode::kValidationFailed,
+                "validation failed after repair rounds: " +
+                    std::to_string(violated.size()) +
+                    " policies still violated (first: " + violated[0].str() +
+                    ")");
+  }
+  if (cancelled()) {
+    return fail(ErrorCode::kCancelled, "cancelled during repair");
+  }
+  if (deadline_.expired()) {
+    return fail(ErrorCode::kTimeout,
+                "time budget exhausted during repair: " +
+                    std::to_string(violated.size()) +
+                    " policies still violated");
+  }
+  logWarn() << "patch failed simulation for " << violated.size()
+            << " policies; blocking and re-solving";
+  // A group's active delta set is pushed at most once per round, even when
+  // it owns several violated policies: duplicate blocking clauses would
+  // bloat every solver (incremental ones keep them forever).
+  std::set<std::size_t> blamedGroups;
+  // Blocks every surviving group with a non-empty delta set that `pick`
+  // selects; false when there was none.
+  const auto blockWhere = [&](const auto& pick) {
+    bool any = false;
+    for (std::size_t i = 0; i < groups_.size(); ++i) {
+      const SubResult& sub = subResults_[i];
+      if (!usable(sub) || sub.activeDeltas.empty() || !pick(i)) continue;
+      needsSolve_[i] = true;
+      if (blamedGroups.insert(i).second) blocked_.push_back(sub.activeDeltas);
+      any = true;
+    }
+    return any;
+  };
+  for (const Policy& policy : violated) {
+    const auto owns = [&](std::size_t i) {
+      return std::any_of(
+          groups_[i].begin(), groups_[i].end(),
+          [&policy](const Policy& p) { return p.cls.dst == policy.cls.dst; });
+    };
+    // When the owning subproblem made no changes, another group's deltas
+    // broke this policy: block every non-empty surviving group.
+    const bool blamed =
+        blockWhere(owns) || blockWhere([](std::size_t) { return true; });
+    if (!blamed) {
+      return fail(ErrorCode::kInternal,
+                  "model/simulator divergence with an empty patch for " +
+                      policy.str());
+    }
+  }
+  return true;
+}
+
+/// Staged deployment (AedOptions::stagedDeployment): plans a policy-safe
+/// rollout of the patch and executes it against a scratch clone of the
+/// input tree, with any configured stage fault injected. An aborted
+/// deployment degrades the result (the patch itself is still valid), and
+/// result.updated keeps its meaning: the tree after the *full* patch.
+void SynthesisRun::deploy() {
+  if (!options_.stagedDeployment || result_.patch.empty()) return;
+  AED_SPAN("aed.deploy");
+  Progress::setPhase("deploy");
+  DeployOptions deployOptions = options_.deploy;
+  if (deployOptions.workers == 0) deployOptions.workers = options_.workers;
+  if (deployOptions.simCacheMaxEntries == 0) {
+    deployOptions.simCacheMaxEntries = options_.simCacheMaxEntries;
+  }
+  result_.deployment =
+      planStagedRollout(tree_, result_.patch, policies_, deployOptions);
+  ConfigTree staged = tree_.clone();
+  if (!executeDeployment(staged, result_.deployment, deployOptions,
+                         deployFault(options_.faultInjection))) {
+    result_.degraded = true;
+    logWarn() << "staged deployment aborted ["
+              << errorCodeName(result_.deployment.code)
+              << "]: " << result_.deployment.error;
+  }
+}
+
+AedResult SynthesisRun::finish(bool thrown) {
+  {
+    AED_SPAN("aed.teardown");
+    solvers_.clear();
+    simEngine_.reset();
+  }
+  if (thrown && result_.errorCode == ErrorCode::kNone) {
+    result_.errorCode = ErrorCode::kInternal;
+  }
+
+  // subResults_ stays empty when the run threw before partitioning.
+  AedStats& stats = result_.stats;
+  std::set<std::string> violatedLabels;
+  for (std::size_t i = 0; i < subResults_.size(); ++i) {
+    const SubResult& sub = subResults_[i];
+    result_.subproblems.push_back({.index = i,
+                                   .destination = destinations_[i],
+                                   .policyCount = groups_[i].size(),
+                                   .outcome = sub.outcome,
+                                   .code = sub.code,
+                                   .detail = sub.detail,
+                                   .seconds = sub.seconds,
+                                   .rung = sub.rung,
+                                   .rungReason = sub.rungReason,
+                                   .solverStats = solverTotals_[i]});
+
+    if (sub.outcome == SubOutcome::kDegraded) {
+      ++stats.degradedSubproblems;
+    } else if (sub.outcome != SubOutcome::kOk) {
+      ++stats.failedSubproblems;
+    }
+    if (sub.outcome != SubOutcome::kOk) result_.degraded = true;
+    violatedLabels.insert(sub.violated.begin(), sub.violated.end());
+    stats.deltaCount += sub.deltaCount;
+    stats.maxSubproblemSeconds =
+        std::max(stats.maxSubproblemSeconds, sub.seconds);
+    stats.sumSubproblemSeconds += sub.seconds;
+  }
+  std::set<std::string> satisfiedLabels;
+  for (const SubResult& sub : subResults_) {
+    for (const std::string& label : sub.satisfied) {
+      if (violatedLabels.count(label) == 0) satisfiedLabels.insert(label);
+    }
+  }
+  result_.satisfiedObjectives.assign(satisfiedLabels.begin(),
+                                     satisfiedLabels.end());
+  result_.violatedObjectives.assign(violatedLabels.begin(),
+                                    violatedLabels.end());
+  stats.totalSeconds = secondsSince(start_);
+  publishStats(result_);
+  Progress::setPhase(result_.success
+                         ? (result_.degraded ? "degraded" : "done")
+                         : "failed");
+
+  // Post-mortem (§12): any non-clean exit — failed, thrown, cancelled, or
+  // degraded — leaves a flight dump behind when a dump destination is
+  // configured.
+  if (!result_.success || result_.degraded) {
+    FlightRecorder::DumpContext dump;
+    dump.reason =
+        !result_.success ? "synthesize-failed" : "synthesize-degraded";
+    dump.errorCode = errorCodeName(result_.errorCode);
+    dump.detail = result_.error;
+    dump.sections.emplace_back("subproblems", subproblemsJson(result_));
+    FlightRecorder::maybeDump(dump);
+  }
+  return std::move(result_);
 }
 
 }  // namespace
@@ -207,6 +754,19 @@ const char* subOutcomeName(SubOutcome outcome) {
     case SubOutcome::kCancelled: return "cancelled";
   }
   return "error";
+}
+
+DeployFaultInjection deployFault(const FaultInjection& fault) {
+  DeployFaultInjection deploy;
+  if (fault.kind == FaultInjection::Kind::kStageCommitFailure) {
+    deploy.kind = DeployFaultInjection::Kind::kStageCommitFailure;
+    deploy.stage = fault.applyStage;
+    deploy.atEdit = fault.applyEdit;
+  } else if (fault.kind == FaultInjection::Kind::kStageValidationTimeout) {
+    deploy.kind = DeployFaultInjection::Kind::kValidationTimeout;
+    deploy.stage = fault.applyStage;
+  }
+  return deploy;
 }
 
 Patch mergePatches(const std::vector<Patch>& patches) {
@@ -264,579 +824,17 @@ Patch mergePatches(const std::vector<Patch>& patches) {
 AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
                      const std::vector<Objective>& objectives,
                      const AedOptions& options) {
-  const auto start = Clock::now();
-  Span runSpan("aed.synthesize");
-  AedResult result;
-  result.updated = tree.clone();
-
-  Topology topo = Topology::fromConfigs(tree);
-
-  const Deadline globalDeadline = options.timeBudgetMs != 0
-                                      ? Deadline::after(options.timeBudgetMs)
-                                      : Deadline::unlimited();
-  const auto cancelled = [&options] {
-    return options.cancel != nullptr && options.cancel->stopRequested();
-  };
-
-  // ---- partition into subproblems -----------------------------------------
-  AedOptions effective = options;
-  std::vector<PolicySet> groups;
-  std::vector<std::string> destinations;
-  if (options.perDestination) {
-    for (auto& [dst, set] : groupByDestination(policies)) {
-      groups.push_back(set);
-      destinations.push_back(dst.str());
-    }
-    // Confine each subproblem to destination-local changes so parallel
-    // solutions cannot conflict (§8; see SketchOptions::destinationScoped).
-    if (groups.size() > 1) effective.sketch.destinationScoped = true;
-  } else if (!policies.empty()) {
-    groups.push_back(policies);
-    destinations.push_back("*");
+  SynthesisRun run(tree, policies, objectives, options);
+  // Deterministic AedErrors still reach the caller (the resilience
+  // contract), but only after finish() has made the run attributable.
+  std::exception_ptr thrown;
+  try {
+    run.execute();
+  } catch (...) {
+    thrown = std::current_exception();
   }
-  result.stats.subproblems = groups.size();
-  Progress::setPhase("solve");
-  Progress::setRound(0);
-  Progress::setWork(groups.size());
-
-  std::vector<SubResult> subResults(groups.size());
-  // Solver effort per group, accumulated across repair rounds on the
-  // coordinating thread (subResults only keeps the last round's solve).
-  std::vector<SolverStats> solverTotals(groups.size());
-
-  // One persistent solver per destination group, alive across repair rounds
-  // (the incremental re-solve engine): a repair round pushes only the new
-  // blocked-delta clauses into the existing z3::optimize instance instead of
-  // re-encoding from scratch. Each solver owns its own z3::context, so the
-  // parallel engine can drive distinct solvers from distinct workers; a
-  // worker only ever touches its own group's solver. With
-  // incrementalResolve off, a fresh solver is built per round (the
-  // pre-incremental baseline, kept for A/B benchmarking).
-  std::vector<std::unique_ptr<SubproblemSolver>> solvers(groups.size());
-  const auto freshSolver = [&](std::size_t i) {
-    return std::make_unique<SubproblemSolver>(tree, topo, groups[i],
-                                              objectives, effective);
-  };
-
-  // Fills the outcome report and aggregate stats from subResults, then
-  // mirrors them into the unified metrics registry; called exactly once on
-  // every exit path (success, fail(), and — via the unwind guard below —
-  // exceptions), so failed and thrown runs are just as attributable as
-  // successful ones.
-  bool finalized = false;
-  const auto finalize = [&](AedResult& res) {
-    if (finalized) return;
-    finalized = true;
-    res.subproblems.clear();
-    std::set<std::string> violatedLabels;
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      const SubResult& sub = subResults[i];
-      SubproblemReport report;
-      report.index = i;
-      report.destination = destinations[i];
-      report.policyCount = groups[i].size();
-      report.outcome = sub.outcome;
-      report.code = sub.code;
-      report.detail = sub.detail;
-      report.seconds = sub.seconds;
-      report.rung = sub.rung;
-      report.rungReason = sub.rungReason;
-      report.solverStats = solverTotals[i];
-      res.subproblems.push_back(std::move(report));
-
-      if (sub.outcome == SubOutcome::kDegraded) {
-        ++res.stats.degradedSubproblems;
-      } else if (sub.outcome != SubOutcome::kOk) {
-        ++res.stats.failedSubproblems;
-      }
-      if (sub.outcome != SubOutcome::kOk) res.degraded = true;
-      for (const std::string& label : sub.violated) {
-        violatedLabels.insert(label);
-      }
-      res.stats.deltaCount += sub.deltaCount;
-      res.stats.maxSubproblemSeconds =
-          std::max(res.stats.maxSubproblemSeconds, sub.seconds);
-      res.stats.sumSubproblemSeconds += sub.seconds;
-    }
-    std::set<std::string> satisfiedLabels;
-    for (const SubResult& sub : subResults) {
-      for (const std::string& label : sub.satisfied) {
-        if (violatedLabels.count(label) == 0) satisfiedLabels.insert(label);
-      }
-    }
-    res.satisfiedObjectives.assign(satisfiedLabels.begin(),
-                                   satisfiedLabels.end());
-    res.violatedObjectives.assign(violatedLabels.begin(),
-                                  violatedLabels.end());
-    res.stats.totalSeconds = secondsSince(start);
-    publishStats(res);
-    Progress::setPhase(res.success ? (res.degraded ? "degraded" : "done")
-                                   : "failed");
-
-    // Post-mortem (§12): any non-clean exit — failed, thrown (via the unwind
-    // guard), cancelled, or degraded — leaves a flight dump behind when a
-    // dump destination is configured.
-    if (!res.success || res.degraded) {
-      FlightRecorder::DumpContext dump;
-      dump.reason = !res.success ? "synthesize-failed" : "synthesize-degraded";
-      dump.errorCode = errorCodeName(res.errorCode);
-      dump.detail = res.error;
-      dump.sections.emplace_back("subproblems", subproblemsJson(res));
-      FlightRecorder::maybeDump(dump);
-    }
-  };
-
-  const auto fail = [&](ErrorCode code,
-                        const std::string& message) -> AedResult&& {
-    result.success = false;
-    result.error = message;
-    result.errorCode = code;
-    finalize(result);
-    return std::move(result);
-  };
-
-  // Deterministic AedErrors still propagate to the caller (the resilience
-  // contract), but the run must stay attributable: when an exception unwinds
-  // past this frame, finalize the stats collected so far — totalSeconds, the
-  // per-subproblem outcomes, the merged phase timings — into the metrics
-  // registry before the result is lost. Spans close by themselves (RAII).
-  const auto onUnwind = [&] {
-    result.success = false;
-    if (result.errorCode == ErrorCode::kNone) {
-      result.errorCode = ErrorCode::kInternal;
-    }
-    finalize(result);
-  };
-  struct UnwindGuard {
-    const decltype(onUnwind)& fn;
-    int depth = std::uncaught_exceptions();
-    ~UnwindGuard() {
-      if (std::uncaught_exceptions() > depth) fn();
-    }
-  } unwindGuard{onUnwind};
-
-  // ---- solve (with simulator-validated repair rounds) ---------------------
-  std::vector<std::vector<std::string>> blocked;  // shared across rounds
-  std::vector<bool> needsSolve(groups.size(), true);
-
-  // Validation engine, persistent across repair rounds. Each round's tree is
-  // a short-lived local, so the engine keeps its own copy; between rounds it
-  // is re-bound with the old and new merged patches (both relative to the
-  // seed tree), invalidating only the destinations their differing edits can
-  // affect.
-  std::unique_ptr<SimulationEngine> simEngine;
-  Patch lastMerged;
-
-  const std::size_t workers =
-      options.workers != 0
-          ? options.workers
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-
-  for (int round = 0; round <= options.maxRepairIterations; ++round) {
-    // Solve all pending subproblems (in parallel when enabled).
-    std::vector<std::size_t> pending;
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      if (needsSolve[i]) pending.push_back(i);
-    }
-    if (pending.empty()) break;
-
-    Span roundSpan("aed.round");
-    if (roundSpan.active()) {
-      roundSpan.setDetail("round=" + std::to_string(round) +
-                          " pending=" + std::to_string(pending.size()));
-    }
-    Progress::setPhase(round == 0 ? "solve" : "repair");
-    Progress::setRound(static_cast<std::size_t>(round));
-    Progress::setWork(pending.size());
-    // Repair-round duration (solve + validate), recorded however the
-    // iteration exits (success break, fail return, or rethrow).
-    struct RoundTimer {
-      Clock::time_point start = Clock::now();
-      ~RoundTimer() { histRoundSeconds().record(secondsSince(start)); }
-    } roundTimer;
-
-    // Split the remaining global budget across the queued subproblems: each
-    // of the ceil(pending/workers) sequential batches gets an equal share.
-    std::uint64_t perSubproblemMs = Deadline::kForeverMs;
-    if (!globalDeadline.isUnlimited()) {
-      const std::size_t lanes = std::min<std::size_t>(
-          std::max<std::size_t>(1, workers), pending.size());
-      const std::size_t batches = (pending.size() + lanes - 1) / lanes;
-      perSubproblemMs =
-          std::max<std::uint64_t>(1, globalDeadline.remainingMillis() /
-                                         std::max<std::size_t>(1, batches));
-    }
-
-    // Workers write only their own subResults slot; needsSolve (bit-packed
-    // vector<bool>) is updated on this thread afterwards.
-    //
-    // Failure classification: infrastructure failures (timeouts, solver
-    // exceptions, fault injection, cancellation) are recorded in the
-    // subproblem's slot so one poisoned destination never discards sibling
-    // work. Deterministic input/internal AedErrors (malformed policies,
-    // invariant violations) still propagate to the caller — but only after
-    // every in-flight sibling has been collected, so nothing leaks or races
-    // shared state during unwinding.
-    const auto isolatable = [](ErrorCode code) {
-      return code == ErrorCode::kSubproblemFailed ||
-             code == ErrorCode::kTimeout ||
-             code == ErrorCode::kSolverUnknown ||
-             code == ErrorCode::kCancelled;
-    };
-    const auto solveOne = [&](std::size_t i) {
-      // Runs on a pool worker in parallel mode: the worker installed the
-      // submitting thread's span context, so this span parents under the
-      // round span regardless of which thread executes it.
-      Span span("aed.subproblem");
-      if (span.active()) span.setDetail("dst=" + destinations[i]);
-      try {
-        const FaultInjection& fault = options.faultInjection;
-        const bool injected =
-            fault.kind != FaultInjection::Kind::kNone &&
-            fault.subproblem >= 0 &&
-            static_cast<std::size_t>(fault.subproblem) == i;
-        if (injected && fault.kind == FaultInjection::Kind::kThrow) {
-          throw AedError(ErrorCode::kSubproblemFailed,
-                         "fault injection: subproblem " + std::to_string(i) +
-                             " threw");
-        }
-        if (injected && fault.kind == FaultInjection::Kind::kDelay) {
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(fault.delayMs));
-        }
-        if (cancelled()) {
-          subResults[i] = failedSubResult(SubOutcome::kCancelled,
-                                          ErrorCode::kCancelled,
-                                          "cancelled before solving");
-          return;
-        }
-        Deadline deadline = globalDeadline;
-        if (!globalDeadline.isUnlimited()) {
-          deadline = Deadline::after(perSubproblemMs).min(globalDeadline);
-        }
-        if (options.subproblemTimeoutMs != 0) {
-          deadline = Deadline::after(options.subproblemTimeoutMs).min(deadline);
-        }
-        if (solvers[i] == nullptr || !effective.incrementalResolve) {
-          solvers[i] = freshSolver(i);
-        }
-        subResults[i] = solvers[i]->solve(
-            blocked, deadline,
-            injected && fault.kind == FaultInjection::Kind::kUnknown);
-      } catch (const AedError& e) {
-        // A throwing solver may hold a poisoned Z3 state; rebuild it before
-        // any future re-solve of this group.
-        solvers[i].reset();
-        if (!isolatable(e.code())) throw;  // deterministic: fail the run
-        const SubOutcome outcome = e.code() == ErrorCode::kTimeout
-                                       ? SubOutcome::kTimedOut
-                                   : e.code() == ErrorCode::kCancelled
-                                       ? SubOutcome::kCancelled
-                                       : SubOutcome::kError;
-        subResults[i] = failedSubResult(outcome, e.code(), e.what());
-      } catch (const std::exception& e) {
-        // Covers z3::exception: solver infrastructure trouble, isolated.
-        solvers[i].reset();
-        subResults[i] = failedSubResult(
-            SubOutcome::kError, ErrorCode::kSubproblemFailed, e.what());
-      }
-      Progress::incrDone();
-    };
-    std::exception_ptr fatal;
-    if (options.perDestination && pending.size() > 1 && workers > 1) {
-      ThreadPool pool(std::min(workers, pending.size()));
-      std::vector<std::pair<std::size_t, std::future<void>>> futures;
-      futures.reserve(pending.size());
-      for (std::size_t i : pending) {
-        futures.emplace_back(i, pool.submit([&solveOne, i] { solveOne(i); }));
-      }
-      // Collect every future individually: a throwing task must not abandon
-      // its in-flight siblings or skip their results. solveOne isolates
-      // expected failures itself, so anything escaping here is fatal to the
-      // run — but its classification and message are still worth keeping.
-      for (auto& [i, future] : futures) {
-        try {
-          future.get();
-        } catch (const AedError& e) {
-          if (!fatal) fatal = std::current_exception();
-          subResults[i] =
-              failedSubResult(SubOutcome::kError, e.code(), e.what());
-        } catch (const std::exception& e) {
-          if (!fatal) fatal = std::current_exception();
-          subResults[i] = failedSubResult(SubOutcome::kError,
-                                          ErrorCode::kInternal, e.what());
-        }
-      }
-    } else {
-      for (std::size_t i : pending) {
-        try {
-          solveOne(i);
-        } catch (const AedError& e) {
-          if (!fatal) fatal = std::current_exception();
-          subResults[i] =
-              failedSubResult(SubOutcome::kError, e.code(), e.what());
-        } catch (const std::exception& e) {
-          if (!fatal) fatal = std::current_exception();
-          subResults[i] = failedSubResult(SubOutcome::kError,
-                                          ErrorCode::kInternal, e.what());
-        }
-      }
-    }
-    for (std::size_t i : pending) needsSolve[i] = false;
-
-    // Per-phase timing, split by round kind: round 0 is where every
-    // subproblem pays sketch + encode; with incrementalResolve the repair
-    // bucket's sketch/encode stay ~0 because the persistent solvers reuse
-    // their encodings. Merged before the fatal rethrow below so the work the
-    // siblings completed this round stays attributable even when the run
-    // unwinds (the guard above publishes it).
-    PhaseBreakdown& phaseBucket =
-        round == 0 ? result.stats.firstRound : result.stats.repair;
-    for (std::size_t i : pending) {
-      const SubResult& sub = subResults[i];
-      phaseBucket.sketchSeconds += sub.phases.sketchSeconds;
-      phaseBucket.encodeSeconds += sub.phases.encodeSeconds;
-      phaseBucket.solveSeconds += sub.phases.solveSeconds;
-      phaseBucket.extractSeconds += sub.phases.extractSeconds;
-      if (sub.warmStart) ++result.stats.warmStartSolves;
-      // §12 introspection, merged post-join on this thread: per-solve
-      // latency/effort distributions and ladder-rung outcomes.
-      histSubproblemSeconds().record(sub.seconds);
-      if (sub.rung != SolveRung::kNone) {
-        histCheckSeconds().record(sub.phases.solveSeconds);
-        histConflicts().record(
-            static_cast<double>(sub.solverStats.conflicts));
-        histDecisions().record(
-            static_cast<double>(sub.solverStats.decisions));
-        ++result.stats.rungCounts[static_cast<std::size_t>(sub.rung)];
-        solverTotals[i].accumulate(sub.solverStats);
-      }
-    }
-    if (fatal) std::rethrow_exception(fatal);
-
-    // Unsat is fatal for the whole run: the policies conflict (§11 "SMT
-    // output for special cases"), and a partial patch would silently drop a
-    // policy the operator asked for.
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      if (subResults[i].outcome == SubOutcome::kUnsat) {
-        return fail(ErrorCode::kUnsat,
-                    "unsatisfiable: the policies cannot all be implemented "
-                    "(subproblem " +
-                        std::to_string(i) + ", " +
-                        std::to_string(groups[i].size()) + " policies)");
-      }
-    }
-
-    // Fault isolation: infrastructure failures (timeout, exception, solver
-    // unknown, cancellation) are reported per subproblem; the survivors'
-    // patches are still merged. Only when nothing survived is the whole run
-    // a failure.
-    std::size_t usableCount = 0;
-    for (const SubResult& sub : subResults) {
-      if (usable(sub)) ++usableCount;
-    }
-    if (usableCount == 0 && !groups.empty()) {
-      const auto firstWith = [&](SubOutcome outcome) -> const SubResult* {
-        for (const SubResult& sub : subResults) {
-          if (sub.outcome == outcome) return &sub;
-        }
-        return nullptr;
-      };
-      if (firstWith(SubOutcome::kCancelled) != nullptr) {
-        return fail(ErrorCode::kCancelled, "cancelled by the caller");
-      }
-      if (firstWith(SubOutcome::kTimedOut) != nullptr) {
-        return fail(ErrorCode::kTimeout,
-                    "time budget exhausted before any subproblem was solved");
-      }
-      const SubResult* errored = firstWith(SubOutcome::kError);
-      return fail(errored != nullptr ? errored->code : ErrorCode::kInternal,
-                  "all subproblems failed" +
-                      (errored != nullptr && !errored->detail.empty()
-                           ? " (first: " + errored->detail + ")"
-                           : std::string()));
-    }
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      if (!usable(subResults[i])) {
-        logWarn() << "subproblem " << i << " (" << destinations[i]
-                  << ") failed: " << subOutcomeName(subResults[i].outcome)
-                  << (subResults[i].detail.empty()
-                          ? ""
-                          : " — " + subResults[i].detail);
-      }
-    }
-
-    // Merge the surviving patches and validate against the concrete
-    // simulator. Policies owned by failed subproblems are excluded from
-    // validation — they are already reported as unsatisfied.
-    std::vector<Patch> patches;
-    PolicySet survivingPolicies;
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      if (!usable(subResults[i])) continue;
-      patches.push_back(subResults[i].patch);
-      survivingPolicies.insert(survivingPolicies.end(), groups[i].begin(),
-                               groups[i].end());
-    }
-    Patch merged = mergePatches(patches);
-    ConfigTree updated = merged.applied(tree);
-
-    if (!options.validateWithSimulator) {
-      result.patch = std::move(merged);
-      result.updated = std::move(updated);
-      break;
-    }
-    const auto simulateStart = Clock::now();
-    PolicySet violated;
-    {
-      AED_SPAN("aed.validate");
-      Progress::setPhase("validate");
-      if (options.memoizedSimulator) {
-        if (simEngine == nullptr) {
-          simEngine = std::make_unique<SimulationEngine>(
-              updated, options.workers, options.simCacheMaxEntries);
-        } else {
-          simEngine->rebind(updated, {&lastMerged, &merged});
-        }
-        lastMerged = merged;
-        violated = simEngine->violations(survivingPolicies);
-        result.stats.simulate = simEngine->cacheStats();
-      } else {
-        Simulator sim(updated);
-        violated = sim.violations(survivingPolicies);
-      }
-    }
-    phaseBucket.simulateSeconds += secondsSince(simulateStart);
-    // Deterministic fault injection for repair-heavy scenarios: treat the
-    // first rejectRounds passing verdicts as failures, so the blocking +
-    // incremental re-solve machinery runs for real (tests and
-    // bench_incremental).
-    if (violated.empty() &&
-        options.faultInjection.kind ==
-            FaultInjection::Kind::kRejectValidation &&
-        round < options.faultInjection.rejectRounds) {
-      // Only policies whose owning subproblem actually made changes can be
-      // rejected: an empty patch has no delta set to block, so rejecting its
-      // policies would fabricate a model/simulator divergence.
-      PolicySet rejectable;
-      for (std::size_t i = 0; i < groups.size(); ++i) {
-        if (!usable(subResults[i]) || subResults[i].activeDeltas.empty()) {
-          continue;
-        }
-        rejectable.insert(rejectable.end(), groups[i].begin(),
-                          groups[i].end());
-      }
-      if (!rejectable.empty()) {
-        logWarn() << "fault injection: rejecting the round-" << round
-                  << " validation verdict";
-        violated = std::move(rejectable);
-      }
-    }
-    if (violated.empty()) {
-      result.patch = std::move(merged);
-      result.updated = std::move(updated);
-      break;
-    }
-    ++result.stats.repairRounds;
-    if (round == options.maxRepairIterations) {
-      return fail(ErrorCode::kValidationFailed,
-                  "validation failed after repair rounds: " +
-                      std::to_string(violated.size()) +
-                      " policies still violated (first: " + violated[0].str() +
-                      ")");
-    }
-    if (cancelled()) {
-      return fail(ErrorCode::kCancelled, "cancelled during repair");
-    }
-    if (globalDeadline.expired()) {
-      return fail(ErrorCode::kTimeout,
-                  "time budget exhausted during repair: " +
-                      std::to_string(violated.size()) +
-                      " policies still violated");
-    }
-    // Block the delta sets of the subproblems owning the violated policies
-    // and re-solve just those.
-    logWarn() << "patch failed simulation for " << violated.size()
-              << " policies; blocking and re-solving";
-    // A group's active delta set is pushed at most once per round, even when
-    // it owns several violated policies: duplicate blocking clauses would
-    // bloat every solver (incremental ones keep them forever).
-    std::set<std::size_t> blamedGroups;
-    const auto blame = [&](std::size_t i) {
-      needsSolve[i] = true;
-      if (blamedGroups.insert(i).second) {
-        blocked.push_back(subResults[i].activeDeltas);
-      }
-    };
-    for (const Policy& policy : violated) {
-      bool blamed = false;
-      for (std::size_t i = 0; i < groups.size(); ++i) {
-        if (!usable(subResults[i])) continue;
-        const bool owns =
-            std::any_of(groups[i].begin(), groups[i].end(),
-                        [&policy](const Policy& p) {
-                          return p.cls.dst == policy.cls.dst;
-                        });
-        if (!owns || subResults[i].activeDeltas.empty()) continue;
-        blame(i);
-        blamed = true;
-      }
-      if (!blamed) {
-        // The owning subproblem made no changes: another group's deltas
-        // broke this policy. Block every non-empty surviving group.
-        for (std::size_t i = 0; i < groups.size(); ++i) {
-          if (!usable(subResults[i])) continue;
-          if (subResults[i].activeDeltas.empty()) continue;
-          blame(i);
-          blamed = true;
-        }
-      }
-      if (!blamed) {
-        return fail(ErrorCode::kInternal,
-                    "model/simulator divergence with an empty patch for " +
-                        policy.str());
-      }
-    }
-  }
-
-  // ---- staged deployment (AedOptions::stagedDeployment) --------------------
-  // Plan a policy-safe rollout of the synthesized patch and execute it
-  // against a scratch clone of the input tree (with any configured stage
-  // fault injected). An aborted deployment degrades the result — the patch
-  // itself is still valid — and result.updated keeps its meaning: the tree
-  // after the *full* patch.
-  if (options.stagedDeployment && !result.patch.empty()) {
-    Progress::setPhase("deploy");
-    DeployOptions deployOptions = options.deploy;
-    if (deployOptions.workers == 0) deployOptions.workers = options.workers;
-    if (deployOptions.simCacheMaxEntries == 0) {
-      deployOptions.simCacheMaxEntries = options.simCacheMaxEntries;
-    }
-    result.deployment =
-        planStagedRollout(tree, result.patch, policies, deployOptions);
-    DeployFaultInjection deployFault;
-    if (options.faultInjection.kind ==
-        FaultInjection::Kind::kStageCommitFailure) {
-      deployFault.kind = DeployFaultInjection::Kind::kStageCommitFailure;
-      deployFault.stage = options.faultInjection.applyStage;
-      deployFault.atEdit = options.faultInjection.applyEdit;
-    } else if (options.faultInjection.kind ==
-               FaultInjection::Kind::kStageValidationTimeout) {
-      deployFault.kind = DeployFaultInjection::Kind::kValidationTimeout;
-      deployFault.stage = options.faultInjection.applyStage;
-    }
-    ConfigTree staged = tree.clone();
-    if (!executeDeployment(staged, result.deployment, deployOptions,
-                           deployFault)) {
-      result.degraded = true;
-      logWarn() << "staged deployment aborted ["
-                << errorCodeName(result.deployment.code)
-                << "]: " << result.deployment.error;
-    }
-  }
-
-  // ---- aggregate stats and objective reports -------------------------------
-  result.success = true;  // before finalize: the registry reads the flag
-  finalize(result);
+  AedResult result = run.finish(thrown != nullptr);
+  if (thrown) std::rethrow_exception(thrown);
   return result;
 }
 

@@ -86,6 +86,10 @@ struct FaultInjection {
   std::size_t applyEdit = 0;
 };
 
+/// The staged-deployment faults (the kStage* kinds) in the form
+/// executeDeployment() takes; Kind::kNone for every other kind.
+DeployFaultInjection deployFault(const FaultInjection& fault);
+
 struct AedOptions {
   SketchOptions sketch;
   EncoderOptions encoder;
@@ -106,17 +110,10 @@ struct AedOptions {
   unsigned minimalityWeight = 1;
 
   /// Validate candidate patches with the simulator and re-solve with the
-  /// failing delta set blocked, up to this many rounds per subproblem.
+  /// failing delta set blocked, up to this many rounds per subproblem. One
+  /// memoized SimulationEngine serves every round's validation.
   bool validateWithSimulator = true;
   int maxRepairIterations = 3;
-
-  /// Validate with the memoized, parallel SimulationEngine instead of a
-  /// fresh serial Simulator each round. The engine persists across repair
-  /// rounds and invalidates only the destinations affected by the round's
-  /// merged patch, so repeat validations mostly hit the route-table cache.
-  /// Verdicts are bit-identical either way (asserted by tests); false keeps
-  /// the from-scratch oracle for A/B benchmarking.
-  bool memoizedSimulator = true;
 
   /// Entry cap for the SimulationEngine's route-table memo cache
   /// (0 = unlimited); least-recently-used tables are evicted past the cap.
@@ -196,8 +193,9 @@ struct SubproblemReport {
   SolverStats solverStats;
 };
 
-/// Wall-clock seconds per engine phase, summed across subproblems (so under
-/// parallelism a bucket can exceed the round's elapsed time).
+/// Wall-clock seconds per engine phase. AedStats sums them across
+/// subproblems (so under parallelism a bucket can exceed the round's elapsed
+/// time); a SubResult holds one solve's, with simulateSeconds left at 0.
 struct PhaseBreakdown {
   double sketchSeconds = 0.0;    // delta enumeration (buildSketch)
   double encodeSeconds = 0.0;    // constraint building + objective softs
@@ -239,7 +237,7 @@ struct AedStats {
   std::array<std::size_t, 7> rungCounts{};
 
   /// Simulation-engine cache behavior across all validation rounds (zeroed
-  /// when memoizedSimulator is off or validation never ran).
+  /// when validation never ran).
   SimCacheStats simulate;
 };
 

@@ -32,18 +32,6 @@
 
 namespace aed {
 
-/// Wall-clock seconds of one solve() call, by phase. sketch/encode are zero
-/// on incremental re-solves (nothing is rebuilt).
-struct SubproblemPhases {
-  double sketchSeconds = 0.0;
-  double encodeSeconds = 0.0;
-  double solveSeconds = 0.0;
-  double extractSeconds = 0.0;
-  double total() const {
-    return sketchSeconds + encodeSeconds + solveSeconds + extractSeconds;
-  }
-};
-
 /// Outcome of one solve() call on one subproblem.
 struct SubResult {
   SubOutcome outcome = SubOutcome::kError;
@@ -57,7 +45,9 @@ struct SubResult {
   std::vector<std::string> activeDeltas;  // for blocking on repair
   double seconds = 0.0;
   std::size_t deltaCount = 0;
-  SubproblemPhases phases;
+  /// This call's phase timings: sketch/encode are zero on incremental
+  /// re-solves (nothing is rebuilt).
+  PhaseBreakdown phases;
   /// True when the solve was served by the session's incremental warm-start
   /// fast path (single SAT query at the previous optimum, no MaxSMT run).
   bool warmStart = false;

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "obs/json.hpp"
+
 namespace aed {
 
 namespace {
@@ -34,30 +36,6 @@ std::string formatDouble(double v) {
     std::snprintf(buffer, sizeof(buffer), "%.9g", v);
   }
   return buffer;
-}
-
-std::string escapeJson(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 const char* kindName(MetricsRegistry::Kind kind) {
@@ -116,7 +94,7 @@ std::string metricsToJsonArray(
   for (const MetricsRegistry::Sample& sample : samples) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    {\"name\": \"" + escapeJson(sample.name) + "\", \"kind\": \"";
+    out += "    {\"name\": \"" + jsonEscape(sample.name) + "\", \"kind\": \"";
     out += kindName(sample.kind);
     out += "\"";
     if (sample.kind != MetricsRegistry::Kind::kHistogram) {

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <mutex>
 
 #include "obs/export.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -131,26 +131,6 @@ std::string& dumpPathStorage() {
   return path;
 }
 
-void escapeJson(std::string_view text, std::string& out) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 }  // namespace
 
 void FlightRecorder::setEnabled(bool enabled) {
@@ -223,11 +203,11 @@ std::string FlightRecorder::renderDump(const DumpContext& context) {
   std::string json;
   json.reserve(events.size() * 160 + 2048);
   json += "{\n  \"aed_flight_dump\": 1,\n  \"reason\": \"";
-  escapeJson(context.reason, json);
+  json += jsonEscape(context.reason);
   json += "\",\n  \"error_code\": \"";
-  escapeJson(context.errorCode, json);
+  json += jsonEscape(context.errorCode);
   json += "\",\n  \"detail\": \"";
-  escapeJson(context.detail, json);
+  json += jsonEscape(context.detail);
   json += "\",\n  \"events\": [";
   bool first = true;
   for (const Event& event : events) {
@@ -238,14 +218,14 @@ std::string FlightRecorder::renderDump(const DumpContext& context) {
             (event.kind == 's' ? "span" : "log") +
             "\", \"time_us\": " + std::to_string(event.timeUs) +
             ", \"dur_us\": " + std::to_string(event.durUs) + ", \"text\": \"";
-    escapeJson(event.text, json);
+    json += jsonEscape(event.text);
     json += "\"}";
   }
   json += "\n  ],\n  \"metrics\": ";
   json += metricsToJsonArray(MetricsRegistry::global().snapshot());
   for (const auto& [key, value] : context.sections) {
     json += ",\n  \"";
-    escapeJson(key, json);
+    json += jsonEscape(key);
     json += "\": ";
     json += value;
   }

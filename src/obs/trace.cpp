@@ -1,16 +1,15 @@
 #include "obs/trace.hpp"
 
 #include "obs/flight.hpp"
+#include "obs/json.hpp"
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <mutex>
 #include <ostream>
-#include <string_view>
 
 namespace aed {
 
@@ -100,26 +99,6 @@ ThreadBuffer& threadBuffer() {
 /// buffer struct) so ScopedParent stays cheap and usable pre-registration.
 thread_local std::uint64_t t_currentSpan = 0;
 
-void escapeJson(std::string_view text, std::string& out) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 }  // namespace
 
 std::int64_t tracerNowUs() { return nowUs(); }
@@ -184,7 +163,7 @@ void Tracer::writeChromeTrace(std::ostream& out) {
     if (!first) json += ",";
     first = false;
     json += "\n{\"name\":\"";
-    escapeJson(event.name, json);
+    json += jsonEscape(event.name);
     json += "\",\"cat\":\"aed\",\"ph\":\"X\",\"pid\":1,\"tid\":";
     json += std::to_string(event.tid);
     json += ",\"ts\":";
@@ -197,7 +176,7 @@ void Tracer::writeChromeTrace(std::ostream& out) {
     json += std::to_string(event.parent);
     if (!event.detail.empty()) {
       json += ",\"detail\":\"";
-      escapeJson(event.detail, json);
+      json += jsonEscape(event.detail);
       json += "\"";
     }
     json += "}}";

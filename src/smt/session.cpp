@@ -12,7 +12,7 @@ namespace {
 
 /// Accumulates a z3::stats block into SolverStats by key substring — Z3's
 /// stat names vary across engines and versions ("conflicts",
-/// "sat conflicts", "restarts", "max memory", ...), so exact-name matching
+/// "sat conflicts", "restarts", ...), so exact-name matching
 /// would silently capture nothing on half of them.
 void accumulateZ3Stats(SolverStats& out, const z3::stats& zstats) {
   try {
@@ -27,8 +27,6 @@ void accumulateZ3Stats(SolverStats& out, const z3::stats& zstats) {
         out.decisions += static_cast<std::uint64_t>(value);
       } else if (key.find("restart") != std::string::npos) {
         out.restarts += static_cast<std::uint64_t>(value);
-      } else if (key.find("memory") != std::string::npos) {
-        out.maxMemoryMb = std::max(out.maxMemoryMb, value);
       }
     }
   } catch (const z3::exception&) {

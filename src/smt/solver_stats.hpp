@@ -47,7 +47,6 @@ struct SolverStats {
   std::uint64_t conflicts = 0;
   std::uint64_t decisions = 0;
   std::uint64_t restarts = 0;
-  double maxMemoryMb = 0.0;
   std::uint64_t vars = 0;        // boolean choice variables in the sketch
   std::uint64_t assertions = 0;  // hard + soft assertions encoded
   std::uint64_t checks = 0;      // solver check() invocations (ladder tries)
@@ -57,7 +56,6 @@ struct SolverStats {
     conflicts += other.conflicts;
     decisions += other.decisions;
     restarts += other.restarts;
-    if (other.maxMemoryMb > maxMemoryMb) maxMemoryMb = other.maxMemoryMb;
     vars = other.vars != 0 ? other.vars : vars;
     assertions = other.assertions != 0 ? other.assertions : assertions;
     checks += other.checks;

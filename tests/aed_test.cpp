@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "conftree/diff.hpp"
 #include "conftree/parser.hpp"
 #include "core/aed.hpp"
 #include "fixtures.hpp"
 #include "gen/netgen.hpp"
 #include "gen/policygen.hpp"
+#include "obs/trace.hpp"
 #include "simulate/simulator.hpp"
 
 namespace aed {
@@ -223,6 +226,51 @@ TEST(Aed, StatsPopulated) {
   EXPECT_GT(result.stats.maxSubproblemSeconds, 0.0);
   EXPECT_GE(result.stats.subproblems, 2u);  // two destination groups
   EXPECT_GT(result.stats.deltaCount, 0u);
+}
+
+// Every second of a call sits in a top-level phase span: on a fixed dc8
+// update, the direct children of aed.synthesize cover at least 95% of it,
+// and the solver teardown is one of them. (Kept out of obs_test, whose
+// replaced global operator new trips ASan inside the uninstrumented libz3
+// on this scenario.)
+TEST(Aed, TopLevelSpansCoverTheWholeCall) {
+  DcParams params;
+  params.racks = 5;
+  params.aggs = 2;
+  params.spines = 1;
+  params.blockedPairFraction = 0.5;
+  params.seed = 5;
+  const GeneratedNetwork net = generateDatacenter(params);
+  const PolicyUpdate update = makeReachabilityUpdate(net.tree, 4, 42);
+  ASSERT_EQ(update.added.size(), 4u);
+  PolicySet policies = update.base;
+  policies.insert(policies.end(), update.added.begin(), update.added.end());
+
+  AedOptions options;
+  options.workers = 2;
+  Tracer::clear();
+  Tracer::enable();
+  const AedResult result = synthesize(net.tree, policies, {}, options);
+  Tracer::disable();
+  ASSERT_TRUE(result.success) << result.error;
+
+  const std::vector<TraceEvent> events = Tracer::collect();
+  Tracer::clear();
+  const auto root = std::find_if(
+      events.begin(), events.end(), [](const TraceEvent& event) {
+        return std::string("aed.synthesize") == event.name;
+      });
+  ASSERT_NE(root, events.end());
+  std::int64_t coveredUs = 0;
+  bool teardown = false;
+  for (const TraceEvent& event : events) {
+    if (event.parent != root->id) continue;
+    coveredUs += event.durUs;
+    teardown = teardown || std::string("aed.teardown") == event.name;
+  }
+  EXPECT_TRUE(teardown);
+  EXPECT_GE(static_cast<double>(coveredUs),
+            0.95 * static_cast<double>(root->durUs));
 }
 
 }  // namespace

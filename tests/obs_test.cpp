@@ -39,6 +39,7 @@
 #include "gen/policygen.hpp"
 #include "obs/export.hpp"
 #include "obs/flight.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
@@ -661,6 +662,15 @@ TEST_F(ObsTest, JsonExportIsValidAndSelfDescribing) {
   EXPECT_TRUE(emptyChecker.valid()) << empty;
 }
 
+TEST_F(ObsTest, JsonEscapePinsEveryEscapeClass) {
+  EXPECT_EQ(jsonEscape("say \"hi\" \\ bye"), "say \\\"hi\\\" \\\\ bye");
+  EXPECT_EQ(jsonEscape("a\nb\rc\td"), "a\\nb\\rc\\td");
+  EXPECT_EQ(jsonEscape("\x01"), "\\u0001");
+  EXPECT_EQ(jsonEscape("\x1f"), "\\u001f");
+  // UTF-8 multi-byte sequences pass through byte for byte.
+  EXPECT_EQ(jsonEscape("caf\xc3\xa9 \xe2\x86\x92"), "caf\xc3\xa9 \xe2\x86\x92");
+}
+
 TEST_F(ObsTest, ExportMetricsFilePicksFormatByExtension) {
   MetricsRegistry::global().add("t.export_probe", 1.0);
   const std::string jsonPath = "obs_test_metrics.json";
@@ -1053,9 +1063,10 @@ TEST_F(ObsTest, SynthesizeEmitsANestedSpanTreeCoveringTheRun) {
 
   // Every phase of the taxonomy shows up, and the cross-thread chain
   // subproblem -> round -> synthesize holds for every solve.
-  for (const char* name : {"aed.round", "aed.subproblem", "subsolver.sketch",
-                           "subsolver.encode", "subsolver.solve", "smt.check",
-                           "aed.validate", "sim.violations"}) {
+  for (const char* name :
+       {"aed.topology", "aed.partition", "aed.round", "aed.subproblem",
+        "subsolver.sketch", "subsolver.encode", "subsolver.solve", "smt.check",
+        "aed.merge_apply", "aed.validate", "sim.violations", "aed.teardown"}) {
     EXPECT_NE(findByName(events, name), nullptr) << name;
   }
   std::size_t subproblems = 0;
