@@ -82,7 +82,9 @@ void scopingAblation(benchmark::State& state, int routers, bool scoped) {
   }
 }
 
-void registerCases() {
+}  // namespace
+
+void aedbench::registerCases() {
   const int routers = aedbench::fullScale() ? 12 : 8;
   for (const bool on : {true, false}) {
     benchmark::RegisterBenchmark(
@@ -109,13 +111,4 @@ void registerCases() {
         ->Unit(benchmark::kSecond)
         ->Iterations(1);
   }
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  registerCases();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
 }

@@ -146,7 +146,9 @@ void executeCase(benchmark::State& state, int routers, bool injectFault) {
       static_cast<double>(executed.committedStages);
 }
 
-void registerCases() {
+}  // namespace
+
+void aedbench::registerCases() {
   std::vector<int> sizes = {8, 16};
   if (aedbench::fullScale()) sizes = {8, 16, 24};
   for (int routers : sizes) {
@@ -183,14 +185,4 @@ void registerCases() {
         ->Unit(benchmark::kMillisecond)
         ->Iterations(3);
   }
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  const aedbench::TraceArtifact trace;  // AED_TRACE_OUT=<file> to record
-  registerCases();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
 }

@@ -115,7 +115,9 @@ void preserveTemplates(benchmark::State& state, int routers,
   }
 }
 
-void registerCases() {
+}  // namespace
+
+void aedbench::registerCases() {
   std::vector<int> pfsSizes = {12, 16};
   std::vector<int> templSizes = {8, 16};
   if (aedbench::fullScale()) {
@@ -149,13 +151,4 @@ void registerCases() {
           ->Iterations(1);
     }
   }
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  registerCases();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
 }

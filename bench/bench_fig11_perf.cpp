@@ -74,7 +74,9 @@ void zooCase(benchmark::State& state, int routers, const std::string& tool) {
   }
 }
 
-void registerCases() {
+}  // namespace
+
+void aedbench::registerCases() {
   std::vector<int> dcSizes = {4, 8, 16};
   std::vector<int> zooSizes = {16, 24, 32};
   int netCompleteCap = 24;
@@ -109,13 +111,4 @@ void registerCases() {
           ->Iterations(1);
     }
   }
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  registerCases();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
 }

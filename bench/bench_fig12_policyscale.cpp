@@ -41,7 +41,9 @@ void scaleCase(benchmark::State& state, int routers, int base, int added) {
   }
 }
 
-void registerCases() {
+}  // namespace
+
+void aedbench::registerCases() {
   const bool full = aedbench::fullScale();
   const int routers = full ? 70 : 24;
   const std::vector<int> bases = full ? std::vector<int>{64, 128, 256}
@@ -76,13 +78,4 @@ void registerCases() {
           ->Iterations(1);
     }
   }
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  registerCases();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
 }

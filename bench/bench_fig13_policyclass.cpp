@@ -58,7 +58,9 @@ void classCase(benchmark::State& state, int routers,
   }
 }
 
-void registerCases() {
+}  // namespace
+
+void aedbench::registerCases() {
   std::vector<int> sizes = {4, 8, 16};
   if (aedbench::fullScale()) sizes = {4, 8, 12, 16, 20, 24};
   for (int routers : sizes) {
@@ -75,13 +77,4 @@ void registerCases() {
           ->Iterations(1);
     }
   }
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  registerCases();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
 }

@@ -67,7 +67,9 @@ void parallelCase(benchmark::State& state, int routers) {
   }
 }
 
-void registerCases() {
+}  // namespace
+
+void aedbench::registerCases() {
   std::vector<int> sizes = {4, 8, 12};
   if (aedbench::fullScale()) sizes = {4, 8, 12, 16, 20};
   for (int routers : sizes) {
@@ -79,13 +81,4 @@ void registerCases() {
         ->Unit(benchmark::kSecond)
         ->Iterations(1);
   }
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  registerCases();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
 }

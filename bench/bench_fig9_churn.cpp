@@ -88,7 +88,9 @@ void runApproach(benchmark::State& state, const std::string& family,
   }
 }
 
-void registerCases() {
+}  // namespace
+
+void aedbench::registerCases() {
   struct Net {
     std::string family;
     int routers;
@@ -116,13 +118,4 @@ void registerCases() {
           ->Iterations(1);
     }
   }
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  registerCases();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
 }

@@ -117,7 +117,9 @@ void speedupCase(benchmark::State& state, int routers) {
   }
 }
 
-void registerCases() {
+}  // namespace
+
+void aedbench::registerCases() {
   std::vector<int> sizes = {4, 8};
   if (aedbench::fullScale()) sizes = {4, 8, 12, 16};
   for (int routers : sizes) {
@@ -142,14 +144,4 @@ void registerCases() {
         ->Unit(benchmark::kSecond)
         ->Iterations(1);
   }
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  const aedbench::TraceArtifact trace;  // AED_TRACE_OUT=<file> to record
-  registerCases();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
 }

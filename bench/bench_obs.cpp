@@ -179,7 +179,9 @@ void synthesizeTraced(benchmark::State& state) {
   Tracer::clear();
 }
 
-void registerCases() {
+}  // namespace
+
+void aedbench::registerCases() {
   benchmark::RegisterBenchmark("obs/spanDisabled", spanDisabled);
   benchmark::RegisterBenchmark("obs/spanFlight", spanFlight);
   benchmark::RegisterBenchmark("obs/histogramRecord", histogramRecord);
@@ -190,14 +192,4 @@ void registerCases() {
   benchmark::RegisterBenchmark("obs/synthesizeTraced", synthesizeTraced)
       ->Unit(benchmark::kMillisecond)
       ->Iterations(1);
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  const aedbench::TraceArtifact trace;  // AED_TRACE_OUT=<file> to record
-  registerCases();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
 }

@@ -101,7 +101,9 @@ void lpCase(benchmark::State& state, bool booleanLp, int k, int dsts) {
   }
 }
 
-void registerCases() {
+}  // namespace
+
+void aedbench::registerCases() {
   const int k = aedbench::fullScale() ? 8 : 6;
   const int dsts = aedbench::fullScale() ? 4 : 3;
   for (const bool booleanLp : {true, false}) {
@@ -116,13 +118,4 @@ void registerCases() {
         ->Unit(benchmark::kSecond)
         ->Iterations(1);
   }
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  registerCases();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
 }

@@ -42,7 +42,9 @@ void pruneCase(benchmark::State& state, int routers, bool prune) {
   }
 }
 
-void registerCases() {
+}  // namespace
+
+void aedbench::registerCases() {
   std::vector<int> sizes = {8, 12};
   if (aedbench::fullScale()) sizes = {8, 12, 16};
   for (int routers : sizes) {
@@ -58,13 +60,4 @@ void registerCases() {
           ->Iterations(1);
     }
   }
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  registerCases();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
 }

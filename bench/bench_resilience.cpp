@@ -71,7 +71,9 @@ void faultIsolationCase(benchmark::State& state, int routers) {
   }
 }
 
-void registerCases() {
+}  // namespace
+
+void aedbench::registerCases() {
   std::vector<int> sizes = {4, 8};
   if (aedbench::fullScale()) sizes = {4, 8, 12, 16};
   for (int routers : sizes) {
@@ -96,13 +98,4 @@ void registerCases() {
         ->Unit(benchmark::kSecond)
         ->Iterations(1);
   }
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  registerCases();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
 }

@@ -165,7 +165,9 @@ void repairCase(benchmark::State& state, int routers) {
   }
 }
 
-void registerCases() {
+}  // namespace
+
+void aedbench::registerCases() {
   std::vector<int> sizes = {8, 16};
   if (aedbench::fullScale()) sizes = {8, 16, 24};
   for (int routers : sizes) {
@@ -186,14 +188,4 @@ void registerCases() {
         ->Unit(benchmark::kSecond)
         ->Iterations(1);
   }
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  const aedbench::TraceArtifact trace;  // AED_TRACE_OUT=<file> to record
-  registerCases();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
 }

@@ -9,7 +9,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -17,8 +16,6 @@
 #include "core/aed.hpp"
 #include "gen/netgen.hpp"
 #include "gen/policygen.hpp"
-#include "obs/export.hpp"
-#include "obs/trace.hpp"
 #include "simulate/simulator.hpp"
 
 namespace aedbench {
@@ -28,46 +25,9 @@ inline bool fullScale() {
   return env != nullptr && std::string(env) == "1";
 }
 
-/// Span-trace artifact hook for bench binaries: declare one at the top of
-/// main(). When AED_TRACE_OUT names a file, tracing is enabled for the whole
-/// bench run and the Chrome trace-event JSON is written there on exit (CI
-/// uploads these next to the BENCH_*.json result files). Without the env
-/// var, tracing stays disabled and the benches measure the zero-cost path.
-/// AED_METRICS_OUT names a second artifact: the registry snapshot, exported
-/// on exit as JSON (path ends in ".json") or Prometheus text.
-struct TraceArtifact {
-  std::string path;
-  std::string metricsPath;
-  TraceArtifact() {
-    if (const char* env = std::getenv("AED_TRACE_OUT");
-        env != nullptr && env[0] != '\0') {
-      path = env;
-      aed::Tracer::enable();
-    }
-    if (const char* env = std::getenv("AED_METRICS_OUT");
-        env != nullptr && env[0] != '\0') {
-      metricsPath = env;
-    }
-  }
-  ~TraceArtifact() {
-    if (!path.empty()) {
-      if (aed::Tracer::writeChromeTrace(path)) {
-        std::fprintf(stderr, "trace written to %s\n", path.c_str());
-      } else {
-        std::fprintf(stderr, "cannot write trace file: %s\n", path.c_str());
-      }
-    }
-    if (!metricsPath.empty()) {
-      if (aed::exportMetricsFile(metricsPath)) {
-        std::fprintf(stderr, "metrics snapshot written to %s\n",
-                     metricsPath.c_str());
-      } else {
-        std::fprintf(stderr, "cannot write metrics file: %s\n",
-                     metricsPath.c_str());
-      }
-    }
-  }
-};
+/// Registers the bench file's cases; bench/main.cpp, the one main() of every
+/// bench binary, calls it before running them.
+void registerCases();
 
 /// Datacenter preset: turns a target router count into a leaf-spine shape
 /// mirroring the paper's 2-24 router datacenter networks.

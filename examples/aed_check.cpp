@@ -50,6 +50,7 @@
 #include "check/repro.hpp"
 #include "obs/export.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -87,14 +88,6 @@ int usage() {
          "       aed_check --repro <file> [--repro <file>]...\n"
          "                 [--invariants <name,...>]\n";
   return 1;
-}
-
-std::uint64_t parseU64(const std::string& value, const std::string& flag) {
-  if (value.empty() ||
-      value.find_first_not_of("0123456789") != std::string::npos) {
-    throw AedError("invalid " + flag + " value: " + value);
-  }
-  return std::stoull(value);
 }
 
 void printFailures(const std::string& where,

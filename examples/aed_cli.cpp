@@ -3,7 +3,7 @@
 // Usage:
 //   aed_cli --configs <file> --policies <file> [--objectives <file>]
 //           [--out <file>] [--sequential] [--no-validate] [--verbose]
-//           [--budget-ms <n>] [--staged-apply] [--sim-cache-entries <n>]
+//           [--budget-ms <n>] [--staged-apply]
 //           [--trace <file>] [--metrics] [--metrics-out <file>]
 //           [--solver-stats] [--progress]
 //   aed_cli --gen smoke|nightly [--seed <n>] [other flags as above]
@@ -21,9 +21,9 @@
 // makes "run the full CLI pipeline on fuzz seed N" a one-liner.
 //
 // --budget-ms caps the whole run's solver wall clock; under pressure the
-// engine degrades (anytime MaxSMT) and the per-subproblem outcome report is
-// printed so the operator sees exactly which destinations got which
-// treatment.
+// engine degrades (down the MaxSMT degradation ladder) and the
+// per-subproblem outcome report is printed so the operator sees exactly
+// which destinations got which treatment.
 //
 // --staged-apply additionally plans a policy-safe staged rollout of the
 // synthesized patch (per-router/per-destination stages, each intermediate
@@ -66,6 +66,7 @@
 #include "policy/parse.hpp"
 #include "simulate/simulator.hpp"
 #include "util/log.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -82,7 +83,6 @@ int usage() {
                "               [--objectives <file>] [--out <file>]\n"
                "               [--sequential] [--no-validate] [--verbose]\n"
                "               [--budget-ms <n>] [--staged-apply]\n"
-               "               [--sim-cache-entries <n>]\n"
                "               [--trace <file>] [--metrics]\n"
                "               [--metrics-out <file>] [--solver-stats]\n"
                "               [--progress]\n"
@@ -170,20 +170,9 @@ int main(int argc, char** argv) {
       else if (arg == "--sequential") options.perDestination = false;
       else if (arg == "--no-validate") options.validateWithSimulator = false;
       else if (arg == "--budget-ms") {
-        const std::string v = value();
-        if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos) {
-          throw AedError("invalid --budget-ms value: " + v);
-        }
-        options.timeBudgetMs = std::stoull(v);
+        options.timeBudgetMs = parseU64(value(), arg);
       }
       else if (arg == "--staged-apply") options.stagedDeployment = true;
-      else if (arg == "--sim-cache-entries") {
-        const std::string v = value();
-        if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos) {
-          throw AedError("invalid --sim-cache-entries value: " + v);
-        }
-        options.simCacheMaxEntries = std::stoull(v);
-      }
       else if (arg == "--trace") {
         obs.tracePath = value();
         Tracer::enable();
@@ -200,13 +189,7 @@ int main(int argc, char** argv) {
                          genProfile);
         }
       }
-      else if (arg == "--seed") {
-        const std::string v = value();
-        if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos) {
-          throw AedError("invalid --seed value: " + v);
-        }
-        seed = std::stoull(v);
-      }
+      else if (arg == "--seed") seed = parseU64(value(), arg);
       else return usage();
     } catch (const AedError& e) {
       std::cerr << "error: " << e.what() << "\n";

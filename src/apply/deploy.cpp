@@ -67,7 +67,7 @@ bool executeDeployment(ConfigTree& tree, DeploymentPlan& plan,
   plan.code = ErrorCode::kNone;
   plan.error.clear();
 
-  SimulationEngine engine(tree, options.workers, options.simCacheMaxEntries);
+  SimulationEngine engine(tree, options.workers);
   Patch boundPatch;   // what `engine` is bound to, relative to the entry tree
   Patch cumulative;   // committed stages, relative to the entry tree
 

@@ -183,18 +183,17 @@ std::vector<Unit> trySplitByDestination(const std::string& router,
 }
 
 // Partitions the merged patch into atomic rollout units: one per touched
-// router, optionally split per destination. Edit order within a unit
+// router, split per destination where possible. Edit order within a unit
 // follows the merged patch, so intra-unit dependencies (a rule under a
 // freshly created filter) stay satisfied.
-std::vector<Unit> partitionUnits(const Patch& merged, const ConfigTree& base,
-                                 const DeployOptions& options) {
+std::vector<Unit> partitionUnits(const Patch& merged, const ConfigTree& base) {
   std::map<std::string, std::vector<const Edit*>> byRouter;
   for (const Edit& edit : merged.edits()) {
     byRouter[routerOfPath(edit.targetPath)].push_back(&edit);
   }
   std::vector<Unit> units;
   for (const auto& [router, edits] : byRouter) {
-    if (options.splitByDestination && !router.empty()) {
+    if (!router.empty()) {
       std::vector<Unit> split = trySplitByDestination(router, edits, base);
       if (!split.empty()) {
         for (Unit& unit : split) units.push_back(std::move(unit));
@@ -237,7 +236,7 @@ const char* stageStatusName(StageStatus status) {
 PolicySet regressionGuard(const ConfigTree& base, const ConfigTree& updated,
                           const PolicySet& policies,
                           const DeployOptions& options) {
-  SimulationEngine engine(base, options.workers, options.simCacheMaxEntries);
+  SimulationEngine engine(base, options.workers);
   const PolicySet heldBefore = minus(policies, engine.violations(policies));
   engine.rebind(updated);
   return minus(heldBefore, engine.violations(heldBefore));
@@ -258,13 +257,13 @@ DeploymentPlan planStagedRollout(const ConfigTree& base, const Patch& merged,
   const ConfigTree final_ = merged.applied(base);
   plan.guard = regressionGuard(base, final_, policies, options);
 
-  std::vector<Unit> units = partitionUnits(merged, base, options);
+  std::vector<Unit> units = partitionUnits(merged, base);
 
   // Greedy commit loop with simulation-checked reordering. The engine stays
   // bound across candidates, invalidating only the destinations the
   // differing edits can touch, so trying unit B after rejecting unit A is
   // mostly cache hits.
-  SimulationEngine engine(base, options.workers, options.simCacheMaxEntries);
+  SimulationEngine engine(base, options.workers);
   ConfigTree current = base.clone();
   Patch cumulative;   // committed stages, relative to base
   Patch boundPatch;   // what `engine` is currently bound to, relative to base
@@ -338,17 +337,10 @@ DeploymentPlan planStagedRollout(const ConfigTree& base, const Patch& merged,
     } catch (const AedError& e) {
       detail = e.what();
     }
-    if (options.allowOneShotFallback) {
-      logWarn() << "staged rollout: no transient-safe order for "
-                << mergedUnits << " remaining units; one-shot fallback";
-      plan.oneShot = true;
-      pushStage(rest, validated, std::move(detail));
-    } else {
-      for (const std::size_t idx : remaining) {
-        pushStage(units[idx], /*validated=*/false,
-                  "no transient-safe position found");
-      }
-    }
+    logWarn() << "staged rollout: no transient-safe order for "
+              << mergedUnits << " remaining units; one-shot fallback";
+    plan.oneShot = true;
+    pushStage(rest, validated, std::move(detail));
     break;
   }
 

@@ -42,18 +42,8 @@
 namespace aed {
 
 struct DeployOptions {
-  /// Split a router's edits into per-destination stages when safely
-  /// possible (no cross-destination structural dependency, every edit
-  /// attributable). Off = one stage per touched router.
-  bool splitByDestination = true;
-  /// When no remaining stage is individually safe, merge the remainder into
-  /// one atomic one-shot stage instead of failing the plan.
-  bool allowOneShotFallback = true;
   /// Worker threads for the validation engine (0 = hardware concurrency).
   std::size_t workers = 0;
-  /// Route-table memo cache cap for the validation engine (0 = unlimited);
-  /// see SimulationEngine.
-  std::size_t simCacheMaxEntries = 0;
 };
 
 /// Lifecycle of one stage: planned (not yet executed), committed (applied
@@ -118,9 +108,7 @@ PolicySet regressionGuard(const ConfigTree& base, const ConfigTree& updated,
 
 /// Plans a staged rollout of `merged` over `base`. `policies` is the full
 /// post-update policy set (the guard is derived from it). Never throws on
-/// unorderable inputs — it degrades to the one-shot fallback (or, with the
-/// fallback disabled, appends the remaining units unvalidated, in
-/// deterministic order, with validated=false).
+/// unorderable inputs — it degrades to the one-shot fallback.
 DeploymentPlan planStagedRollout(const ConfigTree& base, const Patch& merged,
                                  const PolicySet& policies,
                                  const DeployOptions& options = {});

@@ -147,8 +147,6 @@ void publishStats(const AedResult& result) {
               static_cast<double>(sim.fullInvalidations));
   metrics.add("sim.targeted_invalidations",
               static_cast<double>(sim.targetedInvalidations));
-  metrics.add("sim.evictions", static_cast<double>(sim.evictions));
-  metrics.add("sim.quarantined_tables", static_cast<double>(sim.quarantined));
   metrics.add("sim.parallel_batches",
               static_cast<double>(sim.parallelBatches));
   metrics.add("sim.parallel_tasks", static_cast<double>(sim.parallelTasks));
@@ -184,10 +182,7 @@ class SynthesisRun {
         deadline_(options.timeBudgetMs != 0
                       ? Deadline::after(options.timeBudgetMs)
                       : Deadline::unlimited()),
-        workers_(options.workers != 0
-                     ? options.workers
-                     : std::max<std::size_t>(
-                           1, std::thread::hardware_concurrency())) {
+        workers_(resolveWorkers(options.workers)) {
     result_.updated = tree.clone();
   }
   // Pool tasks hold `this`.
@@ -427,13 +422,10 @@ void SynthesisRun::solveOne(std::size_t i, std::uint64_t perSubproblemMs) {
                                        "cancelled before solving");
       return;
     }
-    Deadline deadline = deadline_;
-    if (!deadline_.isUnlimited()) {
-      deadline = Deadline::after(perSubproblemMs).min(deadline_);
-    }
-    if (options_.subproblemTimeoutMs != 0) {
-      deadline = Deadline::after(options_.subproblemTimeoutMs).min(deadline);
-    }
+    const Deadline deadline =
+        deadline_.isUnlimited()
+            ? deadline_
+            : Deadline::after(perSubproblemMs).min(deadline_);
     if (solvers_[i] == nullptr || !effective_.incrementalResolve) {
       solvers_[i] = std::make_unique<SubproblemSolver>(
           tree_, topo_, groups_[i], objectives_, effective_);
@@ -542,8 +534,7 @@ PolicySet SynthesisRun::mergeAndValidate(int round) {
       AED_SPAN("aed.validate");
       Progress::setPhase("validate");
       if (simEngine_ == nullptr) {
-        simEngine_ = std::make_unique<SimulationEngine>(
-            updated, options_.workers, options_.simCacheMaxEntries);
+        simEngine_ = std::make_unique<SimulationEngine>(updated, workers_);
       } else {
         simEngine_->rebind(updated, {&lastMerged_, &merged});
       }
@@ -658,9 +649,6 @@ void SynthesisRun::deploy() {
   Progress::setPhase("deploy");
   DeployOptions deployOptions = options_.deploy;
   if (deployOptions.workers == 0) deployOptions.workers = options_.workers;
-  if (deployOptions.simCacheMaxEntries == 0) {
-    deployOptions.simCacheMaxEntries = options_.simCacheMaxEntries;
-  }
   result_.deployment =
       planStagedRollout(tree_, result_.patch, policies_, deployOptions);
   ConfigTree staged = tree_.clone();

@@ -100,14 +100,9 @@ struct AedOptions {
   /// Worker threads for the parallel decomposition (0 = hardware).
   std::size_t workers = 0;
 
-  /// User objectives are scaled by this factor so they dominate the default
-  /// per-delta minimality pressure. Matches the paper's "equal weight by
-  /// default" within the user's objectives.
-  unsigned objectiveWeightScale = 1000;
   /// Unit-weight soft constraints preferring every delta inactive (doubles
   /// as the min-lines objective; keeps patches free of gratuitous edits).
   bool defaultMinimality = true;
-  unsigned minimalityWeight = 1;
 
   /// Validate candidate patches with the simulator and re-solve with the
   /// failing delta set blocked, up to this many rounds per subproblem. One
@@ -115,19 +110,14 @@ struct AedOptions {
   bool validateWithSimulator = true;
   int maxRepairIterations = 3;
 
-  /// Entry cap for the SimulationEngine's route-table memo cache
-  /// (0 = unlimited); least-recently-used tables are evicted past the cap.
-  /// Applies to validation and, unless overridden there, staged deployment.
-  std::size_t simCacheMaxEntries = 0;
-
   /// After a successful synthesis, plan a policy-safe staged rollout of the
   /// patch and execute it (with fault injection, against a scratch clone of
   /// the input tree) — see apply/plan.hpp. The plan and its execution
   /// summary are returned in AedResult::deployment; a deployment abort marks
   /// the result degraded but does not fail it.
   bool stagedDeployment = false;
-  /// Planner/executor knobs for stagedDeployment. workers and
-  /// simCacheMaxEntries inherit the outer options when left 0.
+  /// Planner/executor knobs for stagedDeployment. workers inherits the
+  /// outer options when left 0.
   DeployOptions deploy;
 
   /// Incremental re-solve (the paper's headline lever, applied to the repair
@@ -143,13 +133,6 @@ struct AedOptions {
   /// across queued subproblems and wired to Z3's timeout parameter.
   /// 0 = unlimited.
   std::uint64_t timeBudgetMs = 0;
-  /// Additional per-subproblem solver cap in milliseconds. 0 = unlimited
-  /// (the split of timeBudgetMs still applies).
-  std::uint64_t subproblemTimeoutMs = 0;
-  /// Anytime mode: on timeout/unknown fall through the degradation ladder
-  /// (drop minimality softs, then hard-constraints-only SAT) instead of
-  /// failing the subproblem outright.
-  bool anytime = true;
   /// Cooperative cancellation: when set and triggered, the engine stops
   /// between subproblems and repair iterations and reports kCancelled.
   CancelTokenPtr cancel;

@@ -13,6 +13,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// User objectives are scaled by this factor so they dominate the unit-weight
+/// per-delta minimality pressure. Matches the paper's "equal weight by
+/// default" within the user's objectives.
+constexpr unsigned kObjectiveWeightScale = 1000;
+
 double secondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
@@ -42,7 +47,6 @@ void SubproblemSolver::ensureEncoded(SubResult& result) {
   result.phases.sketchSeconds = secondsSince(phaseStart);
 
   session_ = std::make_unique<SmtSession>();
-  session_->setAnytime(options_.anytime);
   if (options_.randomPhaseSeed != 0) {
     session_->randomizePhase(options_.randomPhaseSeed);
   }
@@ -57,11 +61,11 @@ void SubproblemSolver::ensureEncoded(SubResult& result) {
   // are added once; repair rounds re-optimize the same objective system.
   std::vector<Objective> scaled = objectives_;
   for (Objective& objective : scaled) {
-    objective.weight *= options_.objectiveWeightScale;
+    objective.weight *= kObjectiveWeightScale;
   }
   addObjectives(*encoder_, scaled);
   if (options_.defaultMinimality) {
-    addPerDeltaMinimality(*encoder_, options_.minimalityWeight);
+    addPerDeltaMinimality(*encoder_);
   }
   result.phases.encodeSeconds = secondsSince(phaseStart);
 

@@ -14,7 +14,6 @@
 // permanent hard constraint, never retracted. Adding hard clauses to a live
 // z3::optimize and re-running check() is exactly Z3's incremental mode; the
 // solver keeps its learned clauses and the unchanged encoding across rounds.
-// Anything tentative should use SmtSession::push()/pop() instead.
 //
 // Thread-safety: a SubproblemSolver owns its own z3::context, so distinct
 // solvers are safe to drive from distinct threads concurrently (the parallel
@@ -62,8 +61,8 @@ struct SubResult {
 class SubproblemSolver {
  public:
   /// `tree` and `topo` must outlive the solver; policies/objectives/options
-  /// are copied (options.objectiveWeightScale, defaultMinimality, anytime,
-  /// randomPhaseSeed, sketch and encoder options are honored).
+  /// are copied (options.defaultMinimality, randomPhaseSeed, sketch and
+  /// encoder options are honored).
   SubproblemSolver(const ConfigTree& tree, const Topology& topo,
                    PolicySet policies, std::vector<Objective> objectives,
                    const AedOptions& options);

@@ -982,10 +982,8 @@ void Encoder::encode(const PolicySet& policies) {
     }
   }
 
-  if (options_.assertPolicies) {
-    for (std::size_t i = 0; i < policies.size(); ++i) {
-      encodePolicy(policies[i], policyEnv[i]);
-    }
+  for (std::size_t i = 0; i < policies.size(); ++i) {
+    encodePolicy(policies[i], policyEnv[i]);
   }
 
   logInfo() << "encoded " << policies.size() << " policies, "

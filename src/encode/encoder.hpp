@@ -48,12 +48,6 @@ struct EncoderOptions {
   /// rank slots of the currently configured values, encoded with booleans,
   /// instead of a free integer delta.
   bool booleanLp = true;
-
-  /// When false, encode() builds all routing/forwarding layers for the
-  /// policies' classes but does NOT assert the policy constraints
-  /// themselves. Used for model exploration and alignment debugging (the
-  /// layers can then be queried via reachVar/dataFwdVar).
-  bool assertPolicies = true;
 };
 
 class Encoder {
@@ -84,24 +78,6 @@ class Encoder {
 
   /// Encoding statistics for benches.
   std::size_t environmentCount() const { return environments_.size(); }
-  std::size_t classCount() const { return classes_.size(); }
-
-  /// Model-exploration accessors (valid after encode(); environment 0).
-  z3::expr reachVar(const TrafficClass& cls, const std::string& router) {
-    return reach(0, cls, router);
-  }
-  z3::expr dataFwdVar(const TrafficClass& cls, const std::string& from,
-                      const std::string& to) {
-    return dataFwd(0, cls, from, to);
-  }
-  z3::expr controlFwdVar(const Ipv4Prefix& dst, const std::string& from,
-                         const std::string& to) {
-    return controlFwd(0, dst, from, to);
-  }
-  z3::expr bestValidVar(const Ipv4Prefix& dst, const std::string& router,
-                        const std::string& type) {
-    return bestValid(0, dst, router, type);
-  }
 
  private:
   // ---- key types -----------------------------------------------------------

@@ -152,9 +152,9 @@ std::vector<std::string> addObjectives(
   return labels;
 }
 
-void addPerDeltaMinimality(Encoder& encoder, unsigned weight) {
+void addPerDeltaMinimality(Encoder& encoder) {
   for (const DeltaVar& delta : encoder.sketch().deltas()) {
-    encoder.session().addSoft(!encoder.deltaActive(delta), weight,
+    encoder.session().addSoft(!encoder.deltaActive(delta), 1,
                               "min-change:" + delta.name,
                               SmtSession::SoftKind::kMinimality);
   }

@@ -28,6 +28,6 @@ std::vector<std::string> addObjectives(Encoder& encoder,
 /// objective (every active delta is one added/removed configuration line),
 /// and it keeps the solver from inventing gratuitous changes when an
 /// operator supplies few or no objectives.
-void addPerDeltaMinimality(Encoder& encoder, unsigned weight = 1);
+void addPerDeltaMinimality(Encoder& encoder);
 
 }  // namespace aed

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <functional>
 #include <set>
-#include <thread>
 
 #include "conftree/node.hpp"
 #include "obs/metrics.hpp"
@@ -251,10 +250,8 @@ bool SimulationEngine::CompiledProc::originates(const Ipv4Prefix& dst) const {
   return false;
 }
 
-SimulationEngine::SimulationEngine(const ConfigTree& tree, std::size_t workers,
-                                   std::size_t maxCacheEntries)
-    : tree_(tree.clone()), workers_(workers),
-      maxCacheEntries_(maxCacheEntries) {
+SimulationEngine::SimulationEngine(const ConfigTree& tree, std::size_t workers)
+    : tree_(tree.clone()), workers_(resolveWorkers(workers)) {
   // Touch the shard-latency histogram so it appears in every snapshot that
   // involves an engine, even before the first fan-out records into it.
   histShardSeconds();
@@ -312,10 +309,6 @@ void SimulationEngine::invalidateAll() {
   for (const auto& [dst, shard] : shards_) dropped += shard->tables.size();
   invalidatedEntries_ += dropped;
   shards_.clear();
-  entryCount_.store(0, std::memory_order_relaxed);
-  // A rebind ends the reference-stability window, so quarantined (LRU
-  // evicted) tables can finally be freed.
-  evictedQuarantine_.clear();
 }
 
 void SimulationEngine::invalidatePrefixes(
@@ -334,55 +327,6 @@ void SimulationEngine::invalidatePrefixes(
     }
   }
   invalidatedEntries_ += dropped;
-  entryCount_.fetch_sub(dropped, std::memory_order_relaxed);
-  evictedQuarantine_.clear();
-}
-
-void SimulationEngine::evictLruIfOverCap() const {
-  if (maxCacheEntries_ == 0 ||
-      entryCount_.load(std::memory_order_relaxed) <= maxCacheEntries_) {
-    return;
-  }
-  // Evict down to 90% of the cap in one sweep so back-to-back inserts don't
-  // each pay a full scan. Lock order: shardsMutex_ first, then one shard at
-  // a time — computeRoutes never holds a shard lock while taking
-  // shardsMutex_, so this cannot deadlock.
-  const std::lock_guard<std::mutex> mapLock(shardsMutex_);
-  std::size_t live = 0;
-  struct Victim {
-    std::uint64_t lastUse;
-    DstShard* shard;
-    const EnvKey* key;
-  };
-  std::vector<Victim> candidates;
-  for (const auto& [dst, shard] : shards_) {
-    const std::lock_guard<std::mutex> shardLock(shard->mutex);
-    for (const auto& [key, cached] : shard->tables) {
-      candidates.push_back({cached->lastUse, shard.get(), &key});
-    }
-    live += shard->tables.size();
-  }
-  if (live <= maxCacheEntries_) return;  // another thread already evicted
-  const std::size_t target =
-      std::max<std::size_t>(1, maxCacheEntries_ - maxCacheEntries_ / 10);
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Victim& a, const Victim& b) {
-              return a.lastUse < b.lastUse;
-            });
-  std::size_t dropped = 0;
-  for (const Victim& victim : candidates) {
-    if (live - dropped <= target) break;
-    const std::lock_guard<std::mutex> shardLock(victim.shard->mutex);
-    const auto it = victim.shard->tables.find(*victim.key);
-    if (it == victim.shard->tables.end()) continue;
-    // Quarantine instead of freeing: a concurrent task in the same sweep may
-    // still hold the table reference (valid until the next rebind).
-    evictedQuarantine_.push_back(std::move(it->second));
-    victim.shard->tables.erase(it);
-    ++dropped;
-  }
-  entryCount_.fetch_sub(dropped, std::memory_order_relaxed);
-  evictions_.fetch_add(dropped, std::memory_order_relaxed);
 }
 
 void SimulationEngine::compile() {
@@ -768,30 +712,15 @@ const std::map<std::string, RouteEntry>& SimulationEngine::computeRoutes(
   std::sort(key.begin(), key.end());
   key.erase(std::unique(key.begin(), key.end()), key.end());
 
-  const std::map<std::string, RouteEntry>* result = nullptr;
-  {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.tables.find(key);
-    if (it != shard.tables.end()) {
-      routeHits_.fetch_add(1, std::memory_order_relaxed);
-      it->second->lastUse =
-          useTick_.fetch_add(1, std::memory_order_relaxed) + 1;
-      return it->second->table;
-    }
-    routeMisses_.fetch_add(1, std::memory_order_relaxed);
-    auto cached = std::make_unique<CachedTable>();
-    cached->table = convergeRoutes(dst, env);
-    cached->lastUse = useTick_.fetch_add(1, std::memory_order_relaxed) + 1;
-    result =
-        &shard.tables.emplace(std::move(key), std::move(cached))
-             .first->second->table;
-    entryCount_.fetch_add(1, std::memory_order_relaxed);
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  const auto it = shard.tables.find(key);
+  if (it != shard.tables.end()) {
+    routeHits_.fetch_add(1, std::memory_order_relaxed);
+    return it->second;
   }
-  // Outside the shard lock (evictLruIfOverCap locks shardsMutex_ then each
-  // shard). The entry just inserted carries the newest tick, so it survives
-  // the sweep; even if it didn't, quarantined tables outlive the reference.
-  evictLruIfOverCap();
-  return *result;
+  routeMisses_.fetch_add(1, std::memory_order_relaxed);
+  return shard.tables.emplace(std::move(key), convergeRoutes(dst, env))
+      .first->second;
 }
 
 std::vector<std::string> SimulationEngine::sourceRouters(
@@ -930,13 +859,8 @@ bool SimulationEngine::checkPolicy(const Policy& policy) const {
 }
 
 ThreadPool& SimulationEngine::pool() const {
-  std::call_once(poolOnce_, [this] {
-    const std::size_t count =
-        workers_ != 0
-            ? workers_
-            : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    pool_ = std::make_unique<ThreadPool>(count);
-  });
+  std::call_once(poolOnce_,
+                 [this] { pool_ = std::make_unique<ThreadPool>(workers_); });
   return *pool_;
 }
 
@@ -960,11 +884,7 @@ PolicySet SimulationEngine::violations(const PolicySet& policies) const {
     groups[policies[i].cls.dst].push_back(i);
   }
 
-  const std::size_t workerLimit =
-      workers_ != 0
-          ? workers_
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  if (groups.size() > 1 && workerLimit > 1) {
+  if (groups.size() > 1 && workers_ > 1) {
     parallelBatches_.fetch_add(1, std::memory_order_relaxed);
     std::vector<std::function<void()>> tasks;
     tasks.reserve(groups.size());
@@ -1008,11 +928,7 @@ PolicySet SimulationEngine::inferReachabilityPolicies() const {
     }
   };
 
-  const std::size_t workerLimit =
-      workers_ != 0
-          ? workers_
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  if (n > 2 && workerLimit > 1) {
+  if (n > 2 && workers_ > 1) {
     parallelBatches_.fetch_add(1, std::memory_order_relaxed);
     parallelTasks_.fetch_add(n, std::memory_order_relaxed);
     std::vector<std::function<void()>> tasks;
@@ -1053,25 +969,9 @@ SimCacheStats SimulationEngine::cacheStats() const {
       fullInvalidations_.load(std::memory_order_relaxed);
   stats.targetedInvalidations =
       targetedInvalidations_.load(std::memory_order_relaxed);
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
   stats.parallelBatches = parallelBatches_.load(std::memory_order_relaxed);
   stats.parallelTasks = parallelTasks_.load(std::memory_order_relaxed);
-  {
-    const std::lock_guard<std::mutex> lock(shardsMutex_);
-    stats.quarantined = evictedQuarantine_.size();
-  }
   return stats;
-}
-
-void SimulationEngine::resetCacheStats() {
-  routeHits_.store(0, std::memory_order_relaxed);
-  routeMisses_.store(0, std::memory_order_relaxed);
-  invalidatedEntries_.store(0, std::memory_order_relaxed);
-  fullInvalidations_.store(0, std::memory_order_relaxed);
-  targetedInvalidations_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
-  parallelBatches_.store(0, std::memory_order_relaxed);
-  parallelTasks_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace aed

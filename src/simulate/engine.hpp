@@ -37,7 +37,6 @@
 #pragma once
 
 #include <atomic>
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -56,17 +55,14 @@ namespace aed {
 
 class ThreadPool;
 
-/// Snapshot of the engine's cache behavior, cumulative since construction
-/// (or the last resetCacheStats()). Surfaced through AedStats and aed_cli.
+/// Snapshot of the engine's cache behavior, cumulative since construction.
+/// Surfaced through AedStats and aed_cli.
 struct SimCacheStats {
   std::size_t routeHits = 0;        // route-table lookups served from cache
   std::size_t routeMisses = 0;      // lookups that ran a fresh convergence
   std::size_t invalidatedEntries = 0;  // cached tables dropped by rebind()
   std::size_t fullInvalidations = 0;   // rebinds that wiped the whole cache
   std::size_t targetedInvalidations = 0;  // rebinds attributed to prefixes
-  std::size_t evictions = 0;  // cached tables dropped by the LRU entry cap
-  std::size_t quarantined = 0;  // evicted tables currently parked in the
-                                // quarantine (cleared by the next rebind)
   std::size_t parallelBatches = 0;  // violations()/infer() calls that fanned out
   std::size_t parallelTasks = 0;    // destination-shard tasks submitted
 
@@ -80,13 +76,8 @@ class SimulationEngine {
  public:
   /// Binds to a deep copy of `tree`. `workers` sizes the internal thread
   /// pool (0 = hardware concurrency); the pool is created lazily on the
-  /// first call that fans out. `maxCacheEntries` caps the route-table memo
-  /// cache (0 = unlimited): when an insert pushes the entry count past the
-  /// cap, the least-recently-used tables are evicted down to ~90% of it.
-  /// Evicted tables are quarantined (not freed) until the next rebind so
-  /// the reference-stability contract of computeRoutes() still holds.
-  explicit SimulationEngine(const ConfigTree& tree, std::size_t workers = 0,
-                            std::size_t maxCacheEntries = 0);
+  /// first call that fans out.
+  explicit SimulationEngine(const ConfigTree& tree, std::size_t workers = 0);
   ~SimulationEngine();
 
   SimulationEngine(const SimulationEngine&) = delete;
@@ -130,7 +121,6 @@ class SimulationEngine {
   PolicySet inferReachabilityPolicies() const;
 
   SimCacheStats cacheStats() const;
-  void resetCacheStats();
 
  private:
   // ---- compiled per-tree structure (rebuilt by compile()) ----
@@ -181,13 +171,10 @@ class SimulationEngine {
 
   // ---- route-table cache, sharded by destination ----
   using EnvKey = std::vector<std::pair<std::string, std::string>>;
-  struct CachedTable {
-    std::map<std::string, RouteEntry> table;
-    std::uint64_t lastUse = 0;  // global LRU tick; updated under the shard lock
-  };
   struct DstShard {
     std::mutex mutex;
-    std::map<EnvKey, std::unique_ptr<CachedTable>> tables;
+    // Node-based: a cached table never moves until its shard is dropped.
+    std::map<EnvKey, std::map<std::string, RouteEntry>> tables;
   };
 
   void compile();
@@ -200,12 +187,11 @@ class SimulationEngine {
   DstShard& shardFor(const Ipv4Prefix& dst) const;
   void invalidateAll();
   void invalidatePrefixes(const std::vector<Ipv4Prefix>& prefixes);
-  void evictLruIfOverCap() const;
   ThreadPool& pool() const;
 
   ConfigTree tree_;  // owned deep copy of the bound tree
   Topology topo_;
-  std::size_t workers_;
+  std::size_t workers_;  // resolved: never 0
 
   std::vector<CompiledRouter> routers_;  // sorted by name (oracle iteration order)
   std::map<std::string, std::size_t, std::less<>> routerIndex_;
@@ -216,14 +202,6 @@ class SimulationEngine {
   mutable std::mutex shardsMutex_;  // guards the shard map, not the shards
   mutable std::map<Ipv4Prefix, std::unique_ptr<DstShard>> shards_;
 
-  // LRU entry cap. Evicted tables move to the quarantine (under
-  // shardsMutex_) instead of being freed, because concurrent queries may
-  // still hold references; the quarantine empties at the next rebind.
-  std::size_t maxCacheEntries_ = 0;
-  mutable std::atomic<std::uint64_t> useTick_{0};
-  mutable std::atomic<std::size_t> entryCount_{0};
-  mutable std::vector<std::unique_ptr<CachedTable>> evictedQuarantine_;
-
   mutable std::once_flag poolOnce_;
   mutable std::unique_ptr<ThreadPool> pool_;
 
@@ -232,7 +210,6 @@ class SimulationEngine {
   std::atomic<std::size_t> invalidatedEntries_{0};
   std::atomic<std::size_t> fullInvalidations_{0};
   std::atomic<std::size_t> targetedInvalidations_{0};
-  mutable std::atomic<std::size_t> evictions_{0};
   mutable std::atomic<std::size_t> parallelBatches_{0};
   mutable std::atomic<std::size_t> parallelTasks_{0};
 };

@@ -88,28 +88,6 @@ std::size_t SmtSession::addSoft(const z3::expr& constraint, unsigned weight,
   return softInfos_.size() - 1;
 }
 
-void SmtSession::push() {
-  opt_.push();
-  probe_.push();
-  scopes_.push_back(Scope{softInfos_.size()});
-}
-
-void SmtSession::pop() {
-  require(!scopes_.empty(), "SmtSession::pop without a matching push");
-  opt_.pop();
-  probe_.pop();
-  const Scope scope = scopes_.back();
-  scopes_.pop_back();
-  // Z3 retracts soft constraints added inside the scope; mirror that in the
-  // registries so objective reporting stays aligned with the solver.
-  softExprs_.resize(scope.softCount, ctx_.bool_val(true));
-  softInfos_.resize(scope.softCount);
-  // The retained model may depend on retracted assertions, and retracting
-  // constraints can lower the optimal cost.
-  model_.reset();
-  lastOptimalCost_.reset();
-}
-
 void SmtSession::randomizePhase(unsigned seed) {
   try {
     z3::params params(ctx_);
@@ -229,7 +207,7 @@ SmtSession::Result SmtSession::check() {
 
   // ---- rung 1: full MaxSMT ------------------------------------------------
   z3::check_result status = z3::unknown;
-  bool budgetLeft = applyBudget(opt_);
+  const bool budgetLeft = applyBudget(opt_);
   if (injectUnknown_ > 0) {
     --injectUnknown_;
     logWarn() << "fault injection: forcing an unknown MaxSMT verdict";
@@ -305,18 +283,6 @@ SmtSession::Result SmtSession::check() {
     result.rung = SolveRung::kUnsat;
     result.rungReason = "hard constraints unsatisfiable (cross-checked "
                         "against the plain-SAT mirror)";
-    return result;
-  }
-
-  // The full query timed out or went unknown. Without anytime mode, report
-  // the raw verdict.
-  if (!anytime_) {
-    result.status = budgetLeft ? "unknown" : "timeout";
-    result.code =
-        budgetLeft ? ErrorCode::kSolverUnknown : ErrorCode::kTimeout;
-    result.rung = SolveRung::kGaveUp;
-    result.rungReason = std::string("full MaxSMT ") + result.status +
-                        "; degradation ladder disabled";
     return result;
   }
 

@@ -10,20 +10,20 @@
 //
 // Sessions are incremental: constraints may be added and check() re-run any
 // number of times (the persistent SubproblemSolver keeps one session alive
-// across repair rounds and only pushes new blocked-delta clauses), and
-// push()/pop() scoping retracts tentative constraints.
+// across repair rounds and only pushes new blocked-delta clauses).
 //
-// Incremental re-checks use a warm-start fast path: between checks the
-// caller only ever ADDS constraints, so the feasible set shrinks and the
-// optimal soft-violation cost cannot decrease. check() therefore first asks
-// a plain SAT query whether a model at the previous optimal cost still
-// exists (a pseudo-boolean bound over the soft constraints); if yes, that
-// model is provably optimal and the full MaxSMT engine is skipped entirely.
-// pop() and addSoft() invalidate the remembered optimum (they can lower it).
+// Incremental re-checks use a warm-start fast path. addHard() and addSoft()
+// are the only ways to change a session, so its constraints only grow: the
+// feasible set shrinks and the optimal soft-violation cost cannot decrease.
+// check() therefore first asks a plain SAT query whether a model at the
+// previous optimal cost still exists (a pseudo-boolean bound over the soft
+// constraints); if yes, that model is provably optimal and the full MaxSMT
+// engine is skipped entirely. Only addSoft() resets the remembered optimum
+// (a new soft changes the cost function).
 //
 // Resilience: a session can be given a wall-clock Deadline (wired to Z3's
-// `timeout` parameter) and, in anytime mode, check() falls back through a
-// degradation ladder when the full MaxSMT query times out or goes unknown:
+// `timeout` parameter), and check() falls back through a degradation ladder
+// when the full MaxSMT query times out or goes unknown:
 //   1. full MaxSMT (user objectives + minimality softs)     → Degradation::kNone
 //   2. MaxSMT with the minimality softs dropped             → kNoMinimality
 //   3. plain SAT over the hard constraints only             → kHardOnly
@@ -52,9 +52,6 @@ class SmtSession {
 
   SmtSession(const SmtSession&) = delete;
   SmtSession& operator=(const SmtSession&) = delete;
-
-  z3::context& ctx() { return ctx_; }
-  z3::optimize& solver() { return opt_; }
 
   // ---- variable factories -------------------------------------------------
 
@@ -90,19 +87,6 @@ class SmtSession {
     probe_.add(constraint);
   }
 
-  // ---- scoping --------------------------------------------------------------
-
-  /// Pushes a backtracking scope: hard and soft constraints added after
-  /// push() are retracted by the matching pop(). Used by callers that probe
-  /// tentative constraints (e.g. "would this delta set still be sat?")
-  /// without poisoning the persistent solver state across repair rounds.
-  void push();
-  /// Pops the innermost scope; throws AedError if none is open. Invalidates
-  /// the last model (it may depend on retracted assertions).
-  void pop();
-  /// Number of open scopes.
-  std::size_t scopeDepth() const { return scopes_.size(); }
-
   /// Classification of a soft constraint for the degradation ladder: user
   /// objectives survive one rung longer than the internal per-delta
   /// minimality pressure.
@@ -114,13 +98,6 @@ class SmtSession {
   std::size_t addSoft(const z3::expr& constraint, unsigned weight,
                       const std::string& label,
                       SoftKind kind = SoftKind::kUser);
-
-  struct SoftInfo {
-    std::string label;
-    unsigned weight = 1;
-    SoftKind kind = SoftKind::kUser;
-  };
-  const std::vector<SoftInfo>& softConstraints() const { return softInfos_; }
 
   /// Randomizes the solver's decision phase. Used by the NetComplete-like
   /// clean-slate baseline: a synthesizer that does not anchor on the current
@@ -135,10 +112,6 @@ class SmtSession {
   /// remaining budget is passed to Z3 as its `timeout` parameter, re-read
   /// before each ladder rung). Unlimited by default.
   void setDeadline(const Deadline& deadline) { deadline_ = deadline; }
-
-  /// Enables the degradation ladder (on by default). When disabled, check()
-  /// reports the raw first-rung verdict.
-  void setAnytime(bool anytime) { anytime_ = anytime; }
 
   /// Deterministic fault injection for tests: the next `count` full MaxSMT
   /// checks report "unknown" without calling Z3, forcing check() down the
@@ -181,7 +154,7 @@ class SmtSession {
     SolverStats stats;
   };
 
-  /// Runs the MaxSMT query (with the degradation ladder in anytime mode).
+  /// Runs the MaxSMT query, falling down the degradation ladder if needed.
   /// On sat, the model is retained for eval calls. Re-entrant: check() may
   /// be called again after adding further constraints (incremental
   /// re-solve); each call replaces the retained model and re-reads the
@@ -210,9 +183,10 @@ class SmtSession {
   /// unknown).
   bool tryWarmCheck(Result& result);
 
-  /// Soft-registry watermark captured by push(), restored by pop().
-  struct Scope {
-    std::size_t softCount = 0;
+  struct SoftInfo {
+    std::string label;
+    unsigned weight = 1;
+    SoftKind kind = SoftKind::kUser;
   };
 
   z3::context ctx_;
@@ -225,14 +199,12 @@ class SmtSession {
   std::map<std::string, z3::expr> vars_;
   std::vector<z3::expr> softExprs_;
   std::vector<SoftInfo> softInfos_;
-  std::vector<Scope> scopes_;
   std::optional<z3::model> model_;
   /// Optimal soft-violation cost of the last non-degraded check. Still a
   /// valid lower bound after further addHard() calls (the feasible set only
-  /// shrinks); cleared by pop() and addSoft(), which can lower the optimum.
+  /// shrinks); cleared by addSoft(), which changes the cost function.
   std::optional<unsigned long long> lastOptimalCost_;
   Deadline deadline_;
-  bool anytime_ = true;
   int injectUnknown_ = 0;
   int freshCounter_ = 0;
 };

@@ -12,6 +12,7 @@
 // process or leaking in-flight solver work.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -26,11 +27,12 @@ class Deadline {
   /// Default-constructed deadlines never expire.
   Deadline() = default;
 
-  /// A deadline `ms` milliseconds from now. 0 ms is already expired.
+  /// A deadline `ms` milliseconds from now. 0 ms is already expired; `ms` is
+  /// capped at kForeverMs so the time point cannot overflow.
   static Deadline after(std::uint64_t ms) {
     Deadline d;
     d.unlimited_ = false;
-    d.at_ = Clock::now() + std::chrono::milliseconds(ms);
+    d.at_ = Clock::now() + std::chrono::milliseconds(std::min(ms, kForeverMs));
     return d;
   }
 

@@ -59,8 +59,12 @@ bool startsWith(std::string_view text, std::string_view prefix) {
   return text.substr(0, prefix.size()) == prefix;
 }
 
-int parseInt(std::string_view text, const std::string& context) {
-  int value = 0;
+namespace {
+/// std::from_chars over the whole of `text`; throws a kParseError naming
+/// `context` unless every character was consumed into a representable value.
+template <typename T>
+T parseWhole(std::string_view text, const std::string& context) {
+  T value = 0;
   const char* first = text.data();
   const char* last = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(first, last, value);
@@ -70,6 +74,15 @@ int parseInt(std::string_view text, const std::string& context) {
                        context);
   }
   return value;
+}
+}  // namespace
+
+int parseInt(std::string_view text, const std::string& context) {
+  return parseWhole<int>(text, context);
+}
+
+std::uint64_t parseU64(std::string_view text, const std::string& context) {
+  return parseWhole<std::uint64_t>(text, context);
 }
 
 }  // namespace aed

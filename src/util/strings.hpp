@@ -1,6 +1,7 @@
 // Small string helpers used by the config parser and objective language.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,5 +30,11 @@ bool startsWith(std::string_view text, std::string_view prefix);
 /// `weight` value surfaces as a structured parse failure instead of an
 /// uncaught std::invalid_argument from std::stoi.
 int parseInt(std::string_view text, const std::string& context);
+
+/// Parses a base-10 unsigned 64-bit integer (digits only, no sign),
+/// requiring the whole string to be consumed. Throws
+/// AedError(ErrorCode::kParseError) naming `context` on empty, signed,
+/// malformed or overflowing input.
+std::uint64_t parseU64(std::string_view text, const std::string& context);
 
 }  // namespace aed

@@ -6,6 +6,7 @@
 // per-destination problems never conflict.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <functional>
 #include <future>
@@ -17,6 +18,14 @@
 #include "obs/trace.hpp"
 
 namespace aed {
+
+/// A worker-count option resolved: `requested`, or the hardware concurrency
+/// (at least 1) when `requested` is 0.
+inline std::size_t resolveWorkers(std::size_t requested) {
+  return requested != 0
+             ? requested
+             : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
 
 class ThreadPool {
  public:

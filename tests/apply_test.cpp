@@ -226,12 +226,6 @@ TEST(StagedPlan, SplitsOneRouterPerDestination) {
     EXPECT_NE(stage.label.find("dst"), std::string::npos) << stage.label;
     EXPECT_EQ(stage.patch.size(), 1u);
   }
-
-  DeployOptions noSplit;
-  noSplit.splitByDestination = false;
-  DeploymentPlan coarse =
-      planStagedRollout(base, merged, figure1GuardPolicies(), noSplit);
-  EXPECT_EQ(coarse.stages.size(), 1u);
 }
 
 TEST(StagedPlan, DependentEditsStayInOneStage) {
@@ -427,16 +421,6 @@ TEST(StagedPlan, FallsBackToOneShotWhenNoOrderIsSafe) {
   ConfigTree tree = base.clone();
   EXPECT_TRUE(executeDeployment(tree, plan));
   EXPECT_EQ(printNetworkConfig(tree), printNetworkConfig(merged.applied(base)));
-
-  // With the fallback disabled the units surface unvalidated instead.
-  DeployOptions strict;
-  strict.allowOneShotFallback = false;
-  DeploymentPlan strictPlan = planStagedRollout(base, merged, policies, strict);
-  EXPECT_FALSE(strictPlan.oneShot);
-  ASSERT_EQ(strictPlan.stages.size(), 2u);
-  for (const DeploymentStage& stage : strictPlan.stages) {
-    EXPECT_FALSE(stage.validated);
-  }
 }
 
 TEST(StagedPlan, EmptyPatchYieldsEmptyPlan) {

@@ -410,57 +410,5 @@ TEST(EngineProperty, ViolationOrderMatchesInputOrder) {
   EXPECT_GT(engine.cacheStats().parallelBatches, 0u);
 }
 
-// The LRU entry cap bounds the route-table memo cache without changing any
-// verdict: evicted destinations simply recompute on the next lookup.
-TEST(EngineCache, LruCapEvictsButStaysCorrect) {
-  DcParams dc;
-  dc.racks = 4;
-  dc.aggs = 2;
-  dc.spines = 2;
-  dc.seed = 21;
-  const GeneratedNetwork net = generateDatacenter(dc);
-  const Simulator oracle(net.tree);
-  const PolicySet policies = oracle.inferReachabilityPolicies();
-  ASSERT_GT(policies.size(), 2u);
-
-  // Serial worker so evictions interleave with lookups deterministically.
-  const SimulationEngine capped(net.tree, 1, /*maxCacheEntries=*/2);
-  EXPECT_EQ(policyStrings(oracle.violations(policies)),
-            policyStrings(capped.violations(policies)));
-  const SimCacheStats stats = capped.cacheStats();
-  EXPECT_GT(stats.evictions, 0u);
-
-  // Evicted tables recompute correctly on re-query.
-  for (const auto& [owner, subnet] : net.hostSubnets) {
-    (void)owner;
-    EXPECT_EQ(oracle.computeRoutes(subnet), capped.computeRoutes(subnet))
-        << subnet.str();
-  }
-
-  // Uncapped engine over the same workload never evicts.
-  const SimulationEngine unlimited(net.tree, 1);
-  (void)unlimited.violations(policies);
-  EXPECT_EQ(unlimited.cacheStats().evictions, 0u);
-}
-
-TEST(EngineCache, EvictionSurvivesRebind) {
-  DcParams dc;
-  dc.racks = 3;
-  dc.aggs = 2;
-  dc.spines = 1;
-  dc.seed = 22;
-  const GeneratedNetwork net = generateDatacenter(dc);
-  SimulationEngine engine(net.tree, 1, /*maxCacheEntries=*/1);
-  const Simulator oracle(net.tree);
-  const PolicySet policies = oracle.inferReachabilityPolicies();
-  (void)engine.violations(policies);
-  // Rebind (full invalidation) empties the quarantine; verdicts must still
-  // match the oracle afterwards, and the cap keeps applying.
-  engine.rebind(net.tree);
-  EXPECT_EQ(policyStrings(oracle.violations(policies)),
-            policyStrings(engine.violations(policies)));
-  EXPECT_GT(engine.cacheStats().evictions, 0u);
-}
-
 }  // namespace
 }  // namespace aed

@@ -15,27 +15,24 @@
 #include <string>
 
 #include "policy/policy.hpp"
+#include "util/error.hpp"
 #include "util/ipv4.hpp"
+#include "util/strings.hpp"
 
 namespace aed::testing {
 
 /// Base seed for seed-driven tests: the AED_TEST_SEED environment variable
-/// when set to a number, else `fallback`. The effective seed is printed on
+/// when set to a number that fits in 64 bits, else `fallback`. The effective seed is printed on
 /// first use so any CI log carries what's needed to reproduce the run.
 inline std::uint64_t testSeed(std::uint64_t fallback = 1) {
   std::uint64_t seed = fallback;
   if (const char* env = std::getenv("AED_TEST_SEED");
       env != nullptr && *env != '\0') {
-    std::uint64_t parsed = 0;
-    bool numeric = true;
-    for (const char* c = env; *c != '\0'; ++c) {
-      if (*c < '0' || *c > '9') {
-        numeric = false;
-        break;
-      }
-      parsed = parsed * 10 + static_cast<std::uint64_t>(*c - '0');
+    try {
+      seed = parseU64(env, "AED_TEST_SEED");
+    } catch (const AedError&) {
+      // Not a number: keep the fallback.
     }
-    if (numeric) seed = parsed;
   }
   static const bool printed = [](std::uint64_t s) {
     std::cout << "[aed] effective base seed: " << s

@@ -208,30 +208,6 @@ TEST(Incremental, WarmStartDeclinesWhenOptimumGrows) {
   EXPECT_EQ(second.violatedObjectives.size(), 2u);
 }
 
-TEST(Incremental, PopInvalidatesWarmStartOptimum) {
-  SmtSession session;
-  const z3::expr a = session.boolVar("a");
-  session.addSoft(!a, 1, "not-a");
-  const SmtSession::Result first = session.check();
-  ASSERT_TRUE(first.sat);
-  EXPECT_TRUE(first.violatedObjectives.empty());
-
-  session.push();
-  session.addHard(a);
-  const SmtSession::Result inner = session.check();
-  ASSERT_TRUE(inner.sat);
-  EXPECT_EQ(inner.violatedObjectives.size(), 1u);
-
-  // Retracting constraints can lower the optimum again, so the remembered
-  // cost must not survive the pop (a stale bound of 1 would let a
-  // cost-1 model pass as "optimal" when cost 0 is reachable).
-  session.pop();
-  const SmtSession::Result after = session.check();
-  ASSERT_TRUE(after.sat);
-  EXPECT_FALSE(after.warmStart);
-  EXPECT_TRUE(after.violatedObjectives.empty());
-}
-
 // ---- mergePatches: positive sequence-number floor --------------------------
 
 Edit ruleAdd(const std::string& target, int seq, const std::string& src,

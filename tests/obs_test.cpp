@@ -1022,9 +1022,8 @@ TEST_F(ObsTest, SnapshotContainsEveryKnownStatFamily) {
            // degradation-ladder outcome counts (mirrored even at zero)
            "smt.rung.warm_start", "smt.rung.full", "smt.rung.no_minimality",
            "smt.rung.hard_only", "smt.rung.unsat", "smt.rung.gave_up",
-           // simulation cache accounting, incl. eviction/quarantine
-           "sim.route_hits", "sim.route_misses", "sim.evictions",
-           "sim.quarantined_tables",
+           // simulation cache accounting
+           "sim.route_hits", "sim.route_misses",
            // deployment stage accounting
            "deploy.executions", "deploy.stages_committed",
            // latency histograms (§12)

@@ -68,6 +68,16 @@ TEST(Deadline, CountsDown) {
   EXPECT_LE(remaining, 60000u);
 }
 
+// Budgets past the nanosecond clock's range are capped, not overflowed.
+TEST(Deadline, HugeBudgetIsNotExpired) {
+  for (const std::uint64_t ms :
+       {UINT64_MAX, std::uint64_t{10'000'000'000'000}}) {
+    const Deadline d = Deadline::after(ms);
+    EXPECT_FALSE(d.expired()) << ms;
+    EXPECT_GT(d.remainingMillis(), 0u) << ms;
+  }
+}
+
 TEST(Deadline, MinPicksEarlier) {
   const Deadline near = Deadline::after(10);
   const Deadline far = Deadline::after(60000);
@@ -226,16 +236,6 @@ TEST(Resilience, GenerousBudgetSolvesNormally) {
   EXPECT_FALSE(result.degraded);
   Simulator sim(result.updated);
   EXPECT_TRUE(sim.violations(policies).empty());
-}
-
-TEST(Resilience, SubproblemTimeoutKnobIsHonored) {
-  const ConfigTree tree = parseNetworkConfig(figure1ConfigText());
-  const PolicySet policies = figure1AllPolicies();
-  AedOptions options;
-  options.subproblemTimeoutMs = 60000;  // generous; must not break anything
-  const AedResult result = synthesize(tree, policies, {}, options);
-  ASSERT_TRUE(result.success) << result.error;
-  EXPECT_FALSE(result.degraded);
 }
 
 // ------------------------------------------------------------- cancellation

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <set>
+#include <string>
 
 #include "util/error.hpp"
 #include "util/ipv4.hpp"
@@ -172,6 +174,23 @@ TEST(Strings, Join) {
 TEST(Strings, StartsWith) {
   EXPECT_TRUE(startsWith("route-filter x", "route-filter"));
   EXPECT_FALSE(startsWith("rx", "route"));
+}
+
+TEST(Strings, ParseU64AcceptsTheFullRange) {
+  EXPECT_EQ(parseU64("0", "t"), 0u);
+  EXPECT_EQ(parseU64("18446744073709551615", "t"), UINT64_MAX);
+}
+
+TEST(Strings, ParseU64RejectsOverflowSignsAndJunk) {
+  for (const char* bad : {"18446744073709551616", "-1", "1x", ""}) {
+    try {
+      parseU64(bad, "--flag");
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const AedError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kParseError) << bad;
+      EXPECT_NE(std::string(e.what()).find("--flag"), std::string::npos);
+    }
+  }
 }
 
 // ------------------------------------------------------------------------ rng
