@@ -6,8 +6,8 @@
 //      and what does a full rollback cost (apply + rollback)? Both must be
 //      cheap relative to a single simulation check.
 //   2. How expensive is planning a staged rollout — the greedy ordering
-//      simulates one intermediate state per candidate, so the memoized
-//      engine's cache behavior dominates.
+//      simulates one intermediate state per candidate, each on an engine
+//      built for it, so compiling and converging per candidate dominates.
 //   3. What does executing the plan cost, clean and under an injected
 //      mid-apply fault (the fault path measures stage rollback, which CI's
 //      sanitizer job also runs as a chaos smoke test)?

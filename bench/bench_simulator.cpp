@@ -4,10 +4,9 @@
 // re-runs route convergence for every (policy, source) forwarding walk, so a
 // policy-heavy validation pays the convergence cost hundreds of times for a
 // handful of distinct destinations. The SimulationEngine converges once per
-// (destination, environment), shards the checks across a thread pool, and
-// across repair rounds invalidates only the destinations the round's patch
-// touches. Verdicts are bit-identical (asserted here and in
-// tests/engine_test.cpp); this bench measures what that buys.
+// (destination, environment) and shards the checks across a thread pool.
+// Verdicts are bit-identical (asserted here and in tests/engine_test.cpp);
+// this bench measures what that buys.
 //
 // Cases:
 //   Simulator/dcN/violations — one policy-heavy violations() sweep:
@@ -23,9 +22,8 @@
 //     destinations, far above 3 on these shapes.
 //   Simulator/dcN/repair — full synthesize() with kRejectValidation forcing
 //     repair rounds: memoFirstSimulateSeconds / memoSimulateSeconds (round-0
-//     and repair-round validation) plus the engine's cache counters
-//     (hitRatePct, invalidatedTables, targetedInvalidations,
-//     fullInvalidations).
+//     and repair-round validation, one fresh engine per round) plus the
+//     summed cache hit rate of those engines (hitRatePct).
 //
 // Run: ./build/bench/bench_simulator
 //   (JSON for CI trend tracking: --benchmark_out=BENCH_simulator.json
@@ -156,12 +154,6 @@ void repairCase(benchmark::State& state, int routers) {
         memo.stats.firstRound.simulateSeconds;
     state.counters["memoSimulateSeconds"] = memo.stats.repair.simulateSeconds;
     state.counters["hitRatePct"] = memo.stats.simulate.hitRate() * 100.0;
-    state.counters["invalidatedTables"] =
-        static_cast<double>(memo.stats.simulate.invalidatedEntries);
-    state.counters["targetedInvalidations"] =
-        static_cast<double>(memo.stats.simulate.targetedInvalidations);
-    state.counters["fullInvalidations"] =
-        static_cast<double>(memo.stats.simulate.fullInvalidations);
   }
 }
 

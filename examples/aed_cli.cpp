@@ -286,11 +286,9 @@ int main(int argc, char** argv) {
       std::cout << "simulate cache: " << sim.routeHits << " hits / "
                 << sim.routeMisses << " misses ("
                 << static_cast<int>(sim.hitRate() * 100.0)
-                << "% hit rate), invalidated " << sim.invalidatedEntries
-                << " tables (" << sim.targetedInvalidations << " targeted, "
-                << sim.fullInvalidations << " full rebinds), "
-                << sim.parallelTasks << " parallel tasks in "
-                << sim.parallelBatches << " batches\n";
+                << "% hit rate), " << sim.parallelTasks
+                << " parallel tasks in " << sim.parallelBatches
+                << " batches\n";
     }
     if (options.stagedDeployment && !result.deployment.empty()) {
       std::cout << "\n" << result.deployment.describe();

@@ -1,6 +1,5 @@
 #include "apply/deploy.hpp"
 
-#include <chrono>
 #include <string>
 
 #include "conftree/journal.hpp"
@@ -10,18 +9,13 @@
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "simulate/engine.hpp"
+#include "util/deadline.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
 namespace aed {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double secondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 MetricsRegistry::Histogram& histStageValidateSeconds() {
   static MetricsRegistry::Histogram hist =
@@ -57,7 +51,7 @@ bool executeDeployment(ConfigTree& tree, DeploymentPlan& plan,
   if (span.active()) {
     span.setDetail("stages=" + std::to_string(plan.stages.size()));
   }
-  const auto start = Clock::now();
+  const auto start = Deadline::Clock::now();
   // Touch the stage-validation histogram so it appears in every snapshot
   // that involves a deployment, even when no stage reaches validation.
   histStageValidateSeconds();
@@ -66,10 +60,6 @@ bool executeDeployment(ConfigTree& tree, DeploymentPlan& plan,
   plan.committedStages = 0;
   plan.code = ErrorCode::kNone;
   plan.error.clear();
-
-  SimulationEngine engine(tree, options.workers);
-  Patch boundPatch;   // what `engine` is bound to, relative to the entry tree
-  Patch cumulative;   // committed stages, relative to the entry tree
 
   const auto abort = [&plan](DeploymentStage& stage, ErrorCode code,
                              std::string detail) {
@@ -96,7 +86,7 @@ bool executeDeployment(ConfigTree& tree, DeploymentPlan& plan,
 
     // Apply through the journal; a fault mid-stage (injected or organic)
     // rolls back inside applyJournaled before the exception reaches us.
-    const auto applyStart = Clock::now();
+    const auto applyStart = Deadline::Clock::now();
     ApplyJournal journal;
     Patch::EditHook hook;
     if (fault.kind == DeployFaultInjection::Kind::kStageCommitFailure &&
@@ -122,7 +112,7 @@ bool executeDeployment(ConfigTree& tree, DeploymentPlan& plan,
     stage.applySeconds = secondsSince(applyStart);
 
     // Validate the intermediate state before committing the journal.
-    const auto validateStart = Clock::now();
+    const auto validateStart = Deadline::Clock::now();
     if (fault.kind == DeployFaultInjection::Kind::kValidationTimeout &&
         fault.stage == stage.index) {
       stage.validateSeconds = secondsSince(validateStart);
@@ -131,11 +121,8 @@ bool executeDeployment(ConfigTree& tree, DeploymentPlan& plan,
       abort(stage, ErrorCode::kTimeout, "injected validation timeout");
       continue;
     }
-    Patch candidate = cumulative;
-    candidate.append(stage.patch);
-    engine.rebind(tree, {&boundPatch, &candidate});
-    boundPatch = candidate;
-    const PolicySet violated = engine.violations(plan.guard);
+    const PolicySet violated =
+        SimulationEngine(tree, options.workers).violations(plan.guard);
     stage.validateSeconds = secondsSince(validateStart);
     histStageValidateSeconds().record(stage.validateSeconds);
     if (!violated.empty()) {
@@ -150,7 +137,6 @@ bool executeDeployment(ConfigTree& tree, DeploymentPlan& plan,
     }
 
     journal.commit();
-    cumulative = std::move(candidate);
     stage.status = StageStatus::kCommitted;
     ++plan.committedStages;
     Progress::incrDone();

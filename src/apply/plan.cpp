@@ -1,7 +1,6 @@
 #include "apply/plan.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <list>
 #include <map>
 #include <optional>
@@ -9,78 +8,13 @@
 #include "conftree/node.hpp"
 #include "obs/trace.hpp"
 #include "simulate/engine.hpp"
+#include "util/deadline.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
 
 namespace aed {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double secondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-// The router name is the first path component's name attribute:
-// Router[name=X]/... (same convention as Patch::touchedRouters).
-std::string routerOfPath(const std::string& path) {
-  const std::string prefix = "Router[name=";
-  if (!startsWith(path, prefix)) return "";
-  const auto end = path.find(']');
-  if (end == std::string::npos) return "";
-  return path.substr(prefix.size(), end - prefix.size());
-}
-
-// Predicts the signature of a node a kAddNode edit creates — the mirror of
-// Node::signature() computed from the edit's attribute set. Used to detect
-// structural dependencies between candidate stages (an edit targeting a
-// node another stage creates must ride with that stage).
-std::string signatureFor(NodeKind kind,
-                         const std::map<std::string, std::string>& attrs) {
-  const auto attr = [&attrs](const char* key) -> std::string {
-    const auto it = attrs.find(key);
-    return it == attrs.end() ? std::string() : it->second;
-  };
-  std::string sig(nodeKindName(kind));
-  std::vector<std::pair<std::string, std::string>> parts;
-  switch (kind) {
-    case NodeKind::kNetwork:
-      break;
-    case NodeKind::kRouter:
-    case NodeKind::kInterface:
-    case NodeKind::kRouteFilter:
-    case NodeKind::kPacketFilter:
-      parts.emplace_back("name", attr("name"));
-      break;
-    case NodeKind::kRoutingProcess:
-      parts.emplace_back("type", attr("type"));
-      parts.emplace_back("name", attr("name"));
-      break;
-    case NodeKind::kAdjacency:
-      parts.emplace_back("peer", attr("peer"));
-      break;
-    case NodeKind::kOrigination:
-      parts.emplace_back("prefix", attr("prefix"));
-      break;
-    case NodeKind::kRedistribution:
-      parts.emplace_back("from", attr("from"));
-      break;
-    case NodeKind::kRouteFilterRule:
-    case NodeKind::kPacketFilterRule:
-      parts.emplace_back("seq", attr("seq"));
-      break;
-  }
-  if (!parts.empty()) {
-    sig += '[';
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      if (i > 0) sig += ',';
-      sig += parts[i].first + "=" + parts[i].second;
-    }
-    sig += ']';
-  }
-  return sig;
-}
 
 // Destination prefix an edit can be attributed to, or nullopt when the edit
 // is not destination-local (adjacencies, redistributions, renames, ...).
@@ -157,8 +91,8 @@ std::vector<Unit> trySplitByDestination(const std::string& router,
   for (std::size_t a = 0; a < edits.size(); ++a) {
     if (edits[a]->op != Edit::Op::kAddNode) continue;
     const std::string created =
-        edits[a]->targetPath + "/" + signatureFor(edits[a]->kind,
-                                                  edits[a]->attrs);
+        edits[a]->targetPath + "/" +
+        nodeSignature(edits[a]->kind, edits[a]->attrs);
     for (std::size_t b = 0; b < edits.size(); ++b) {
       if (keys[a] == keys[b]) continue;
       if (edits[b]->targetPath == created ||
@@ -236,17 +170,17 @@ const char* stageStatusName(StageStatus status) {
 PolicySet regressionGuard(const ConfigTree& base, const ConfigTree& updated,
                           const PolicySet& policies,
                           const DeployOptions& options) {
-  SimulationEngine engine(base, options.workers);
-  const PolicySet heldBefore = minus(policies, engine.violations(policies));
-  engine.rebind(updated);
-  return minus(heldBefore, engine.violations(heldBefore));
+  const PolicySet heldBefore = minus(
+      policies, SimulationEngine(base, options.workers).violations(policies));
+  return minus(heldBefore, SimulationEngine(updated, options.workers)
+                               .violations(heldBefore));
 }
 
 DeploymentPlan planStagedRollout(const ConfigTree& base, const Patch& merged,
                                  const PolicySet& policies,
                                  const DeployOptions& options) {
   AED_SPAN("deploy.plan");
-  const auto start = Clock::now();
+  const auto start = Deadline::Clock::now();
   DeploymentPlan plan;
   if (merged.empty()) {
     plan.guard = regressionGuard(base, base, policies, options);
@@ -259,14 +193,14 @@ DeploymentPlan planStagedRollout(const ConfigTree& base, const Patch& merged,
 
   std::vector<Unit> units = partitionUnits(merged, base);
 
-  // Greedy commit loop with simulation-checked reordering. The engine stays
-  // bound across candidates, invalidating only the destinations the
-  // differing edits can touch, so trying unit B after rejecting unit A is
-  // mostly cache hits.
-  SimulationEngine engine(base, options.workers);
+  // Greedy commit loop with simulation-checked reordering: each candidate
+  // state is checked by an engine built for it.
+  const auto holdsGuard = [&plan, &options](const ConfigTree& candidate) {
+    return SimulationEngine(candidate, options.workers)
+        .violations(plan.guard)
+        .empty();
+  };
   ConfigTree current = base.clone();
-  Patch cumulative;   // committed stages, relative to base
-  Patch boundPatch;   // what `engine` is currently bound to, relative to base
 
   const auto pushStage = [&plan](Unit& unit, bool validated,
                                  std::string detail = {}) {
@@ -296,15 +230,10 @@ DeploymentPlan planStagedRollout(const ConfigTree& base, const Patch& merged,
       } catch (const AedError&) {
         continue;  // structurally inapplicable here; maybe later
       }
-      Patch candidatePatch = cumulative;
-      candidatePatch.append(unit.patch);
-      engine.rebind(candidate, {&boundPatch, &candidatePatch});
-      boundPatch = candidatePatch;
-      if (!engine.violations(plan.guard).empty()) continue;
+      if (!holdsGuard(candidate)) continue;
       if (position != 0) ++plan.reorderings;
       pushStage(unit, /*validated=*/true);
       current = std::move(candidate);
-      cumulative = std::move(candidatePatch);
       remaining.erase(it);
       progressed = true;
       break;
@@ -328,11 +257,7 @@ DeploymentPlan planStagedRollout(const ConfigTree& base, const Patch& merged,
     ++plan.candidatesTried;
     try {
       rest.patch.apply(candidate);
-      Patch candidatePatch = cumulative;
-      candidatePatch.append(rest.patch);
-      engine.rebind(candidate, {&boundPatch, &candidatePatch});
-      boundPatch = candidatePatch;
-      validated = engine.violations(plan.guard).empty();
+      validated = holdsGuard(candidate);
       if (!validated) detail = "final state regresses the guard (internal)";
     } catch (const AedError& e) {
       detail = e.what();

@@ -17,8 +17,7 @@
 //      each step the first unit whose application does not regress any
 //      *guard* policy — a policy that holds both before and after the full
 //      update — is committed. Each intermediate configuration is validated
-//      through the memoized SimulationEngine, so repeated checks against
-//      similar trees mostly hit the route-table cache.
+//      by a SimulationEngine built for it.
 //   3. When no remaining unit is individually safe (e.g. two traffic
 //      classes swapping disjoint paths under an isolation policy), the
 //      planner falls back to a single one-shot stage that applies the rest

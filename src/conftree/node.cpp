@@ -44,6 +44,53 @@ NodeKind nodeKindFromName(std::string_view name) {
   throw AedError("unknown node kind: " + std::string(name));
 }
 
+std::string nodeSignature(NodeKind kind,
+                          const std::map<std::string, std::string>& attrs) {
+  const auto attr = [&attrs](const char* key) -> std::string {
+    const auto it = attrs.find(key);
+    return it == attrs.end() ? std::string() : it->second;
+  };
+  // Identifying attributes per kind; enough to be unique among siblings.
+  std::string sig(nodeKindName(kind));
+  std::vector<std::pair<std::string, std::string>> parts;
+  switch (kind) {
+    case NodeKind::kNetwork:
+      break;
+    case NodeKind::kRouter:
+    case NodeKind::kInterface:
+    case NodeKind::kRouteFilter:
+    case NodeKind::kPacketFilter:
+      parts.emplace_back("name", attr("name"));
+      break;
+    case NodeKind::kRoutingProcess:
+      parts.emplace_back("type", attr("type"));
+      parts.emplace_back("name", attr("name"));
+      break;
+    case NodeKind::kAdjacency:
+      parts.emplace_back("peer", attr("peer"));
+      break;
+    case NodeKind::kOrigination:
+      parts.emplace_back("prefix", attr("prefix"));
+      break;
+    case NodeKind::kRedistribution:
+      parts.emplace_back("from", attr("from"));
+      break;
+    case NodeKind::kRouteFilterRule:
+    case NodeKind::kPacketFilterRule:
+      parts.emplace_back("seq", attr("seq"));
+      break;
+  }
+  if (!parts.empty()) {
+    sig += '[';
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      if (i > 0) sig += ',';
+      sig += parts[i].first + "=" + parts[i].second;
+    }
+    sig += ']';
+  }
+  return sig;
+}
+
 const std::string& Node::attr(const std::string& key) const {
   static const std::string kEmpty;
   const auto it = attrs_.find(key);
@@ -142,47 +189,7 @@ Node* Node::findChild(NodeKind kind, std::string_view name) const {
   return nullptr;
 }
 
-std::string Node::signature() const {
-  // Identifying attributes per kind; enough to be unique among siblings.
-  std::string sig(nodeKindName(kind_));
-  std::vector<std::pair<std::string, std::string>> parts;
-  switch (kind_) {
-    case NodeKind::kNetwork:
-      break;
-    case NodeKind::kRouter:
-    case NodeKind::kInterface:
-    case NodeKind::kRouteFilter:
-    case NodeKind::kPacketFilter:
-      parts.emplace_back("name", attr("name"));
-      break;
-    case NodeKind::kRoutingProcess:
-      parts.emplace_back("type", attr("type"));
-      parts.emplace_back("name", attr("name"));
-      break;
-    case NodeKind::kAdjacency:
-      parts.emplace_back("peer", attr("peer"));
-      break;
-    case NodeKind::kOrigination:
-      parts.emplace_back("prefix", attr("prefix"));
-      break;
-    case NodeKind::kRedistribution:
-      parts.emplace_back("from", attr("from"));
-      break;
-    case NodeKind::kRouteFilterRule:
-    case NodeKind::kPacketFilterRule:
-      parts.emplace_back("seq", attr("seq"));
-      break;
-  }
-  if (!parts.empty()) {
-    sig += '[';
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      if (i > 0) sig += ',';
-      sig += parts[i].first + "=" + parts[i].second;
-    }
-    sig += ']';
-  }
-  return sig;
-}
+std::string Node::signature() const { return nodeSignature(kind_, attrs_); }
 
 std::string Node::path() const {
   if (parent_ == nullptr || kind_ == NodeKind::kNetwork) return signature();

@@ -37,6 +37,12 @@ std::string_view nodeKindName(NodeKind kind);
 /// Inverse of nodeKindName; throws AedError on unknown names.
 NodeKind nodeKindFromName(std::string_view name);
 
+/// The signature (see Node::signature()) of a node of `kind` carrying
+/// `attrs`; an absent identifying attribute reads as "". Lets a caller
+/// predict the path of a node that a kAddNode edit will create.
+std::string nodeSignature(NodeKind kind,
+                          const std::map<std::string, std::string>& attrs);
+
 /// A node in the configuration syntax tree. Nodes own their children;
 /// parent pointers are non-owning back-references maintained by the tree.
 class Node {

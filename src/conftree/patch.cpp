@@ -4,10 +4,6 @@
 
 namespace aed {
 
-namespace {
-
-// The router name is the first path component's name attribute:
-// Router[name=X]/...
 std::string routerOfPath(const std::string& path) {
   const std::string prefix = "Router[name=";
   if (path.rfind(prefix, 0) != 0) return "";
@@ -15,8 +11,6 @@ std::string routerOfPath(const std::string& path) {
   if (end == std::string::npos) return "";
   return path.substr(prefix.size(), end - prefix.size());
 }
-
-}  // namespace
 
 std::string Edit::describe() const {
   switch (op) {

@@ -19,6 +19,11 @@
 
 namespace aed {
 
+/// The router an edit path lies under: the name attribute of its first
+/// component (`Router[name=X]/...` → "X"), or "" when the path does not
+/// start at a router.
+std::string routerOfPath(const std::string& path);
+
 struct Edit {
   enum class Op { kAddNode, kRemoveNode, kSetAttr };
 

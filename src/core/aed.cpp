@@ -25,12 +25,6 @@ namespace aed {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double secondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
 /// Did the subproblem yield a usable (hard-constraint-satisfying) patch?
 bool usable(const SubResult& sub) {
   return sub.outcome == SubOutcome::kOk || sub.outcome == SubOutcome::kDegraded;
@@ -141,12 +135,6 @@ void publishStats(const AedResult& result) {
   const SimCacheStats& sim = stats.simulate;
   metrics.add("sim.route_hits", static_cast<double>(sim.routeHits));
   metrics.add("sim.route_misses", static_cast<double>(sim.routeMisses));
-  metrics.add("sim.invalidated_entries",
-              static_cast<double>(sim.invalidatedEntries));
-  metrics.add("sim.full_invalidations",
-              static_cast<double>(sim.fullInvalidations));
-  metrics.add("sim.targeted_invalidations",
-              static_cast<double>(sim.targetedInvalidations));
   metrics.add("sim.parallel_batches",
               static_cast<double>(sim.parallelBatches));
   metrics.add("sim.parallel_tasks", static_cast<double>(sim.parallelTasks));
@@ -193,10 +181,10 @@ class SynthesisRun {
   /// fail(); deterministic AedErrors propagate.
   void execute();
 
-  /// The run's single exit: frees the solvers and the simulation engine,
-  /// then fills the per-subproblem report and the stats, stamps
-  /// totalSeconds, publishes the metrics and writes the flight dump of a
-  /// bad exit. `thrown` says execute() left by exception.
+  /// The run's single exit: frees the solvers, then fills the
+  /// per-subproblem report and the stats, stamps totalSeconds, publishes the
+  /// metrics and writes the flight dump of a bad exit. `thrown` says
+  /// execute() left by exception.
   AedResult finish(bool thrown);
 
  private:
@@ -228,7 +216,7 @@ class SynthesisRun {
 
   // Declared first: the clock starts before anything else runs, and the
   // run's span closes last, after finish().
-  const Clock::time_point start_ = Clock::now();
+  const Deadline::Clock::time_point start_ = Deadline::Clock::now();
   Span span_{"aed.synthesize"};
 
   const ConfigTree& tree_;
@@ -255,13 +243,6 @@ class SynthesisRun {
   std::vector<bool> needsSolve_;  // coordinating thread only
   std::vector<std::vector<std::string>> blocked_;  // grows across rounds
 
-  // Validation engine, persistent across repair rounds. Each round's tree
-  // is short-lived, so the engine keeps its own copy; a later round re-binds
-  // it with the old and new merged patches (both relative to the input
-  // tree), invalidating only the destinations their differing edits affect.
-  std::unique_ptr<SimulationEngine> simEngine_;
-  Patch lastMerged_;
-
   AedResult result_;
 };
 
@@ -286,7 +267,7 @@ void SynthesisRun::execute() {
     // Round duration (solve + validate), recorded however the iteration
     // exits (success break, failure return, or rethrow).
     struct RoundTimer {
-      Clock::time_point start = Clock::now();
+      Deadline::Clock::time_point start = Deadline::Clock::now();
       ~RoundTimer() { histograms().roundSeconds.record(secondsSince(start)); }
     } roundTimer;
 
@@ -529,18 +510,13 @@ PolicySet SynthesisRun::mergeAndValidate(int round) {
 
   PolicySet violated;
   if (options_.validateWithSimulator) {
-    const auto simulateStart = Clock::now();
+    const auto simulateStart = Deadline::Clock::now();
     {
       AED_SPAN("aed.validate");
       Progress::setPhase("validate");
-      if (simEngine_ == nullptr) {
-        simEngine_ = std::make_unique<SimulationEngine>(updated, workers_);
-      } else {
-        simEngine_->rebind(updated, {&lastMerged_, &merged});
-      }
-      lastMerged_ = merged;
-      violated = simEngine_->violations(survivingPolicies);
-      result_.stats.simulate = simEngine_->cacheStats();
+      const SimulationEngine engine(updated, workers_);
+      violated = engine.violations(survivingPolicies);
+      result_.stats.simulate.accumulate(engine.cacheStats());
     }
     phaseBucket(round).simulateSeconds += secondsSince(simulateStart);
     if (violated.empty()) violated = injectedRejection(round);
@@ -665,7 +641,6 @@ AedResult SynthesisRun::finish(bool thrown) {
   {
     AED_SPAN("aed.teardown");
     solvers_.clear();
-    simEngine_.reset();
   }
   if (thrown && result_.errorCode == ErrorCode::kNone) {
     result_.errorCode = ErrorCode::kInternal;

@@ -105,8 +105,8 @@ struct AedOptions {
   bool defaultMinimality = true;
 
   /// Validate candidate patches with the simulator and re-solve with the
-  /// failing delta set blocked, up to this many rounds per subproblem. One
-  /// memoized SimulationEngine serves every round's validation.
+  /// failing delta set blocked, up to this many rounds per subproblem. Each
+  /// round validates with a SimulationEngine built for its candidate tree.
   bool validateWithSimulator = true;
   int maxRepairIterations = 3;
 
@@ -219,8 +219,8 @@ struct AedStats {
   /// Indexed by static_cast<size_t>(SolveRung).
   std::array<std::size_t, 7> rungCounts{};
 
-  /// Simulation-engine cache behavior across all validation rounds (zeroed
-  /// when validation never ran).
+  /// Simulation-engine cache behavior, summed over the engines of every
+  /// validation round (zeroed when validation never ran).
   SimCacheStats simulate;
 };
 

@@ -1,6 +1,5 @@
 #include "core/subsolver.hpp"
 
-#include <chrono>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -11,16 +10,10 @@ namespace aed {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 /// User objectives are scaled by this factor so they dominate the unit-weight
 /// per-delta minimality pressure. Matches the paper's "equal weight by
 /// default" within the user's objectives.
 constexpr unsigned kObjectiveWeightScale = 1000;
-
-double secondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 }  // namespace
 
@@ -39,7 +32,7 @@ SubproblemSolver::~SubproblemSolver() = default;
 void SubproblemSolver::ensureEncoded(SubResult& result) {
   if (encoder_ != nullptr) return;
 
-  auto phaseStart = Clock::now();
+  auto phaseStart = Deadline::Clock::now();
   {
     AED_SPAN("subsolver.sketch");
     sketch_.emplace(buildSketch(tree_, topo_, policies_, options_.sketch));
@@ -51,7 +44,7 @@ void SubproblemSolver::ensureEncoded(SubResult& result) {
     session_->randomizePhase(options_.randomPhaseSeed);
   }
 
-  phaseStart = Clock::now();
+  phaseStart = Deadline::Clock::now();
   AED_SPAN("subsolver.encode");
   encoder_ = std::make_unique<Encoder>(*session_, tree_, topo_, *sketch_,
                                        options_.encoder);
@@ -75,7 +68,7 @@ void SubproblemSolver::ensureEncoded(SubResult& result) {
 SubResult SubproblemSolver::solve(
     const std::vector<std::vector<std::string>>& blockedDeltaSets,
     const Deadline& deadline, bool injectUnknown) {
-  const auto start = Clock::now();
+  const auto start = Deadline::Clock::now();
   SubResult result;
 
   ensureEncoded(result);
@@ -101,7 +94,7 @@ SubResult SubproblemSolver::solve(
     if (any) session_->addHard(!all);
   }
 
-  auto phaseStart = Clock::now();
+  auto phaseStart = Deadline::Clock::now();
   SmtSession::Result check;
   {
     Span span("subsolver.solve");
@@ -152,7 +145,7 @@ SubResult SubproblemSolver::solve(
       break;
   }
 
-  phaseStart = Clock::now();
+  phaseStart = Deadline::Clock::now();
   AED_SPAN("subsolver.extract");
   result.patch = encoder_->extractPatch();
   for (const DeltaVar& delta : sketch_->deltas()) {

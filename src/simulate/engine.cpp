@@ -8,6 +8,7 @@
 #include "conftree/node.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "topology/topology.hpp"
 #include "util/log.hpp"
 #include "util/thread_pool.hpp"
 
@@ -37,210 +38,6 @@ struct ShardTimer {
   }
 };
 
-// Same edit identity as mergePatches() in core/aed.cpp: two edits with equal
-// keys produce identical tree mutations.
-std::string editKey(const Edit& edit) {
-  std::string key = std::to_string(static_cast<int>(edit.op)) + "|" +
-                    edit.targetPath + "|" +
-                    std::string(nodeKindName(edit.kind));
-  for (const auto& [k, v] : edit.attrs) key += "|" + k + "=" + v;
-  return key;
-}
-
-// True when a kSetAttr edit only rebinds packet filters on an interface —
-// those influence forwarding, never route tables.
-bool onlyPacketBindings(const std::map<std::string, std::string>& attrs) {
-  for (const auto& [key, value] : attrs) {
-    if (key != "pfilterIn" && key != "pfilterOut") return false;
-  }
-  return !attrs.empty();
-}
-
-// Walks up to the enclosing kRouter node (or null).
-const Node* enclosingRouter(const Node* node) {
-  while (node != nullptr && node->kind() != NodeKind::kRouter) {
-    node = node->parent();
-  }
-  return node;
-}
-
-// Destinations a router's connected routes can serve: interface subnets plus
-// non-static originated prefixes — the domain of deliversLocally().
-void appendConnectedPrefixes(const Node* router,
-                             std::vector<Ipv4Prefix>& out) {
-  if (router == nullptr) return;
-  for (const Node* iface : router->childrenOfKind(NodeKind::kInterface)) {
-    if (!iface->hasAttr("address")) continue;
-    const auto prefix = Ipv4Prefix::parse(iface->attr("address"));
-    if (prefix) out.push_back(*prefix);
-  }
-  for (const Node* proc : router->childrenOfKind(NodeKind::kRoutingProcess)) {
-    if (proc->attr("type") == "static") continue;
-    for (const Node* orig : proc->childrenOfKind(NodeKind::kOrigination)) {
-      const auto prefix = Ipv4Prefix::parse(orig->attr("prefix"));
-      if (prefix) out.push_back(*prefix);
-    }
-  }
-}
-
-// Destinations a router's static routes can serve.
-void appendStaticPrefixes(const Node* router, std::vector<Ipv4Prefix>& out) {
-  if (router == nullptr) return;
-  for (const Node* proc : router->childrenOfKind(NodeKind::kRoutingProcess)) {
-    if (proc->attr("type") != "static") continue;
-    for (const Node* orig : proc->childrenOfKind(NodeKind::kOrigination)) {
-      const auto prefix = Ipv4Prefix::parse(orig->attr("prefix"));
-      if (prefix) out.push_back(*prefix);
-    }
-  }
-}
-
-// Redistributing `from` into a proc on `routerName` only affects
-// destinations the source protocol can cover on that router: connected →
-// interface subnets + originated prefixes, static → static-route prefixes.
-// bgp/ospf sources can carry any route in the network, so they stay
-// unattributable.
-bool attributeRedistribution(const std::string& from,
-                             const std::string& routerName,
-                             const ConfigTree& oldTree,
-                             const ConfigTree& newTree,
-                             std::vector<Ipv4Prefix>& touched) {
-  if (from != "connected" && from != "static") return false;
-  for (const ConfigTree* tree : {&oldTree, &newTree}) {
-    const Node* router = tree->router(routerName);
-    if (router == nullptr) continue;
-    if (from == "connected") {
-      appendConnectedPrefixes(router, touched);
-    } else {
-      appendStaticPrefixes(router, touched);
-    }
-  }
-  return true;
-}
-
-// Attributes one edit to the destination prefixes whose route tables it can
-// affect, appending them to `touched`. Returns false when the edit cannot be
-// attributed (the caller must fall back to full invalidation). Packet-filter
-// edits are attributed to *nothing*: packet filters apply on the forwarding
-// walk, which is recomputed per query, and never shape route tables.
-bool classifyEdit(const Edit& edit, const ConfigTree& oldTree,
-                  const ConfigTree& newTree,
-                  std::vector<Ipv4Prefix>& touched) {
-  const auto addPrefix = [&touched](const std::string& text) {
-    const auto prefix = Ipv4Prefix::parse(text);
-    if (!prefix) return false;
-    touched.push_back(*prefix);
-    return true;
-  };
-  // The router owning the edit's target, resolved in whichever tree still
-  // has the path (an odd-count edit lives in exactly one round's patch, so
-  // the target may exist on either side of the rebind).
-  const auto targetRouterName = [&]() -> std::string {
-    const Node* node = oldTree.byPath(edit.targetPath);
-    if (node == nullptr) node = newTree.byPath(edit.targetPath);
-    const Node* router = enclosingRouter(node);
-    return router != nullptr ? router->name() : std::string();
-  };
-
-  if (edit.op == Edit::Op::kAddNode) {
-    switch (edit.kind) {
-      case NodeKind::kPacketFilter:
-      case NodeKind::kPacketFilterRule:
-        return true;
-      case NodeKind::kOrigination:
-      case NodeKind::kRouteFilterRule: {
-        const auto it = edit.attrs.find("prefix");
-        return it != edit.attrs.end() && addPrefix(it->second);
-      }
-      case NodeKind::kRedistribution: {
-        const auto it = edit.attrs.find("from");
-        const std::string router = targetRouterName();
-        return it != edit.attrs.end() && !router.empty() &&
-               attributeRedistribution(it->second, router, oldTree, newTree,
-                                       touched);
-      }
-      case NodeKind::kRoutingProcess:
-        // A freshly added process is empty — its originations, adjacencies
-        // and redistributions arrive as separate edits, each classified on
-        // its own. An empty process cannot source, carry, or attract
-        // routes (sessions require an adjacency on both ends).
-        return true;
-      default:
-        // New adjacencies, filters (an empty route filter flips a named
-        // import from permit-all to deny-all), interfaces, routers:
-        // route-relevant everywhere.
-        return false;
-    }
-  }
-
-  // kRemoveNode / kSetAttr reference an existing node. Between two repair
-  // rounds an edit may be present in only one of the two trees (a removal
-  // from the old round's patch is "re-added" in the new tree), so probe
-  // both.
-  const Node* oldNode = oldTree.byPath(edit.targetPath);
-  const Node* newNode = newTree.byPath(edit.targetPath);
-  const Node* probe = oldNode != nullptr ? oldNode : newNode;
-  if (probe == nullptr) return false;
-
-  switch (probe->kind()) {
-    case NodeKind::kPacketFilter:
-    case NodeKind::kPacketFilterRule:
-      return true;
-    case NodeKind::kOrigination:
-    case NodeKind::kRouteFilterRule: {
-      // A prefix change (kSetAttr) matters on both its old and new value.
-      bool attributed = true;
-      if (oldNode != nullptr && oldNode->hasAttr("prefix")) {
-        attributed = addPrefix(oldNode->attr("prefix")) && attributed;
-      }
-      if (newNode != nullptr && newNode->hasAttr("prefix")) {
-        attributed = addPrefix(newNode->attr("prefix")) && attributed;
-      }
-      return attributed && (oldNode != nullptr || newNode != nullptr);
-    }
-    case NodeKind::kRedistribution: {
-      const std::string router = targetRouterName();
-      if (router.empty()) return false;
-      for (const Node* node : {oldNode, newNode}) {
-        if (node == nullptr) continue;
-        if (!attributeRedistribution(node->attr("from"), router, oldTree,
-                                     newTree, touched)) {
-          return false;
-        }
-      }
-      return true;
-    }
-    case NodeKind::kRoutingProcess: {
-      // Removing a process takes all its children with it in one edit, so
-      // they must be attributed here. Adjacencies stay unattributable (the
-      // peer's sessions change too).
-      if (edit.op != Edit::Op::kRemoveNode) return false;
-      const std::string router = targetRouterName();
-      if (router.empty()) return false;
-      for (const Node* node : {oldNode, newNode}) {
-        if (node == nullptr) continue;
-        if (!node->childrenOfKind(NodeKind::kAdjacency).empty()) return false;
-        for (const Node* redist :
-             node->childrenOfKind(NodeKind::kRedistribution)) {
-          if (!attributeRedistribution(redist->attr("from"), router, oldTree,
-                                       newTree, touched)) {
-            return false;
-          }
-        }
-        for (const Node* orig :
-             node->childrenOfKind(NodeKind::kOrigination)) {
-          if (!addPrefix(orig->attr("prefix"))) return false;
-        }
-      }
-      return true;
-    }
-    case NodeKind::kInterface:
-      return edit.op == Edit::Op::kSetAttr && onlyPacketBindings(edit.attrs);
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
 bool SimulationEngine::CompiledProc::originates(const Ipv4Prefix& dst) const {
@@ -251,97 +48,24 @@ bool SimulationEngine::CompiledProc::originates(const Ipv4Prefix& dst) const {
 }
 
 SimulationEngine::SimulationEngine(const ConfigTree& tree, std::size_t workers)
-    : tree_(tree.clone()), workers_(resolveWorkers(workers)) {
+    : workers_(resolveWorkers(workers)) {
   // Touch the shard-latency histogram so it appears in every snapshot that
   // involves an engine, even before the first fan-out records into it.
   histShardSeconds();
-  compile();
+  compile(tree);
 }
 
 SimulationEngine::~SimulationEngine() = default;
 
-void SimulationEngine::rebind(const ConfigTree& tree) {
-  invalidateAll();
-  ++fullInvalidations_;
-  tree_ = tree.clone();
-  compile();
-}
-
-void SimulationEngine::rebind(const ConfigTree& tree,
-                              const std::vector<const Patch*>& changes) {
-  // Edits present an even number of times across the given patches cancel
-  // out: both the old and the new tree have them applied identically, so
-  // they contribute no difference (the common case is scaffolding shared by
-  // consecutive repair rounds' merged patches).
-  std::map<std::string, std::pair<const Edit*, int>> counts;
-  for (const Patch* patch : changes) {
-    if (patch == nullptr) continue;
-    for (const Edit& edit : patch->edits()) {
-      auto& slot = counts[editKey(edit)];
-      slot.first = &edit;
-      ++slot.second;
-    }
-  }
-  bool full = false;
-  std::vector<Ipv4Prefix> touched;
-  for (const auto& [key, slot] : counts) {
-    if (slot.second % 2 == 0) continue;
-    if (!classifyEdit(*slot.first, tree_, tree, touched)) {
-      logDebug() << "engine: unattributable edit, full invalidation: " << key;
-      full = true;
-      break;
-    }
-  }
-  if (full) {
-    invalidateAll();
-    ++fullInvalidations_;
-  } else {
-    invalidatePrefixes(touched);
-    ++targetedInvalidations_;
-  }
-  tree_ = tree.clone();
-  compile();
-}
-
-void SimulationEngine::invalidateAll() {
-  const std::lock_guard<std::mutex> lock(shardsMutex_);
-  std::size_t dropped = 0;
-  for (const auto& [dst, shard] : shards_) dropped += shard->tables.size();
-  invalidatedEntries_ += dropped;
-  shards_.clear();
-}
-
-void SimulationEngine::invalidatePrefixes(
-    const std::vector<Ipv4Prefix>& prefixes) {
-  const std::lock_guard<std::mutex> lock(shardsMutex_);
-  std::size_t dropped = 0;
-  for (auto it = shards_.begin(); it != shards_.end();) {
-    const bool affected =
-        std::any_of(prefixes.begin(), prefixes.end(),
-                    [&it](const Ipv4Prefix& p) { return p.overlaps(it->first); });
-    if (affected) {
-      dropped += it->second->tables.size();
-      it = shards_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  invalidatedEntries_ += dropped;
-}
-
-void SimulationEngine::compile() {
-  topo_ = Topology::fromConfigs(tree_);
-  routers_.clear();
-  routerIndex_.clear();
-  routeFilters_.clear();
-  packetFilters_.clear();
-  stubs_.assign(topo_.stubSubnets().begin(), topo_.stubSubnets().end());
+void SimulationEngine::compile(const ConfigTree& tree) {
+  const Topology topo = Topology::fromConfigs(tree);
+  stubs_.assign(topo.stubSubnets().begin(), topo.stubSubnets().end());
 
   // Routers sorted by name: the oracle iterates a name-keyed map, and the
   // Gauss-Seidel fixpoint sweep is order-sensitive, so bit-identical tables
   // require the identical sweep order.
   std::vector<const Node*> routerNodes;
-  for (const Node* node : tree_.routers()) routerNodes.push_back(node);
+  for (const Node* node : tree.routers()) routerNodes.push_back(node);
   std::sort(routerNodes.begin(), routerNodes.end(),
             [](const Node* a, const Node* b) { return a->name() < b->name(); });
 
@@ -430,10 +154,10 @@ void SimulationEngine::compile() {
           if (!prefix || !nexthop) continue;
           CompiledStatic entry;
           entry.prefix = *prefix;
-          for (const std::string& neighbor : topo_.neighborsOf(router.name)) {
-            const auto link = topo_.linkBetween(router.name, neighbor);
+          for (const std::string& neighbor : topo.neighborsOf(router.name)) {
+            const auto link = topo.linkBetween(router.name, neighbor);
             if (!link || !link->subnet.contains(*nexthop)) continue;
-            const auto peerAddr = topo_.addressOn(neighbor, router.name);
+            const auto peerAddr = topo.addressOn(neighbor, router.name);
             if (!peerAddr || *peerAddr != *nexthop) continue;
             const auto peerIdx = routerIndex_.find(neighbor);
             if (peerIdx == routerIndex_.end()) continue;
@@ -476,8 +200,8 @@ void SimulationEngine::compile() {
     }
 
     // Packet-filter bindings for each interface facing a neighbor.
-    for (const std::string& neighbor : topo_.neighborsOf(router.name)) {
-      const auto link = topo_.linkBetween(router.name, neighbor);
+    for (const std::string& neighbor : topo.neighborsOf(router.name)) {
+      const auto link = topo.linkBetween(router.name, neighbor);
       if (!link) continue;
       const auto peerIdx = routerIndex_.find(neighbor);
       if (peerIdx == routerIndex_.end()) continue;
@@ -517,7 +241,7 @@ void SimulationEngine::compile() {
       for (const RawAdj& ra : rawAdjs[ri][pi]) {
         const auto peerIt = routerIndex_.find(ra.peer);
         if (peerIt == routerIndex_.end()) continue;
-        if (!topo_.connected(routers_[ri].name, ra.peer)) continue;
+        if (!topo.connected(routers_[ri].name, ra.peer)) continue;
         const int peerProc =
             peerProcOf(peerIt->second, procTypes[ri][pi], routers_[ri].name);
         if (peerProc < 0) continue;
@@ -963,12 +687,6 @@ SimCacheStats SimulationEngine::cacheStats() const {
   SimCacheStats stats;
   stats.routeHits = routeHits_.load(std::memory_order_relaxed);
   stats.routeMisses = routeMisses_.load(std::memory_order_relaxed);
-  stats.invalidatedEntries =
-      invalidatedEntries_.load(std::memory_order_relaxed);
-  stats.fullInvalidations =
-      fullInvalidations_.load(std::memory_order_relaxed);
-  stats.targetedInvalidations =
-      targetedInvalidations_.load(std::memory_order_relaxed);
   stats.parallelBatches = parallelBatches_.load(std::memory_order_relaxed);
   stats.parallelTasks = parallelTasks_.load(std::memory_order_relaxed);
   return stats;

@@ -1,4 +1,4 @@
-// Memoized, parallel, incrementally-invalidated simulation engine.
+// Memoized, parallel simulation engine.
 //
 // The concrete simulator (simulate/simulator.hpp) is AED's ground-truth
 // oracle: every synthesized patch is validated against it each repair round,
@@ -16,24 +16,21 @@
 //     adjacencies (with the symmetric-peer check pre-resolved), origination
 //     and redistribution lists, seq-sorted route/packet filter rules, the
 //     stub-subnet index behind deliversLocally()/sourceRouters(), and the
-//     interface→packet-filter bindings — are gathered once per bound tree
-//     instead of inside every computeRoutes()/forward() call.
+//     interface→packet-filter bindings — are gathered once, at
+//     construction, instead of inside every computeRoutes()/forward() call.
 //  2. **Memoization.** Converged route tables are cached keyed by
 //     (destination prefix, canonicalized Environment). N policies over the
 //     same destination pay one convergence instead of N×sources.
-//  3. **Parallelism + incrementality.** violations() and
-//     inferReachabilityPolicies() shard work across destination classes on
-//     an aed::ThreadPool (per-destination tables are independent, so the
-//     cache is sharded by destination and a task normally owns its shard
-//     exclusively — a per-shard mutex covers the rare cross-shard reads of
-//     isolation policies). rebind() re-binds the engine to an updated tree
-//     and invalidates only the destinations whose routes can be affected by
-//     the given patches (edits are attributed to prefixes; unattributable
-//     edits fall back to full invalidation).
+//  3. **Parallelism.** violations() and inferReachabilityPolicies() shard
+//     work across destination classes on an aed::ThreadPool (per-destination
+//     tables are independent, so the cache is sharded by destination and a
+//     task normally owns its shard exclusively — a per-shard mutex covers
+//     the rare cross-shard reads of isolation policies).
 //
-// The engine owns a deep copy of the bound tree, so it can outlive the
-// caller's ConfigTree — this is what lets it persist across repair rounds in
-// core/aed.cpp, where each round's updated tree is a short-lived local.
+// An engine is bound to the one tree it is built with: it compiles that
+// tree and keeps no reference to it, so the caller's tree may die first.
+// Checking a different tree means building a new engine — one per repair
+// round in core/aed.cpp, and one per candidate or stage in src/apply.
 #pragma once
 
 #include <atomic>
@@ -44,11 +41,9 @@
 #include <string>
 #include <vector>
 
-#include "conftree/patch.hpp"
 #include "conftree/tree.hpp"
 #include "policy/policy.hpp"
 #include "simulate/simulator.hpp"
-#include "topology/topology.hpp"
 #include "util/ipv4.hpp"
 
 namespace aed {
@@ -56,13 +51,10 @@ namespace aed {
 class ThreadPool;
 
 /// Snapshot of the engine's cache behavior, cumulative since construction.
-/// Surfaced through AedStats and aed_cli.
+/// Surfaced through AedStats (summed over a run's engines) and aed_cli.
 struct SimCacheStats {
   std::size_t routeHits = 0;        // route-table lookups served from cache
   std::size_t routeMisses = 0;      // lookups that ran a fresh convergence
-  std::size_t invalidatedEntries = 0;  // cached tables dropped by rebind()
-  std::size_t fullInvalidations = 0;   // rebinds that wiped the whole cache
-  std::size_t targetedInvalidations = 0;  // rebinds attributed to prefixes
   std::size_t parallelBatches = 0;  // violations()/infer() calls that fanned out
   std::size_t parallelTasks = 0;    // destination-shard tasks submitted
 
@@ -70,36 +62,29 @@ struct SimCacheStats {
     const std::size_t total = routeHits + routeMisses;
     return total == 0 ? 0.0 : static_cast<double>(routeHits) / total;
   }
+
+  /// Element-wise sum (for totals across engines).
+  void accumulate(const SimCacheStats& other) {
+    routeHits += other.routeHits;
+    routeMisses += other.routeMisses;
+    parallelBatches += other.parallelBatches;
+    parallelTasks += other.parallelTasks;
+  }
 };
 
 class SimulationEngine {
  public:
-  /// Binds to a deep copy of `tree`. `workers` sizes the internal thread
-  /// pool (0 = hardware concurrency); the pool is created lazily on the
-  /// first call that fans out.
+  /// Compiles `tree`. `workers` sizes the internal thread pool (0 = hardware
+  /// concurrency); the pool is created lazily on the first call that fans
+  /// out.
   explicit SimulationEngine(const ConfigTree& tree, std::size_t workers = 0);
   ~SimulationEngine();
 
   SimulationEngine(const SimulationEngine&) = delete;
   SimulationEngine& operator=(const SimulationEngine&) = delete;
 
-  /// Re-binds to `tree`, dropping every cached route table.
-  void rebind(const ConfigTree& tree);
-
-  /// Re-binds to `tree`, invalidating only destinations whose routes can be
-  /// affected by the given patches. The patches must cover every edit in
-  /// which the previously-bound tree and `tree` differ (passing the old and
-  /// new merged patch relative to a common base is the intended use; extra
-  /// edits only cost precision, never correctness). Edits that cannot be
-  /// attributed to a prefix (new adjacencies, redistributions, interface
-  /// address changes, ...) trigger a full invalidation; packet-filter edits
-  /// invalidate nothing because packet filters never influence route tables.
-  void rebind(const ConfigTree& tree, const std::vector<const Patch*>& changes);
-
-  const Topology& topology() const { return topo_; }
-
   /// Converged best route per router for traffic destined to `dst`,
-  /// memoized. The reference stays valid until the next rebind().
+  /// memoized. The reference stays valid for the engine's lifetime.
   const std::map<std::string, RouteEntry>& computeRoutes(
       const Ipv4Prefix& dst, const Environment& env = {}) const;
 
@@ -123,7 +108,7 @@ class SimulationEngine {
   SimCacheStats cacheStats() const;
 
  private:
-  // ---- compiled per-tree structure (rebuilt by compile()) ----
+  // ---- compiled structure of the bound tree (built by compile()) ----
   struct CompiledRouteRule {
     std::optional<Ipv4Prefix> prefix;  // nullopt never matches (as in the oracle)
     bool deny = false;
@@ -173,11 +158,11 @@ class SimulationEngine {
   using EnvKey = std::vector<std::pair<std::string, std::string>>;
   struct DstShard {
     std::mutex mutex;
-    // Node-based: a cached table never moves until its shard is dropped.
+    // Node-based: a cached table never moves once inserted.
     std::map<EnvKey, std::map<std::string, RouteEntry>> tables;
   };
 
-  void compile();
+  void compile(const ConfigTree& tree);
   std::size_t routerIndex(const std::string& name) const;  // npos if absent
   RouteEntry resolveStatic(const CompiledRouter& router, const Ipv4Prefix& dst,
                            const Environment& env) const;
@@ -185,12 +170,8 @@ class SimulationEngine {
                                                    const Environment& env) const;
   bool packetAllowed(int filter, const TrafficClass& cls) const;
   DstShard& shardFor(const Ipv4Prefix& dst) const;
-  void invalidateAll();
-  void invalidatePrefixes(const std::vector<Ipv4Prefix>& prefixes);
   ThreadPool& pool() const;
 
-  ConfigTree tree_;  // owned deep copy of the bound tree
-  Topology topo_;
   std::size_t workers_;  // resolved: never 0
 
   std::vector<CompiledRouter> routers_;  // sorted by name (oracle iteration order)
@@ -207,9 +188,6 @@ class SimulationEngine {
 
   mutable std::atomic<std::size_t> routeHits_{0};
   mutable std::atomic<std::size_t> routeMisses_{0};
-  std::atomic<std::size_t> invalidatedEntries_{0};
-  std::atomic<std::size_t> fullInvalidations_{0};
-  std::atomic<std::size_t> targetedInvalidations_{0};
   mutable std::atomic<std::size_t> parallelBatches_{0};
   mutable std::atomic<std::size_t> parallelTasks_{0};
 };

@@ -66,6 +66,11 @@ class Deadline {
   Clock::time_point at_{};
 };
 
+/// Seconds elapsed on Deadline::Clock since `start` (phase and stage timers).
+inline double secondsSince(Deadline::Clock::time_point start) {
+  return std::chrono::duration<double>(Deadline::Clock::now() - start).count();
+}
+
 /// Shared cooperative stop flag. Thread-safe; setting it is sticky.
 class CancelToken {
  public:

@@ -53,10 +53,4 @@ void ThreadPool::runAll(std::vector<std::function<void()>> tasks) {
   if (first) std::rethrow_exception(first);
 }
 
-void runParallel(std::vector<std::function<void()>> tasks,
-                 std::size_t workers) {
-  ThreadPool pool(workers);
-  pool.runAll(std::move(tasks));
-}
-
 }  // namespace aed

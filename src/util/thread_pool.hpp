@@ -63,10 +63,9 @@ class ThreadPool {
 
   /// Submits every task and blocks until all have finished. Every future is
   /// collected before the first exception (if any) is rethrown, so a
-  /// throwing task never abandons in-flight siblings. The reusable-pool
-  /// counterpart of runParallel() — callers that fan out repeatedly (e.g.
-  /// the simulation engine) keep one pool alive instead of re-spawning
-  /// threads per batch.
+  /// throwing task never abandons in-flight siblings. The simulation engine
+  /// fans out through this, on a pool it creates on its first fan-out and
+  /// keeps for its lifetime.
   void runAll(std::vector<std::function<void()>> tasks);
 
  private:
@@ -78,9 +77,5 @@ class ThreadPool {
   bool stopping_ = false;
   std::vector<std::thread> threads_;
 };
-
-/// Runs each thunk on a pool and waits for all; convenience for benches.
-void runParallel(std::vector<std::function<void()>> tasks,
-                 std::size_t workers);
 
 }  // namespace aed

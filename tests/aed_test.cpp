@@ -228,6 +228,41 @@ TEST(Aed, StatsPopulated) {
   EXPECT_GT(result.stats.deltaCount, 0u);
 }
 
+// stats.simulate sums the engines of every validation round. On
+// bench_simulator's repair scenario each round builds a fresh engine on a
+// tree with the same destinations and sources, so two forced rejections
+// (three validations) give exactly three times the hits and misses of a run
+// that validates once.
+TEST(Aed, SimulateStatsSumEveryRound) {
+  DcParams params;
+  params.racks = 5;
+  params.aggs = 2;
+  params.spines = 1;
+  params.blockedPairFraction = 0.0;
+  params.seed = 29;
+  GeneratedNetwork net = generateDatacenter(params);
+  const PolicySet policies = makeWithdrawnSubnetUpdate(net, "rack0");
+  makeWithdrawnSubnetUpdate(net, "rack1");
+
+  AedOptions options;
+  options.maxRepairIterations = 5;
+  const AedResult once = synthesize(net.tree, policies, {}, options);
+  ASSERT_TRUE(once.success) << once.error;
+  ASSERT_EQ(once.stats.repairRounds, 0u);
+
+  options.faultInjection.kind = FaultInjection::Kind::kRejectValidation;
+  options.faultInjection.rejectRounds = 2;
+  const AedResult thrice = synthesize(net.tree, policies, {}, options);
+  ASSERT_TRUE(thrice.success) << thrice.error;
+  ASSERT_EQ(thrice.stats.repairRounds, 2u);
+
+  const SimCacheStats& one = once.stats.simulate;
+  const SimCacheStats& three = thrice.stats.simulate;
+  EXPECT_GT(one.routeMisses, 0u);
+  EXPECT_EQ(three.routeHits, 3 * one.routeHits);
+  EXPECT_EQ(three.routeMisses, 3 * one.routeMisses);
+}
+
 // Every second of a call sits in a top-level phase span: on a fixed dc8
 // update, the direct children of aed.synthesize cover at least 95% of it,
 // and the solver teardown is one of them. (Kept out of obs_test, whose

@@ -1,6 +1,6 @@
 // Incremental re-solve engine: equivalence with the fresh-per-round path on
 // repair-round fixtures, phase-stat accounting, the mergePatches positive
-// seq floor, malformed-attribute parsing, and runParallel exception
+// seq floor, malformed-attribute parsing, and ThreadPool::runAll exception
 // collection.
 #include <atomic>
 #include <chrono>
@@ -347,7 +347,7 @@ TEST(IntAttr, ObjectiveWeightParseErrorIsStructured) {
   }
 }
 
-// ---- runParallel exception collection -------------------------------------
+// ---- ThreadPool::runAll exception collection ------------------------------
 
 TEST(RunParallel, CollectsEveryFutureBeforeRethrowing) {
   std::atomic<int> completed{0};
@@ -362,7 +362,7 @@ TEST(RunParallel, CollectsEveryFutureBeforeRethrowing) {
     });
   }
   try {
-    runParallel(std::move(tasks), 4);
+    ThreadPool(4).runAll(std::move(tasks));
     FAIL() << "expected AedError";
   } catch (const AedError& e) {
     EXPECT_EQ(e.code(), ErrorCode::kSubproblemFailed);
@@ -378,7 +378,7 @@ TEST(RunParallel, FirstExceptionWinsWhenSeveralThrow) {
   tasks.emplace_back(
       [] { throw AedError(ErrorCode::kInternal, "second failure"); });
   try {
-    runParallel(std::move(tasks), 1);  // one worker: deterministic order
+    ThreadPool(1).runAll(std::move(tasks));  // one worker: deterministic order
     FAIL() << "expected AedError";
   } catch (const AedError& e) {
     EXPECT_EQ(e.code(), ErrorCode::kTimeout);

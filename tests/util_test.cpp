@@ -265,7 +265,7 @@ TEST(RunParallel, ExecutesEverything) {
   std::atomic<int> counter{0};
   std::vector<std::function<void()>> tasks;
   for (int i = 0; i < 20; ++i) tasks.push_back([&counter] { ++counter; });
-  runParallel(std::move(tasks), 4);
+  ThreadPool(4).runAll(std::move(tasks));
   EXPECT_EQ(counter.load(), 20);
 }
 
