@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
@@ -233,12 +234,15 @@ class SynthesisRun {
   std::vector<PolicySet> groups_;
   std::vector<std::string> destinations_;
   std::vector<SubResult> subResults_;      // the group's latest solve
+  std::vector<double> subSeconds_;         // solve seconds summed across rounds
   std::vector<SolverStats> solverTotals_;  // effort summed across rounds
-  // One persistent solver per group, alive across repair rounds: a repair
-  // round pushes only the new blocked-delta clauses into the live
-  // z3::optimize instead of re-encoding (see core/subsolver.hpp). Each owns
-  // its own z3::context. With incrementalResolve off a fresh solver is
-  // built per round (the baseline bench_incremental compares against).
+  // One persistent solver per group, alive until no repair round can pick
+  // it: a repair round pushes only the new blocked-delta clauses into the
+  // live z3::optimize instead of re-encoding (see core/subsolver.hpp). Each
+  // owns its own z3::context. solveOne() frees a solver on its worker right
+  // after a solve that leaves blame() no way to re-solve its group, which
+  // with incrementalResolve off is every solve (the fresh-per-round
+  // baseline bench_incremental compares against); finish() frees the rest.
   std::vector<std::unique_ptr<SubproblemSolver>> solvers_;
   std::vector<bool> needsSolve_;  // coordinating thread only
   std::vector<std::vector<std::string>> blocked_;  // grows across rounds
@@ -297,6 +301,7 @@ void SynthesisRun::partition() {
   }
   result_.stats.subproblems = groups_.size();
   subResults_.resize(groups_.size());
+  subSeconds_.resize(groups_.size());
   solverTotals_.resize(groups_.size());
   solvers_.resize(groups_.size());
   needsSolve_.assign(groups_.size(), true);
@@ -356,6 +361,7 @@ void SynthesisRun::solveRound(int round,
 
   // Merged before the fatal rethrow below, so the work the siblings
   // completed this round stays attributable when the run unwinds.
+  AedStats& stats = result_.stats;
   PhaseBreakdown& bucket = phaseBucket(round);
   const EngineHistograms& hist = histograms();
   for (const std::size_t i : pending) {
@@ -364,7 +370,11 @@ void SynthesisRun::solveRound(int round,
     bucket.encodeSeconds += sub.phases.encodeSeconds;
     bucket.solveSeconds += sub.phases.solveSeconds;
     bucket.extractSeconds += sub.phases.extractSeconds;
-    if (sub.warmStart) ++result_.stats.warmStartSolves;
+    subSeconds_[i] += sub.seconds;
+    stats.sumSubproblemSeconds += sub.seconds;
+    stats.maxSubproblemSeconds =
+        std::max(stats.maxSubproblemSeconds, sub.seconds);
+    if (sub.warmStart) ++stats.warmStartSolves;
     // §12 introspection, merged post-join on this thread: per-solve
     // latency/effort distributions and ladder-rung outcomes.
     hist.subproblemSeconds.record(sub.seconds);
@@ -372,7 +382,7 @@ void SynthesisRun::solveRound(int round,
       hist.checkSeconds.record(sub.phases.solveSeconds);
       hist.conflicts.record(static_cast<double>(sub.solverStats.conflicts));
       hist.decisions.record(static_cast<double>(sub.solverStats.decisions));
-      ++result_.stats.rungCounts[static_cast<std::size_t>(sub.rung)];
+      ++stats.rungCounts[static_cast<std::size_t>(sub.rung)];
       solverTotals_[i].accumulate(sub.solverStats);
     }
   }
@@ -407,7 +417,7 @@ void SynthesisRun::solveOne(std::size_t i, std::uint64_t perSubproblemMs) {
         deadline_.isUnlimited()
             ? deadline_
             : Deadline::after(perSubproblemMs).min(deadline_);
-    if (solvers_[i] == nullptr || !effective_.incrementalResolve) {
+    if (solvers_[i] == nullptr) {
       solvers_[i] = std::make_unique<SubproblemSolver>(
           tree_, topo_, groups_[i], objectives_, effective_);
     }
@@ -415,9 +425,6 @@ void SynthesisRun::solveOne(std::size_t i, std::uint64_t perSubproblemMs) {
         blocked_, deadline,
         injected && fault.kind == FaultInjection::Kind::kUnknown);
   } catch (const AedError& e) {
-    // A throwing solver may hold a poisoned Z3 state; rebuild it before any
-    // future re-solve of this group.
-    solvers_[i].reset();
     if (!isolatable(e.code())) throw;
     const SubOutcome outcome = e.code() == ErrorCode::kTimeout
                                    ? SubOutcome::kTimedOut
@@ -427,9 +434,18 @@ void SynthesisRun::solveOne(std::size_t i, std::uint64_t perSubproblemMs) {
     subResults_[i] = failedSubResult(outcome, e.code(), e.what());
   } catch (const std::exception& e) {
     // Covers z3::exception: solver infrastructure trouble, isolated.
-    solvers_[i].reset();
     subResults_[i] = failedSubResult(
         SubOutcome::kError, ErrorCode::kSubproblemFailed, e.what());
+  }
+  // blame() re-solves only a group with a usable patch and active deltas,
+  // and only on a persistent solver. Any other group's solver (a throwing
+  // one included) is dead, and freeing a solved Z3 context takes longer
+  // than encoding it, so it is freed here, while sibling subproblems still
+  // solve.
+  const SubResult& sub = subResults_[i];
+  if (!effective_.incrementalResolve || !usable(sub) ||
+      sub.activeDeltas.empty()) {
+    solvers_[i].reset();
   }
   Progress::incrDone();
 }
@@ -640,7 +656,18 @@ void SynthesisRun::deploy() {
 AedResult SynthesisRun::finish(bool thrown) {
   {
     AED_SPAN("aed.teardown");
-    solvers_.clear();
+    // The solvers still alive are independent Z3 contexts: free them side
+    // by side, on one thread each up to workers_.
+    std::vector<std::function<void()>> frees;
+    for (std::unique_ptr<SubproblemSolver>& solver : solvers_) {
+      if (solver != nullptr) frees.emplace_back([&solver] { solver.reset(); });
+    }
+    const std::size_t lanes = std::min(workers_, frees.size());
+    if (lanes > 1) {
+      ThreadPool(lanes).runAll(std::move(frees));
+    } else {
+      for (const std::function<void()>& task : frees) task();
+    }
   }
   if (thrown && result_.errorCode == ErrorCode::kNone) {
     result_.errorCode = ErrorCode::kInternal;
@@ -657,7 +684,7 @@ AedResult SynthesisRun::finish(bool thrown) {
                                    .outcome = sub.outcome,
                                    .code = sub.code,
                                    .detail = sub.detail,
-                                   .seconds = sub.seconds,
+                                   .seconds = subSeconds_[i],
                                    .rung = sub.rung,
                                    .rungReason = sub.rungReason,
                                    .solverStats = solverTotals_[i]});
@@ -670,9 +697,6 @@ AedResult SynthesisRun::finish(bool thrown) {
     if (sub.outcome != SubOutcome::kOk) result_.degraded = true;
     violatedLabels.insert(sub.violated.begin(), sub.violated.end());
     stats.deltaCount += sub.deltaCount;
-    stats.maxSubproblemSeconds =
-        std::max(stats.maxSubproblemSeconds, sub.seconds);
-    stats.sumSubproblemSeconds += sub.seconds;
   }
   std::set<std::string> satisfiedLabels;
   for (const SubResult& sub : subResults_) {

@@ -122,11 +122,11 @@ struct AedOptions {
 
   /// Incremental re-solve (the paper's headline lever, applied to the repair
   /// loop): keep one persistent SubproblemSolver — sketch, Z3 session, and
-  /// encoding — per destination group for the whole run, so a repair round
-  /// only pushes the new blocked-delta clauses into the live solver and
-  /// re-checks. When false, every repair round rebuilds the subproblem from
-  /// scratch (the pre-incremental behavior; kept for A/B benchmarking in
-  /// bench_incremental).
+  /// encoding — per destination group until no repair round can pick that
+  /// group, so a repair round only pushes the new blocked-delta clauses into
+  /// the live solver and re-checks. When false, every repair round rebuilds
+  /// the subproblem from scratch (the pre-incremental behavior; kept for A/B
+  /// benchmarking in bench_incremental).
   bool incrementalResolve = true;
 
   /// Global wall-clock budget in milliseconds for the whole run, split
@@ -166,7 +166,7 @@ struct SubproblemReport {
   SubOutcome outcome = SubOutcome::kOk;
   ErrorCode code = ErrorCode::kNone;
   std::string detail;  // human-readable: exception text, ladder rung, ...
-  double seconds = 0.0;
+  double seconds = 0.0;  // solve() wall time, summed across rounds
   /// Solver introspection (§12): the rung that produced the final answer
   /// (last solve of the last round), why, and Z3 effort counters summed
   /// across every round of this subproblem. aed_cli --solver-stats prints
@@ -193,8 +193,11 @@ struct PhaseBreakdown {
 
 struct AedStats {
   double totalSeconds = 0.0;
-  double maxSubproblemSeconds = 0.0;  // critical path under parallelism
-  double sumSubproblemSeconds = 0.0;  // total solver work (sequential cost)
+  // Over every solve() of every round: the longest single solve (the
+  // critical path under parallelism) and the total solver work (the
+  // sequential cost).
+  double maxSubproblemSeconds = 0.0;
+  double sumSubproblemSeconds = 0.0;
   std::size_t subproblems = 0;
   std::size_t degradedSubproblems = 0;  // solved below the MaxSMT optimum
   std::size_t failedSubproblems = 0;    // timed out / unsat / error / cancelled

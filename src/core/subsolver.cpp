@@ -27,7 +27,14 @@ SubproblemSolver::SubproblemSolver(const ConfigTree& tree,
       objectives_(std::move(objectives)),
       options_(options) {}
 
-SubproblemSolver::~SubproblemSolver() = default;
+SubproblemSolver::~SubproblemSolver() {
+  // Freeing a solved Z3 context takes longer than encoding it; the span
+  // shows which thread paid for it and under which phase.
+  AED_SPAN("subsolver.free");
+  encoder_.reset();  // references the sketch and the session
+  sketch_.reset();
+  session_.reset();
+}
 
 void SubproblemSolver::ensureEncoded(SubResult& result) {
   if (encoder_ != nullptr) return;

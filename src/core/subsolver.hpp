@@ -2,10 +2,13 @@
 //
 // One SubproblemSolver owns the Sketch, SmtSession (and therefore the
 // z3::context + z3::optimize instance), and Encoder for one subproblem (the
-// whole problem, or one destination group) for the lifetime of a synthesis
-// run. The first solve() pays the full sketch + encode cost; every repair
-// round after that only pushes the *new* blocked-delta hard clauses into the
-// live solver and re-checks, instead of rebuilding everything from scratch.
+// whole problem, or one destination group) until no repair round of the
+// synthesis run can pick that subproblem again. The first solve() pays the
+// full sketch + encode cost; every repair round after that only pushes the
+// *new* blocked-delta hard clauses into the live solver and re-checks,
+// instead of rebuilding everything from scratch. Destruction frees the Z3
+// context, which after a solve takes longer than encoding it did, inside a
+// "subsolver.free" span.
 //
 // Why incremental blocking is sound: the blocked-delta list shared across
 // repair rounds grows monotonically — a delta combination that failed
@@ -16,10 +19,12 @@
 // solver keeps its learned clauses and the unchanged encoding across rounds.
 //
 // Thread-safety: a SubproblemSolver owns its own z3::context, so distinct
-// solvers are safe to drive from distinct threads concurrently (the parallel
-// per-destination engine keeps one solver per destination group and each
-// worker touches only its own). A single solver must not be shared across
-// threads without external ordering.
+// solvers are safe to drive, and to destroy, from distinct threads
+// concurrently (the parallel per-destination engine keeps one solver per
+// destination group and each worker touches only its own). A single solver
+// must not be shared across threads without external ordering; the engine
+// may destroy it on another thread than the one that drove it, ordered by
+// the pool's futures.
 #pragma once
 
 #include <memory>

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <utility>
 
 #include "conftree/diff.hpp"
 #include "conftree/parser.hpp"
@@ -228,12 +230,13 @@ TEST(Aed, StatsPopulated) {
   EXPECT_GT(result.stats.deltaCount, 0u);
 }
 
-// stats.simulate sums the engines of every validation round. On
-// bench_simulator's repair scenario each round builds a fresh engine on a
-// tree with the same destinations and sources, so two forced rejections
-// (three validations) give exactly three times the hits and misses of a run
-// that validates once.
-TEST(Aed, SimulateStatsSumEveryRound) {
+struct Scenario {
+  ConfigTree tree;
+  PolicySet policies;
+};
+
+/// bench_simulator's dc8 repair scenario: two racks' host subnets withdrawn.
+Scenario withdrawnRacks() {
   DcParams params;
   params.racks = 5;
   params.aggs = 2;
@@ -241,18 +244,37 @@ TEST(Aed, SimulateStatsSumEveryRound) {
   params.blockedPairFraction = 0.0;
   params.seed = 29;
   GeneratedNetwork net = generateDatacenter(params);
-  const PolicySet policies = makeWithdrawnSubnetUpdate(net, "rack0");
+  PolicySet policies = makeWithdrawnSubnetUpdate(net, "rack0");
   makeWithdrawnSubnetUpdate(net, "rack1");
+  return {std::move(net.tree), std::move(policies)};
+}
+
+/// Two forced rejections: three validation rounds before the run converges.
+AedOptions rejectTwice() {
+  AedOptions options;
+  options.maxRepairIterations = 5;
+  options.faultInjection.kind = FaultInjection::Kind::kRejectValidation;
+  options.faultInjection.rejectRounds = 2;
+  return options;
+}
+
+// stats.simulate sums the engines of every validation round. On
+// bench_simulator's repair scenario each round builds a fresh engine on a
+// tree with the same destinations and sources, so two forced rejections
+// (three validations) give exactly three times the hits and misses of a run
+// that validates once.
+TEST(Aed, SimulateStatsSumEveryRound) {
+  const Scenario scenario = withdrawnRacks();
 
   AedOptions options;
   options.maxRepairIterations = 5;
-  const AedResult once = synthesize(net.tree, policies, {}, options);
+  const AedResult once =
+      synthesize(scenario.tree, scenario.policies, {}, options);
   ASSERT_TRUE(once.success) << once.error;
   ASSERT_EQ(once.stats.repairRounds, 0u);
 
-  options.faultInjection.kind = FaultInjection::Kind::kRejectValidation;
-  options.faultInjection.rejectRounds = 2;
-  const AedResult thrice = synthesize(net.tree, policies, {}, options);
+  const AedResult thrice =
+      synthesize(scenario.tree, scenario.policies, {}, rejectTwice());
   ASSERT_TRUE(thrice.success) << thrice.error;
   ASSERT_EQ(thrice.stats.repairRounds, 2u);
 
@@ -263,34 +285,70 @@ TEST(Aed, SimulateStatsSumEveryRound) {
   EXPECT_EQ(three.routeMisses, 3 * one.routeMisses);
 }
 
-// Every second of a call sits in a top-level phase span: on a fixed dc8
-// update, the direct children of aed.synthesize cover at least 95% of it,
-// and the solver teardown is one of them. (Kept out of obs_test, whose
-// replaced global operator new trips ASan inside the uninstrumented libz3
-// on this scenario.)
-TEST(Aed, TopLevelSpansCoverTheWholeCall) {
+// The solver work counts every solve of every round, not only each group's
+// last one: it covers the run's own sketch, encode, solve and extract phase
+// sums, and it is the sum of the per-subproblem seconds.
+TEST(Aed, SubproblemSecondsCoverEveryRound) {
+  const Scenario scenario = withdrawnRacks();
+  const AedResult result =
+      synthesize(scenario.tree, scenario.policies, {}, rejectTwice());
+  ASSERT_TRUE(result.success) << result.error;
+  ASSERT_EQ(result.stats.repairRounds, 2u);
+
+  const AedStats& stats = result.stats;
+  const auto solverPhases = [](const PhaseBreakdown& phases) {
+    return phases.total() - phases.simulateSeconds;
+  };
+  EXPECT_GE(stats.sumSubproblemSeconds,
+            solverPhases(stats.firstRound) + solverPhases(stats.repair));
+  double reported = 0.0;
+  for (const SubproblemReport& sub : result.subproblems) {
+    reported += sub.seconds;
+  }
+  EXPECT_NEAR(stats.sumSubproblemSeconds, reported, 1e-9);
+}
+
+/// A dc8 update: 4 reachability policies added to a fabric with half its
+/// rack pairs blocked.
+Scenario dc8Update() {
   DcParams params;
   params.racks = 5;
   params.aggs = 2;
   params.spines = 1;
   params.blockedPairFraction = 0.5;
   params.seed = 5;
-  const GeneratedNetwork net = generateDatacenter(params);
+  GeneratedNetwork net = generateDatacenter(params);
   const PolicyUpdate update = makeReachabilityUpdate(net.tree, 4, 42);
-  ASSERT_EQ(update.added.size(), 4u);
+  EXPECT_EQ(update.added.size(), 4u);
   PolicySet policies = update.base;
   policies.insert(policies.end(), update.added.begin(), update.added.end());
+  return {std::move(net.tree), std::move(policies)};
+}
 
-  AedOptions options;
-  options.workers = 2;
+/// Runs synthesize() with the tracer on; returns the result and the closed
+/// spans.
+std::pair<AedResult, std::vector<TraceEvent>> tracedSynthesize(
+    const Scenario& scenario, const AedOptions& options) {
   Tracer::clear();
   Tracer::enable();
-  const AedResult result = synthesize(net.tree, policies, {}, options);
+  AedResult result = synthesize(scenario.tree, scenario.policies, {}, options);
   Tracer::disable();
+  std::vector<TraceEvent> events = Tracer::collect();
+  Tracer::clear();
+  return {std::move(result), std::move(events)};
+}
+
+// Every second of a call sits in a top-level phase span: on a fixed dc8
+// update, the direct children of aed.synthesize cover at least 95% of it,
+// and the solver teardown is one of them. (Kept out of obs_test, whose
+// replaced global operator new trips ASan inside the uninstrumented libz3
+// on this scenario.)
+TEST(Aed, TopLevelSpansCoverTheWholeCall) {
+  AedOptions options;
+  options.workers = 2;
+  const auto [result, events] = tracedSynthesize(dc8Update(), options);
   ASSERT_TRUE(result.success) << result.error;
 
-  const std::vector<TraceEvent> events = Tracer::collect();
-  Tracer::clear();
   const auto root = std::find_if(
       events.begin(), events.end(), [](const TraceEvent& event) {
         return std::string("aed.synthesize") == event.name;
@@ -306,6 +364,32 @@ TEST(Aed, TopLevelSpansCoverTheWholeCall) {
   EXPECT_TRUE(teardown);
   EXPECT_GE(static_cast<double>(coveredUs),
             0.95 * static_cast<double>(root->durUs));
+}
+
+// A solver that no repair round can pick is freed on its worker, inside its
+// subproblem span; the run's teardown frees the rest. Of the dc8 update's 5
+// groups exactly 1 solves to an empty delta set, so its solver dies in its
+// subproblem and the other 4 live until the teardown.
+TEST(Aed, DeadSolversAreFreedInsideTheirSubproblem) {
+  AedOptions options;
+  options.workers = 2;
+  const auto [result, events] = tracedSynthesize(dc8Update(), options);
+  ASSERT_TRUE(result.success) << result.error;
+  ASSERT_EQ(result.stats.subproblems, 5u);
+  ASSERT_EQ(result.stats.repairRounds, 0u);
+
+  std::map<std::uint64_t, std::string> names;
+  for (const TraceEvent& event : events) names[event.id] = event.name;
+  std::size_t frees = 0;
+  std::map<std::string, std::size_t> freesUnder;
+  for (const TraceEvent& event : events) {
+    if (std::string("subsolver.free") != event.name) continue;
+    ++frees;
+    ++freesUnder[names[event.parent]];
+  }
+  EXPECT_EQ(frees, 5u);
+  EXPECT_EQ(freesUnder["aed.subproblem"], 1u);
+  EXPECT_EQ(freesUnder["aed.teardown"], 4u);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Incremental re-solve engine: equivalence with the fresh-per-round path on
-// repair-round fixtures, phase-stat accounting, the mergePatches positive
-// seq floor, malformed-attribute parsing, and ThreadPool::runAll exception
-// collection.
+// repair-round fixtures, phase-stat accounting, where the fresh-per-round
+// solvers are freed, the mergePatches positive seq floor, malformed-attribute
+// parsing, and ThreadPool::runAll exception collection.
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "gen/netgen.hpp"
 #include "gen/policygen.hpp"
 #include "objectives/objective.hpp"
+#include "obs/trace.hpp"
 #include "simulate/simulator.hpp"
 #include "smt/session.hpp"
 #include "util/thread_pool.hpp"
@@ -146,6 +148,41 @@ TEST(Incremental, SubproblemSolverReusesEncodingAcrossRounds) {
   EXPECT_EQ(second.phases.encodeSeconds, 0.0);
   EXPECT_NE(second.activeDeltas, first.activeDeltas);
   EXPECT_EQ(solver.rounds(), 2);
+}
+
+// With incrementalResolve off no solver outlives its solve: each one is
+// freed on the thread that solved it, inside its subproblem span, and the
+// run's teardown finds nothing left to free.
+TEST(Incremental, FreshSolversAreFreedInsideTheirSubproblem) {
+  const RepairFixture fixture = dcRepairFixture();
+  Tracer::clear();
+  Tracer::enable();
+  const AedResult result = synthesize(fixture.tree, fixture.policies, {},
+                                      repairHeavyOptions(false));
+  Tracer::disable();
+  const std::vector<TraceEvent> events = Tracer::collect();
+  Tracer::clear();
+  ASSERT_TRUE(result.success) << result.error;
+  ASSERT_GE(result.stats.repairRounds, 2u);
+
+  std::map<std::uint64_t, std::size_t> freesUnder;
+  for (const TraceEvent& event : events) {
+    if (std::string("subsolver.free") == event.name) ++freesUnder[event.parent];
+  }
+  std::size_t subproblems = 0;
+  std::size_t teardowns = 0;
+  for (const TraceEvent& event : events) {
+    if (std::string("aed.subproblem") == event.name) {
+      ++subproblems;
+      EXPECT_EQ(freesUnder[event.id], 1u) << event.detail;
+    } else if (std::string("aed.teardown") == event.name) {
+      ++teardowns;
+      EXPECT_EQ(freesUnder[event.id], 0u);
+    }
+  }
+  // Round 0 solves every group; each repair round re-solves some again.
+  EXPECT_GT(subproblems, result.stats.subproblems);
+  EXPECT_EQ(teardowns, 1u);
 }
 
 TEST(Incremental, FaultInjectionRejectCountsRepairRounds) {

@@ -1065,7 +1065,8 @@ TEST_F(ObsTest, SynthesizeEmitsANestedSpanTreeCoveringTheRun) {
   for (const char* name :
        {"aed.topology", "aed.partition", "aed.round", "aed.subproblem",
         "subsolver.sketch", "subsolver.encode", "subsolver.solve", "smt.check",
-        "aed.merge_apply", "aed.validate", "sim.violations", "aed.teardown"}) {
+        "aed.merge_apply", "aed.validate", "sim.violations", "aed.teardown",
+        "subsolver.free"}) {
     EXPECT_NE(findByName(events, name), nullptr) << name;
   }
   std::size_t subproblems = 0;
