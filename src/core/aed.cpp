@@ -439,9 +439,8 @@ void SynthesisRun::solveOne(std::size_t i, std::uint64_t perSubproblemMs) {
   }
   // blame() re-solves only a group with a usable patch and active deltas,
   // and only on a persistent solver. Any other group's solver (a throwing
-  // one included) is dead, and freeing a solved Z3 context takes longer
-  // than encoding it, so it is freed here, while sibling subproblems still
-  // solve.
+  // one included) is dead, so it is freed here, while sibling subproblems
+  // still solve, and its memory does not wait for the end of the call.
   const SubResult& sub = subResults_[i];
   if (!effective_.incrementalResolve || !usable(sub) ||
       sub.activeDeltas.empty()) {
@@ -656,8 +655,9 @@ void SynthesisRun::deploy() {
 AedResult SynthesisRun::finish(bool thrown) {
   {
     AED_SPAN("aed.teardown");
-    // The solvers still alive are independent Z3 contexts: free them side
-    // by side, on one thread each up to workers_.
+    // The solvers still alive are independent Z3 contexts, each freed in a
+    // few milliseconds: free them side by side, on one thread each up to
+    // workers_.
     std::vector<std::function<void()>> frees;
     for (std::unique_ptr<SubproblemSolver>& solver : solvers_) {
       if (solver != nullptr) frees.emplace_back([&solver] { solver.reset(); });

@@ -28,8 +28,7 @@ SubproblemSolver::SubproblemSolver(const ConfigTree& tree,
       options_(options) {}
 
 SubproblemSolver::~SubproblemSolver() {
-  // Freeing a solved Z3 context takes longer than encoding it; the span
-  // shows which thread paid for it and under which phase.
+  // The span shows which thread paid for the free and under which phase.
   AED_SPAN("subsolver.free");
   encoder_.reset();  // references the sketch and the session
   sketch_.reset();
@@ -95,7 +94,7 @@ SubResult SubproblemSolver::solve(
     for (const std::string& name : blockedSet) {
       const DeltaVar* delta = sketch_->findByName(name);
       if (delta == nullptr) continue;  // another subproblem's delta
-      all = all && encoder_->deltaActive(*delta);
+      session_->reassign(all, all && encoder_->deltaActive(*delta));
       any = true;
     }
     if (any) session_->addHard(!all);

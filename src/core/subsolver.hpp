@@ -7,8 +7,9 @@
 // full sketch + encode cost; every repair round after that only pushes the
 // *new* blocked-delta hard clauses into the live solver and re-checks,
 // instead of rebuilding everything from scratch. Destruction frees the Z3
-// context, which after a solve takes longer than encoding it did, inside a
-// "subsolver.free" span.
+// context inside a "subsolver.free" span; the session releases every
+// reference it holds first (smt/session.hpp), so Z3 has no leaked nodes to
+// sweep.
 //
 // Why incremental blocking is sound: the blocked-delta list shared across
 // repair rounds grows monotonically — a delta combination that failed

@@ -86,21 +86,23 @@ z3::expr Encoder::deltaActive(const DeltaVar& delta) {
     require(rule != nullptr, "lp delta for unknown rule: " + delta.nodePath);
     const int current =
         rule->intAttr("lp", kDefaultLp);
-    active = lpChanged(delta.name, current);
+    session_.reassign(active, lpChanged(delta.name, current));
   } else if (delta.kind == DeltaKind::kSetRouteFilterRuleMed) {
     const Node* rule = tree_.byPath(delta.nodePath);
     require(rule != nullptr, "med delta for unknown rule");
     const int current =
         rule->intAttr("med", kDefaultMed);
-    active = medExpr(delta.name, current) != session_.intVal(current);
+    session_.reassign(
+        active, medExpr(delta.name, current) != session_.intVal(current));
   } else if (delta.kind == DeltaKind::kSetAdjacencyCost) {
     const Node* adj = tree_.byPath(delta.nodePath);
     require(adj != nullptr, "cost delta for unknown adjacency");
     const int current =
         adj->intAttr("cost", 1);
-    active = costExpr(delta.name, current) != session_.intVal(current);
+    session_.reassign(
+        active, costExpr(delta.name, current) != session_.intVal(current));
   } else {
-    active = session_.boolVar(delta.name);
+    session_.reassign(active, session_.boolVar(delta.name));
   }
   deltaActiveCache_.emplace(delta.name, active);
   return active;
@@ -160,7 +162,7 @@ z3::expr Encoder::metricExpr(const std::string& stem, int current,
   for (std::size_t i = reps.size(); i-- > 0;) {
     const z3::expr choice =
         session_.boolVar(stem + "_c" + std::to_string(i));
-    value = z3::ite(choice, session_.intVal(reps[i]), value);
+    session_.reassign(value, z3::ite(choice, session_.intVal(reps[i]), value));
   }
   return lpExprCache_.emplace(stem, value).first->second;
 }
@@ -268,9 +270,9 @@ Encoder::FilterAction Encoder::routeFilterAction(const std::string& router,
                              : session_.intVal(medBase);
       const z3::expr present =
           rm != nullptr ? !deltaActive(*rm) : session_.boolVal(true);
-      allow = z3::ite(present, ruleAllow, allow);
-      lp = z3::ite(present, ruleLp, lp);
-      med = z3::ite(present, ruleMed, med);
+      session_.reassign(allow, z3::ite(present, ruleAllow, allow));
+      session_.reassign(lp, z3::ite(present, ruleLp, lp));
+      session_.reassign(med, z3::ite(present, ruleMed, med));
     }
   }
 
@@ -291,9 +293,9 @@ Encoder::FilterAction Encoder::routeFilterAction(const std::string& router,
     z3::expr addMed = type == "bgp"
                           ? medExpr(add->name + "_med", kDefaultMed)
                           : session_.intVal(kDefaultMed);
-    allow = z3::ite(addVar, addAllow, allow);
-    lp = z3::ite(addVar, addLp, lp);
-    med = z3::ite(addVar, addMed, med);
+    session_.reassign(allow, z3::ite(addVar, addAllow, allow));
+    session_.reassign(lp, z3::ite(addVar, addLp, lp));
+    session_.reassign(med, z3::ite(addVar, addMed, med));
   }
   return FilterAction{allow, lp, med};
 }
@@ -341,7 +343,7 @@ z3::expr Encoder::packetAllow(const std::string& router,
       }
       const z3::expr present =
           rm != nullptr ? !deltaActive(*rm) : session_.boolVal(true);
-      allow = z3::ite(present, ruleAllow, allow);
+      session_.reassign(allow, z3::ite(present, ruleAllow, allow));
     }
     addName = mangle({"add", router, "pFil", filter->name(), cls.src.str(),
                       cls.dst.str()});
@@ -355,7 +357,7 @@ z3::expr Encoder::packetAllow(const std::string& router,
     if (const DeltaVar* add = sketch_.findByName(addName)) {
       const z3::expr addVar = deltaActive(*add);
       const z3::expr addAllow = session_.boolVar(add->name + "_allow");
-      allow = z3::ite(addVar, addAllow, allow);
+      session_.reassign(allow, z3::ite(addVar, addAllow, allow));
     }
   }
   return allow;
@@ -369,12 +371,14 @@ z3::expr Encoder::origEnabled(const ProcRef& proc, const Ipv4Prefix& dst) {
     const DeltaVar* rm = sketch_.findByName(
         mangle({"rm", proc.router, procLabel(*proc.node), "Orig",
                 prefix->str()}));
-    enabled = enabled ||
-              (rm == nullptr ? session_.boolVal(true) : !deltaActive(*rm));
+    session_.reassign(
+        enabled,
+        enabled ||
+            (rm == nullptr ? session_.boolVal(true) : !deltaActive(*rm)));
   }
   const DeltaVar* add = sketch_.findByName(mangle(
       {"add", proc.router, procLabel(*proc.node), "Orig", dst.str()}));
-  if (add != nullptr) enabled = enabled || deltaActive(*add);
+  if (add != nullptr) session_.reassign(enabled, enabled || deltaActive(*add));
   return enabled;
 }
 
@@ -514,24 +518,29 @@ void Encoder::buildRoutingLayer(std::size_t e, const Ipv4Prefix& dst) {
         if (from == proc.type) continue;
         z3::expr sourceValid = session_.boolVal(false);
         if (from == "connected") {
-          sourceValid =
-              session_.boolVal(sim_.deliversLocally(proc.router, dst));
+          session_.reassign(
+              sourceValid,
+              session_.boolVal(sim_.deliversLocally(proc.router, dst)));
         } else if (from == "static") {
           z3::expr any = session_.boolVal(false);
           for (const StaticCandidate& cand :
                staticCandidates(proc.router, dst)) {
             if (!env.linkUp(proc.router, cand.via)) continue;
-            any = any || cand.active;
+            session_.reassign(any, any || cand.active);
           }
           sourceValid = any;
         } else {
           if (procNode_.count({proc.router, from}) != 0) {
-            sourceValid = bestValid(e, dst, proc.router, from);
+            session_.reassign(sourceValid,
+                              bestValid(e, dst, proc.router, from));
           }
         }
-        origValid = origValid || (redistEnabled(proc, from) && sourceValid);
+        session_.reassign(
+            origValid,
+            origValid || (redistEnabled(proc, from) && sourceValid));
       }
-      origValid = origValid && procEnabled(proc.router, proc.type);
+      session_.reassign(origValid,
+                        origValid && procEnabled(proc.router, proc.type));
       candidates.push_back(Candidate{origValid, session_.intVal(kDefaultLp),
                                      session_.intVal(0),
                                      session_.intVal(kDefaultMed),
@@ -580,9 +589,9 @@ void Encoder::buildRoutingLayer(std::size_t e, const Ipv4Prefix& dst) {
             adjNode != nullptr ? adjNode->intAttr("cost", 1) : 1;
         const DeltaVar* costDelta = sketch_.findByName(
             mangle({"cost", proc.router, procLabel(*proc.node), "Adj", peer}));
-        hopCost = costDelta != nullptr
-                      ? costExpr(costDelta->name, current)
-                      : session_.intVal(current);
+        session_.reassign(hopCost, costDelta != nullptr
+                                       ? costExpr(costDelta->name, current)
+                                       : session_.intVal(current));
       }
       const z3::expr inCost =
           session_.var(mangle({"bestCost", peer, proc.type, key})) + hopCost;
@@ -591,7 +600,9 @@ void Encoder::buildRoutingLayer(std::size_t e, const Ipv4Prefix& dst) {
 
     // valid <=> some candidate valid.
     z3::expr anyValid = session_.boolVal(false);
-    for (const Candidate& cand : candidates) anyValid = anyValid || cand.valid;
+    for (const Candidate& cand : candidates) {
+      session_.reassign(anyValid, anyValid || cand.valid);
+    }
     session_.addHard(valid == anyValid);
 
     // chosen_i -> candidate valid, fields copied.
@@ -603,7 +614,9 @@ void Encoder::buildRoutingLayer(std::size_t e, const Ipv4Prefix& dst) {
     }
     // valid -> exactly one chosen (at-most-one pairwise + at-least-one).
     z3::expr anyChosen = session_.boolVal(false);
-    for (const Candidate& cand : candidates) anyChosen = anyChosen || cand.chosen;
+    for (const Candidate& cand : candidates) {
+      session_.reassign(anyChosen, anyChosen || cand.chosen);
+    }
     session_.addHard(z3::implies(valid, anyChosen));
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       for (std::size_t j = i + 1; j < candidates.size(); ++j) {
@@ -658,12 +671,12 @@ void Encoder::buildRoutingLayer(std::size_t e, const Ipv4Prefix& dst) {
     std::map<std::string, z3::expr> staticVia;
     for (const StaticCandidate& cand : staticCandidates(router, dst)) {
       if (!env.linkUp(router, cand.via)) continue;
-      staticValid = staticValid || cand.active;
+      session_.reassign(staticValid, staticValid || cand.active);
       const auto it = staticVia.find(cand.via);
       if (it == staticVia.end()) {
         staticVia.emplace(cand.via, cand.active);
       } else {
-        it->second = it->second || cand.active;
+        session_.reassign(it->second, it->second || cand.active);
       }
     }
     const bool hasBgp = procNode_.count({router, "bgp"}) != 0;
@@ -686,11 +699,12 @@ void Encoder::buildRoutingLayer(std::size_t e, const Ipv4Prefix& dst) {
 
       z3::expr viaBgp = session_.boolVal(false);
       if (hasBgp && procNode_.count({neighbor, "bgp"}) != 0) {
-        viaBgp = chosenFrom(e, dst, router, "bgp", neighbor);
+        session_.reassign(viaBgp, chosenFrom(e, dst, router, "bgp", neighbor));
       }
       z3::expr viaOspf = session_.boolVal(false);
       if (hasOspf && procNode_.count({neighbor, "ospf"}) != 0) {
-        viaOspf = chosenFrom(e, dst, router, "ospf", neighbor);
+        session_.reassign(viaOspf,
+                          chosenFrom(e, dst, router, "ospf", neighbor));
       }
       session_.addHard(
           fwd == (viaStatic ||
@@ -740,8 +754,8 @@ void Encoder::buildForwardingLayer(std::size_t e, const TrafficClass& cls) {
       const z3::expr hop = dataFwd(e, cls, router, neighbor);
       const z3::expr nr = reach(e, cls, neighbor);
       const z3::expr ndist = session_.var(mangle({"dist", neighbor, key}));
-      support = support || (hop && nr);
-      ranked = ranked || (hop && nr && dist > ndist);
+      session_.reassign(support, support || (hop && nr));
+      session_.reassign(ranked, ranked || (hop && nr && dist > ndist));
     }
     // Exact definition: supported => reachable, reachable => supported with
     // strictly decreasing distance (rules out cyclic self-support).
@@ -780,8 +794,9 @@ const std::map<std::string, z3::expr>& Encoder::onPathLayer(
       const z3::expr onPred = vars.at(pred);
       const z3::expr predDist =
           session_.var(mangle({"pdist", g, pred, cacheKey}));
-      support = support || (onPred && hop);
-      ranked = ranked || (onPred && hop && pdist > predDist);
+      session_.reassign(support, support || (onPred && hop));
+      session_.reassign(ranked,
+                        ranked || (onPred && hop && pdist > predDist));
     }
     session_.addHard(z3::implies(support, on));
     session_.addHard(z3::implies(on, ranked));
@@ -850,13 +865,15 @@ void Encoder::encodePolicy(const Policy& policy, std::size_t envIndex) {
              {std::pair(link.a, link.b), std::pair(link.b, link.a)}) {
           z3::expr used1 = session_.boolVal(false);
           for (const std::string& g : sources) {
-            used1 = used1 || (onPathLayer(0, cls, g).at(from) &&
-                              dataFwd(0, cls, from, to));
+            session_.reassign(used1,
+                              used1 || (onPathLayer(0, cls, g).at(from) &&
+                                        dataFwd(0, cls, from, to)));
           }
           z3::expr used2 = session_.boolVal(false);
           for (const std::string& g : sources2) {
-            used2 = used2 || (onPathLayer(0, policy.otherCls, g).at(from) &&
-                              dataFwd(0, policy.otherCls, from, to));
+            session_.reassign(
+                used2, used2 || (onPathLayer(0, policy.otherCls, g).at(from) &&
+                                 dataFwd(0, policy.otherCls, from, to)));
           }
           session_.addHard(!(used1 && used2));
         }

@@ -36,17 +36,19 @@ std::map<std::string, Group> collectGroups(const Sketch& sketch,
 }
 
 z3::expr noModifyConstraint(Encoder& encoder, const Group& group) {
-  z3::expr any = encoder.session().boolVal(false);
+  SmtSession& session = encoder.session();
+  z3::expr any = session.boolVal(false);
   for (const auto& [root, deltas] : group.roots) {
     for (const DeltaVar* delta : deltas) {
-      any = any || encoder.deltaActive(*delta);
+      session.reassign(any, any || encoder.deltaActive(*delta));
     }
   }
   return !any;
 }
 
 z3::expr eliminateConstraint(Encoder& encoder, const Group& group) {
-  z3::expr out = encoder.session().boolVal(true);
+  SmtSession& session = encoder.session();
+  z3::expr out = session.boolVal(true);
   // No additions; every node that has a removal delta must be removed.
   // (Modification deltas — flips, lp changes — are irrelevant once the node
   // is gone; nodes whose removal deltas were pruned cannot be eliminated
@@ -54,9 +56,9 @@ z3::expr eliminateConstraint(Encoder& encoder, const Group& group) {
   for (const auto& [root, deltas] : group.roots) {
     for (const DeltaVar* delta : deltas) {
       if (isAddKind(delta->kind)) {
-        out = out && !encoder.deltaActive(*delta);
+        session.reassign(out, out && !encoder.deltaActive(*delta));
       } else if (deltaKindName(delta->kind).rfind("rm-", 0) == 0) {
-        out = out && encoder.deltaActive(*delta);
+        session.reassign(out, out && encoder.deltaActive(*delta));
       }
     }
   }
@@ -67,7 +69,8 @@ z3::expr equateConstraint(Encoder& encoder, const Group& group) {
   // Align deltas across the group's subtrees by their position relative to
   // the subtree root; corresponding deltas must take equal values, deltas
   // without a counterpart in every subtree must stay inactive.
-  z3::expr out = encoder.session().boolVal(true);
+  SmtSession& session = encoder.session();
+  z3::expr out = session.boolVal(true);
   if (group.roots.size() < 2) return out;  // single clone: trivially equal
 
   struct Entry {
@@ -86,24 +89,24 @@ z3::expr equateConstraint(Encoder& encoder, const Group& group) {
       // Asymmetric position: at least one clone lacks this node; keeping the
       // clones identical means not touching it anywhere.
       for (const Entry& entry : entries) {
-        out = out && !encoder.deltaActive(*entry.delta);
+        session.reassign(out, out && !encoder.deltaActive(*entry.delta));
       }
       continue;
     }
     const Entry& first = entries.front();
     for (std::size_t i = 1; i < entries.size(); ++i) {
       const Entry& other = entries[i];
-      out = out && (encoder.deltaActive(*first.delta) ==
-                    encoder.deltaActive(*other.delta));
+      session.reassign(out, out && (encoder.deltaActive(*first.delta) ==
+                                    encoder.deltaActive(*other.delta)));
       // Value-level equality so clones receive the *same* change, not just
       // "a" change.
       const auto lp1 = encoder.lpValueExpr(*first.delta);
       const auto lp2 = encoder.lpValueExpr(*other.delta);
-      if (lp1 && lp2) out = out && (*lp1 == *lp2);
+      if (lp1 && lp2) session.reassign(out, out && (*lp1 == *lp2));
       if (first.delta->kind == DeltaKind::kAddRouteFilterRule ||
           first.delta->kind == DeltaKind::kAddPacketFilterRule) {
-        out = out && (encoder.addAllowVar(*first.delta) ==
-                      encoder.addAllowVar(*other.delta));
+        session.reassign(out, out && (encoder.addAllowVar(*first.delta) ==
+                                      encoder.addAllowVar(*other.delta)));
       }
     }
   }
@@ -114,6 +117,7 @@ z3::expr equateConstraint(Encoder& encoder, const Group& group) {
 
 std::vector<std::string> addObjectives(
     Encoder& encoder, const std::vector<Objective>& objectives) {
+  SmtSession& session = encoder.session();
   std::vector<std::string> labels;
   for (const Objective& objective : objectives) {
     const auto groups = collectGroups(encoder.sketch(), objective);
@@ -121,8 +125,7 @@ std::vector<std::string> addObjectives(
       // Nothing selected: the objective is vacuously satisfied; register a
       // trivially-true soft constraint so reports stay complete.
       const std::string label = objective.label + " [no matches]";
-      encoder.session().addSoft(encoder.session().boolVal(true),
-                                objective.weight, label);
+      session.addSoft(session.boolVal(true), objective.weight, label);
       labels.push_back(label);
       continue;
     }
@@ -131,19 +134,19 @@ std::vector<std::string> addObjectives(
       if (!objective.groupBy.empty()) {
         label += " [" + objective.groupBy + "=" + key + "]";
       }
-      z3::expr constraint = encoder.session().boolVal(true);
+      z3::expr constraint = session.boolVal(true);
       switch (objective.restriction) {
         case Restriction::kNoModify:
-          constraint = noModifyConstraint(encoder, group);
+          session.reassign(constraint, noModifyConstraint(encoder, group));
           break;
         case Restriction::kEliminate:
-          constraint = eliminateConstraint(encoder, group);
+          session.reassign(constraint, eliminateConstraint(encoder, group));
           break;
         case Restriction::kEquate:
-          constraint = equateConstraint(encoder, group);
+          session.reassign(constraint, equateConstraint(encoder, group));
           break;
       }
-      encoder.session().addSoft(constraint, objective.weight, label);
+      session.addSoft(constraint, objective.weight, label);
       labels.push_back(label);
     }
   }

@@ -31,6 +31,18 @@
 // Every rung still satisfies the hard policy constraints, so a
 // policy-compliant (if less manageable) patch is returned whenever Z3 can
 // decide satisfiability at all within the budget.
+//
+// Expression slots are overwritten through reassign(), never with
+// `slot = <temporary>`. The z3++ 4.8.12 move assignment (`ast::operator=
+// (ast&&)`, inherited by z3::expr) drops the old AST without Z3_dec_ref, so
+// such a statement leaks one reference, and Z3_del_context has to sweep
+// every leaked node, which makes freeing a context slower than building
+// it. reassign() retires the old value into the session instead of
+// releasing it at once, and the session releases everything it retired
+// just before its context is deleted. Keeping it matters: Z3 flattens
+// `or`/`and`, so an old accumulator is not a subterm of its successor, and
+// releasing it mid-encode returns its AST id to Z3's free list. Later ids
+// shift, Z3 breaks ties differently, and the optimal patch can change.
 #pragma once
 
 #include <z3++.h>
@@ -72,6 +84,14 @@ class SmtSession {
 
   z3::expr boolVal(bool value) { return ctx_.bool_val(value); }
   z3::expr intVal(int value) { return ctx_.int_val(value); }
+
+  /// Stores `value` in `slot` and keeps the expression `slot` held alive
+  /// until the session dies (see the header for why it is neither leaked
+  /// nor released at once). `slot` must belong to this session's context.
+  void reassign(z3::expr& slot, const z3::expr& value) {
+    retired_.push_back(slot);
+    slot = value;
+  }
 
   // ---- constraints ----------------------------------------------------------
 
@@ -198,6 +218,9 @@ class SmtSession {
   z3::solver probe_;
   std::map<std::string, z3::expr> vars_;
   std::vector<z3::expr> softExprs_;
+  /// Values replaced by reassign(). Declared after ctx_, so released before
+  /// the context is deleted.
+  std::vector<z3::expr> retired_;
   std::vector<SoftInfo> softInfos_;
   std::optional<z3::model> model_;
   /// Optimal soft-violation cost of the last non-degraded check. Still a

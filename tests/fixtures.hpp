@@ -99,6 +99,95 @@ router bgp 65004
 )";
 }
 
+// BGP diamond with equal lp and equal path length; med breaks the tie:
+// S prefers X (med 10) over Y (med 50).
+inline std::string medDiamondConfigText() {
+  return
+      "hostname S\n"
+      "interface hosts\n"
+      " ip address 1.0.0.1/16\n"
+      "interface toX\n"
+      " ip address 10.0.1.1/30\n"
+      "interface toY\n"
+      " ip address 10.0.2.1/30\n"
+      "router bgp 65001\n"
+      " neighbor 10.0.1.2 remote-router X filter-in rf_x\n"
+      " neighbor 10.0.2.2 remote-router Y filter-in rf_y\n"
+      " network 1.0.0.0/16\n"
+      " route-filter rf_x seq 10 permit any set med 10\n"
+      " route-filter rf_y seq 10 permit any set med 50\n"
+      "hostname X\n"
+      "interface toS\n"
+      " ip address 10.0.1.2/30\n"
+      "interface toT\n"
+      " ip address 10.0.3.1/30\n"
+      "router bgp 65002\n"
+      " neighbor 10.0.1.1 remote-router S\n"
+      " neighbor 10.0.3.2 remote-router T\n"
+      "hostname Y\n"
+      "interface toS\n"
+      " ip address 10.0.2.2/30\n"
+      "interface toT\n"
+      " ip address 10.0.4.1/30\n"
+      "router bgp 65003\n"
+      " neighbor 10.0.2.1 remote-router S\n"
+      " neighbor 10.0.4.2 remote-router T\n"
+      "hostname T\n"
+      "interface hosts\n"
+      " ip address 2.0.0.1/16\n"
+      "interface toX\n"
+      " ip address 10.0.3.2/30\n"
+      "interface toY\n"
+      " ip address 10.0.4.2/30\n"
+      "router bgp 65004\n"
+      " neighbor 10.0.3.1 remote-router X\n"
+      " neighbor 10.0.4.1 remote-router Y\n"
+      " network 2.0.0.0/16\n";
+}
+
+// OSPF diamond: S reaches T via X (cost 5+5) or Y (cost 20+20); X wins.
+inline std::string ospfDiamondConfigText() {
+  return
+      "hostname S\n"
+      "interface hosts\n"
+      " ip address 1.0.0.1/16\n"
+      "interface toX\n"
+      " ip address 10.0.1.1/30\n"
+      "interface toY\n"
+      " ip address 10.0.2.1/30\n"
+      "router ospf 10\n"
+      " neighbor 10.0.1.2 remote-router X cost 5\n"
+      " neighbor 10.0.2.2 remote-router Y cost 20\n"
+      " network 1.0.0.0/16\n"
+      "hostname X\n"
+      "interface toS\n"
+      " ip address 10.0.1.2/30\n"
+      "interface toT\n"
+      " ip address 10.0.3.1/30\n"
+      "router ospf 10\n"
+      " neighbor 10.0.1.1 remote-router S cost 5\n"
+      " neighbor 10.0.3.2 remote-router T cost 5\n"
+      "hostname Y\n"
+      "interface toS\n"
+      " ip address 10.0.2.2/30\n"
+      "interface toT\n"
+      " ip address 10.0.4.1/30\n"
+      "router ospf 10\n"
+      " neighbor 10.0.2.1 remote-router S cost 20\n"
+      " neighbor 10.0.4.2 remote-router T cost 20\n"
+      "hostname T\n"
+      "interface hosts\n"
+      " ip address 2.0.0.1/16\n"
+      "interface toX\n"
+      " ip address 10.0.3.2/30\n"
+      "interface toY\n"
+      " ip address 10.0.4.2/30\n"
+      "router ospf 10\n"
+      " neighbor 10.0.3.1 remote-router X cost 5\n"
+      " neighbor 10.0.4.1 remote-router Y cost 20\n"
+      " network 2.0.0.0/16\n";
+}
+
 inline TrafficClass cls(const std::string& src, const std::string& dst) {
   return TrafficClass{*Ipv4Prefix::parse(src), *Ipv4Prefix::parse(dst)};
 }

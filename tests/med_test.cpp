@@ -6,63 +6,17 @@
 #include "conftree/parser.hpp"
 #include "conftree/printer.hpp"
 #include "core/aed.hpp"
+#include "fixtures.hpp"
 #include "simulate/simulator.hpp"
 
 namespace aed {
 namespace {
 
-TrafficClass cls(const char* src, const char* dst) {
-  return {*Ipv4Prefix::parse(src), *Ipv4Prefix::parse(dst)};
-}
-
-// BGP diamond with equal lp and equal path length; med breaks the tie:
-// S prefers X (med 10) over Y (med 50).
-std::string medDiamond() {
-  return
-      "hostname S\n"
-      "interface hosts\n"
-      " ip address 1.0.0.1/16\n"
-      "interface toX\n"
-      " ip address 10.0.1.1/30\n"
-      "interface toY\n"
-      " ip address 10.0.2.1/30\n"
-      "router bgp 65001\n"
-      " neighbor 10.0.1.2 remote-router X filter-in rf_x\n"
-      " neighbor 10.0.2.2 remote-router Y filter-in rf_y\n"
-      " network 1.0.0.0/16\n"
-      " route-filter rf_x seq 10 permit any set med 10\n"
-      " route-filter rf_y seq 10 permit any set med 50\n"
-      "hostname X\n"
-      "interface toS\n"
-      " ip address 10.0.1.2/30\n"
-      "interface toT\n"
-      " ip address 10.0.3.1/30\n"
-      "router bgp 65002\n"
-      " neighbor 10.0.1.1 remote-router S\n"
-      " neighbor 10.0.3.2 remote-router T\n"
-      "hostname Y\n"
-      "interface toS\n"
-      " ip address 10.0.2.2/30\n"
-      "interface toT\n"
-      " ip address 10.0.4.1/30\n"
-      "router bgp 65003\n"
-      " neighbor 10.0.2.1 remote-router S\n"
-      " neighbor 10.0.4.2 remote-router T\n"
-      "hostname T\n"
-      "interface hosts\n"
-      " ip address 2.0.0.1/16\n"
-      "interface toX\n"
-      " ip address 10.0.3.2/30\n"
-      "interface toY\n"
-      " ip address 10.0.4.2/30\n"
-      "router bgp 65004\n"
-      " neighbor 10.0.3.1 remote-router X\n"
-      " neighbor 10.0.4.1 remote-router Y\n"
-      " network 2.0.0.0/16\n";
-}
+using aed::testing::cls;
+using aed::testing::medDiamondConfigText;
 
 TEST(Med, ParserPrinterRoundTrip) {
-  const ConfigTree tree = parseNetworkConfig(medDiamond());
+  const ConfigTree tree = parseNetworkConfig(medDiamondConfigText());
   const Node* rule = tree.byPath(
       "Router[name=S]/RoutingProcess[type=bgp,name=65001]/"
       "RouteFilter[name=rf_x]/RouteFilterRule[seq=10]");
@@ -97,7 +51,7 @@ TEST(Med, RejectsMalformedSetClauses) {
 }
 
 TEST(Med, SimulatorBreaksTiesByMed) {
-  const ConfigTree tree = parseNetworkConfig(medDiamond());
+  const ConfigTree tree = parseNetworkConfig(medDiamondConfigText());
   Simulator sim(tree);
   const auto routes = sim.computeRoutes(*Ipv4Prefix::parse("2.0.0.0/16"));
   ASSERT_TRUE(routes.at("S").valid);
@@ -108,7 +62,7 @@ TEST(Med, SimulatorBreaksTiesByMed) {
 
 TEST(Med, LocalPreferenceDominatesMed) {
   // Give Y a higher lp: it must win despite its worse med.
-  ConfigTree tree = parseNetworkConfig(medDiamond());
+  ConfigTree tree = parseNetworkConfig(medDiamondConfigText());
   Node* rule = tree.byPath(
       "Router[name=S]/RoutingProcess[type=bgp,name=65001]/"
       "RouteFilter[name=rf_y]/RouteFilterRule[seq=10]");
@@ -123,7 +77,7 @@ TEST(Med, SynthesisRetunesMedForPathPreference) {
   // Demand the Y path primary; the cheapest mechanism is a med retune (lp
   // changes would also work, but both are metric edits on the existing
   // rules — verify the patch only touches rule metrics).
-  const ConfigTree tree = parseNetworkConfig(medDiamond());
+  const ConfigTree tree = parseNetworkConfig(medDiamondConfigText());
   const PolicySet policies = {Policy::pathPreference(
       cls("1.0.0.0/16", "2.0.0.0/16"), {"S", "Y", "T"}, {"S", "X", "T"})};
   AedOptions options;
@@ -138,7 +92,7 @@ TEST(Med, SynthesisRetunesMedForPathPreference) {
 TEST(Med, FrozenModelAlignsWithSimulator) {
   // The med-based selection must agree between model and simulator: the
   // inferred policies of the diamond are accepted by the frozen model.
-  const ConfigTree tree = parseNetworkConfig(medDiamond());
+  const ConfigTree tree = parseNetworkConfig(medDiamondConfigText());
   Simulator sim(tree);
   const PolicySet inferred = sim.inferReachabilityPolicies();
   ASSERT_FALSE(inferred.empty());

@@ -7,60 +7,17 @@
 #include "conftree/parser.hpp"
 #include "conftree/printer.hpp"
 #include "core/aed.hpp"
+#include "fixtures.hpp"
 #include "simulate/simulator.hpp"
 
 namespace aed {
 namespace {
 
-TrafficClass cls(const char* src, const char* dst) {
-  return {*Ipv4Prefix::parse(src), *Ipv4Prefix::parse(dst)};
-}
-
-// OSPF diamond: S reaches T via X (cost 5+5) or Y (cost 20+20); X wins.
-std::string ospfDiamond() {
-  return
-      "hostname S\n"
-      "interface hosts\n"
-      " ip address 1.0.0.1/16\n"
-      "interface toX\n"
-      " ip address 10.0.1.1/30\n"
-      "interface toY\n"
-      " ip address 10.0.2.1/30\n"
-      "router ospf 10\n"
-      " neighbor 10.0.1.2 remote-router X cost 5\n"
-      " neighbor 10.0.2.2 remote-router Y cost 20\n"
-      " network 1.0.0.0/16\n"
-      "hostname X\n"
-      "interface toS\n"
-      " ip address 10.0.1.2/30\n"
-      "interface toT\n"
-      " ip address 10.0.3.1/30\n"
-      "router ospf 10\n"
-      " neighbor 10.0.1.1 remote-router S cost 5\n"
-      " neighbor 10.0.3.2 remote-router T cost 5\n"
-      "hostname Y\n"
-      "interface toS\n"
-      " ip address 10.0.2.2/30\n"
-      "interface toT\n"
-      " ip address 10.0.4.1/30\n"
-      "router ospf 10\n"
-      " neighbor 10.0.2.1 remote-router S cost 20\n"
-      " neighbor 10.0.4.2 remote-router T cost 20\n"
-      "hostname T\n"
-      "interface hosts\n"
-      " ip address 2.0.0.1/16\n"
-      "interface toX\n"
-      " ip address 10.0.3.2/30\n"
-      "interface toY\n"
-      " ip address 10.0.4.2/30\n"
-      "router ospf 10\n"
-      " neighbor 10.0.3.1 remote-router X cost 5\n"
-      " neighbor 10.0.4.1 remote-router Y cost 20\n"
-      " network 2.0.0.0/16\n";
-}
+using aed::testing::cls;
+using aed::testing::ospfDiamondConfigText;
 
 TEST(OspfCost, ParserPrinterRoundTrip) {
-  const ConfigTree tree = parseNetworkConfig(ospfDiamond());
+  const ConfigTree tree = parseNetworkConfig(ospfDiamondConfigText());
   const Node* adj = tree.byPath(
       "Router[name=S]/RoutingProcess[type=ospf,name=10]/Adjacency[peer=X]");
   ASSERT_NE(adj, nullptr);
@@ -81,7 +38,7 @@ TEST(OspfCost, ParserRejectsBadCost) {
 }
 
 TEST(OspfCost, SimulatorPrefersLowerTotalCost) {
-  const ConfigTree tree = parseNetworkConfig(ospfDiamond());
+  const ConfigTree tree = parseNetworkConfig(ospfDiamondConfigText());
   Simulator sim(tree);
   const auto routes = sim.computeRoutes(*Ipv4Prefix::parse("2.0.0.0/16"));
   ASSERT_TRUE(routes.at("S").valid);
@@ -93,7 +50,7 @@ TEST(OspfCost, SimulatorPrefersLowerTotalCost) {
 
 TEST(OspfCost, HigherCostReroutes) {
   // Bumping the S-X import cost above Y's path flips the choice.
-  ConfigTree tree = parseNetworkConfig(ospfDiamond());
+  ConfigTree tree = parseNetworkConfig(ospfDiamondConfigText());
   Node* adj = tree.byPath(
       "Router[name=S]/RoutingProcess[type=ospf,name=10]/Adjacency[peer=X]");
   adj->setAttr("cost", "100");
@@ -105,7 +62,7 @@ TEST(OspfCost, HigherCostReroutes) {
 TEST(OspfCost, SynthesisRetunesCostForPathPreference) {
   // Demand the opposite preference (via Y primary, X fallback) while
   // forbidding filters and statics — only a cost retune can do it.
-  const ConfigTree tree = parseNetworkConfig(ospfDiamond());
+  const ConfigTree tree = parseNetworkConfig(ospfDiamondConfigText());
   const PolicySet policies = {Policy::pathPreference(
       cls("1.0.0.0/16", "2.0.0.0/16"), {"S", "Y", "T"}, {"S", "X", "T"})};
   AedOptions options;
@@ -126,7 +83,7 @@ TEST(OspfCost, SynthesisRetunesCostForPathPreference) {
 }
 
 TEST(OspfCost, IntegerModeAlsoRetunes) {
-  const ConfigTree tree = parseNetworkConfig(ospfDiamond());
+  const ConfigTree tree = parseNetworkConfig(ospfDiamondConfigText());
   const PolicySet policies = {Policy::pathPreference(
       cls("1.0.0.0/16", "2.0.0.0/16"), {"S", "Y", "T"}, {"S", "X", "T"})};
   AedOptions options;
