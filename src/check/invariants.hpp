@@ -25,8 +25,10 @@
 //
 // Metamorphic invariants (input transformations that must not change
 // verdicts):
-//   resynth-noop     re-synthesizing on the already-patched network yields
-//                    an empty (or textually no-op) delta
+//   resynth-noop     solving every destination group of the already-patched
+//                    network on its own solver yields the empty patch: the
+//                    premise on which synthesize() answers groups the input
+//                    already satisfies without building a solver
 //   policy-order     permuting policy order leaves the violation verdicts
 //                    unchanged (as a set)
 //   router-order     permuting router declaration order leaves the

@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "core/subsolver.hpp"
+#include "objectives/translate.hpp"
 #include "obs/flight.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -190,8 +191,10 @@ class SynthesisRun {
 
  private:
   void partition();
+  void checkInput();
   void solveRound(int round, const std::vector<std::size_t>& pending);
   void solveOne(std::size_t i, std::uint64_t perSubproblemMs);
+  SubResult unchangedResult(std::size_t i) const;
   bool checkOutcomes();
   PolicySet mergeAndValidate(int round);
   PolicySet injectedRejection(int round) const;
@@ -206,6 +209,20 @@ class SynthesisRun {
   }
   bool cancelled() const {
     return options_.cancel != nullptr && options_.cancel->stopRequested();
+  }
+  /// The group a solve-time fault (kThrow, kDelay, kUnknown) poisons.
+  bool poisoned(std::size_t i) const {
+    using Kind = FaultInjection::Kind;
+    const FaultInjection& fault = options_.faultInjection;
+    return (fault.kind == Kind::kThrow || fault.kind == Kind::kDelay ||
+            fault.kind == Kind::kUnknown) &&
+           fault.subproblem >= 0 &&
+           static_cast<std::size_t>(fault.subproblem) == i;
+  }
+  /// solveOne() answers the group with unchangedResult(), building no
+  /// solver; a poisoned group keeps its solver so the fault runs for real.
+  bool answeredUnchanged(std::size_t i) const {
+    return inputSatisfied_[i] && !poisoned(i);
   }
   /// Phase timing, split by round kind: round 0 is where every subproblem
   /// pays sketch + encode; with incrementalResolve the repair bucket's
@@ -239,12 +256,16 @@ class SynthesisRun {
   // One persistent solver per group, alive until no repair round can pick
   // it: a repair round pushes only the new blocked-delta clauses into the
   // live z3::optimize instead of re-encoding (see core/subsolver.hpp). Each
-  // owns its own z3::context. solveOne() frees a solver on its worker right
+  // owns its own z3::context. A group the input already satisfies never
+  // gets one (checkInput()). solveOne() frees a solver on its worker right
   // after a solve that leaves blame() no way to re-solve its group, which
   // with incrementalResolve off is every solve (the fresh-per-round
   // baseline bench_incremental compares against); finish() frees the rest.
   std::vector<std::unique_ptr<SubproblemSolver>> solvers_;
   std::vector<bool> needsSolve_;  // coordinating thread only
+  // Groups whose policies the input tree already meets, where that alone
+  // fixes the MaxSMT answer (checkInput()). Written before round 0.
+  std::vector<bool> inputSatisfied_;
   std::vector<std::vector<std::string>> blocked_;  // grows across rounds
 
   AedResult result_;
@@ -256,6 +277,7 @@ void SynthesisRun::execute() {
     topo_ = Topology::fromConfigs(tree_);
   }
   partition();
+  checkInput();
   for (int round = 0; round <= options_.maxRepairIterations; ++round) {
     std::vector<std::size_t> pending;
     for (std::size_t i = 0; i < groups_.size(); ++i) {
@@ -305,6 +327,30 @@ void SynthesisRun::partition() {
   solverTotals_.resize(groups_.size());
   solvers_.resize(groups_.size());
   needsSolve_.assign(groups_.size(), true);
+  inputSatisfied_.assign(groups_.size(), false);
+}
+
+/// Marks the groups whose policies the unchanged network already meets,
+/// when that decides their MaxSMT answer. Every delta carries a unit
+/// minimality soft constraint, and a NOMODIFY soft constraint holds when
+/// nothing changes, so such a group's optimum costs 0 and its only delta
+/// assignment is "all inactive": the empty patch. ELIMINATE and EQUATE can
+/// cost something on the unchanged network, and without the minimality
+/// softs (the NetComplete baseline) the optimum need not be the empty
+/// patch, so those runs solve every group.
+void SynthesisRun::checkInput() {
+  const bool noModifyOnly = std::all_of(
+      objectives_.begin(), objectives_.end(), [](const Objective& objective) {
+        return objective.restriction == Restriction::kNoModify;
+      });
+  if (groups_.empty() || !options_.defaultMinimality || !noModifyOnly) {
+    return;
+  }
+  AED_SPAN("aed.input_check");
+  const SimulationEngine engine(tree_, workers_);
+  for (std::size_t i = 0; i < groups_.size(); ++i) {
+    inputSatisfied_[i] = engine.violations(groups_[i]).empty();
+  }
 }
 
 void SynthesisRun::solveRound(int round,
@@ -313,12 +359,16 @@ void SynthesisRun::solveRound(int round,
   Progress::setRound(static_cast<std::size_t>(round));
   Progress::setWork(pending.size());
 
-  // Split the remaining global budget across the queued subproblems: each
-  // of the ceil(pending/workers) sequential batches gets an equal share.
+  // Split the remaining global budget across the queued subproblems that
+  // build a solver: each of the ceil(solving/workers) sequential batches
+  // gets an equal share.
   std::uint64_t perSubproblemMs = Deadline::kForeverMs;
-  if (!deadline_.isUnlimited()) {
-    const std::size_t lanes = std::min(workers_, pending.size());
-    const std::size_t batches = (pending.size() + lanes - 1) / lanes;
+  const auto solving = static_cast<std::size_t>(
+      std::count_if(pending.begin(), pending.end(),
+                    [this](std::size_t i) { return !answeredUnchanged(i); }));
+  if (!deadline_.isUnlimited() && solving > 0) {
+    const std::size_t lanes = std::min(workers_, solving);
+    const std::size_t batches = (solving + lanes - 1) / lanes;
     perSubproblemMs =
         std::max<std::uint64_t>(1, deadline_.remainingMillis() / batches);
   }
@@ -393,12 +443,13 @@ void SynthesisRun::solveOne(std::size_t i, std::uint64_t perSubproblemMs) {
   // On a pool worker the submitting thread's span context is installed, so
   // this span parents under the round span whichever thread runs it.
   Span span("aed.subproblem");
-  if (span.active()) span.setDetail("dst=" + destinations_[i]);
+  if (span.active()) {
+    span.setDetail("dst=" + destinations_[i] +
+                   (answeredUnchanged(i) ? " input_satisfied" : ""));
+  }
   try {
     const FaultInjection& fault = options_.faultInjection;
-    const bool injected = fault.kind != FaultInjection::Kind::kNone &&
-                          fault.subproblem >= 0 &&
-                          static_cast<std::size_t>(fault.subproblem) == i;
+    const bool injected = poisoned(i);
     if (injected && fault.kind == FaultInjection::Kind::kThrow) {
       throw AedError(ErrorCode::kSubproblemFailed,
                      "fault injection: subproblem " + std::to_string(i) +
@@ -413,17 +464,21 @@ void SynthesisRun::solveOne(std::size_t i, std::uint64_t perSubproblemMs) {
                                        "cancelled before solving");
       return;
     }
-    const Deadline deadline =
-        deadline_.isUnlimited()
-            ? deadline_
-            : Deadline::after(perSubproblemMs).min(deadline_);
-    if (solvers_[i] == nullptr) {
-      solvers_[i] = std::make_unique<SubproblemSolver>(
-          tree_, topo_, groups_[i], objectives_, effective_);
+    if (answeredUnchanged(i)) {
+      subResults_[i] = unchangedResult(i);
+    } else {
+      const Deadline deadline =
+          deadline_.isUnlimited()
+              ? deadline_
+              : Deadline::after(perSubproblemMs).min(deadline_);
+      if (solvers_[i] == nullptr) {
+        solvers_[i] = std::make_unique<SubproblemSolver>(
+            tree_, topo_, groups_[i], objectives_, effective_);
+      }
+      subResults_[i] = solvers_[i]->solve(
+          blocked_, deadline,
+          injected && fault.kind == FaultInjection::Kind::kUnknown);
     }
-    subResults_[i] = solvers_[i]->solve(
-        blocked_, deadline,
-        injected && fault.kind == FaultInjection::Kind::kUnknown);
   } catch (const AedError& e) {
     if (!isolatable(e.code())) throw;
     const SubOutcome outcome = e.code() == ErrorCode::kTimeout
@@ -447,6 +502,26 @@ void SynthesisRun::solveOne(std::size_t i, std::uint64_t perSubproblemMs) {
     solvers_[i].reset();
   }
   Progress::incrDone();
+}
+
+/// The answer for a group the input already satisfies (checkInput()): the
+/// empty patch, no active deltas, every objective met. Only the sketch is
+/// built, for the group's delta count and objective labels.
+SubResult SynthesisRun::unchangedResult(std::size_t i) const {
+  const auto start = Deadline::Clock::now();
+  SubResult result;
+  result.outcome = SubOutcome::kOk;
+  result.sat = true;
+  const Sketch sketch =
+      buildSketch(tree_, topo_, groups_[i], effective_.sketch);
+  result.phases.sketchSeconds = secondsSince(start);
+  result.deltaCount = sketch.deltas().size();
+  result.satisfied = objectiveLabels(sketch, objectives_);
+  result.rungReason =
+      "input satisfied: the unchanged network meets every policy of this "
+      "group, so the empty patch is the optimum and no solver was built";
+  result.seconds = secondsSince(start);
+  return result;
 }
 
 /// Fails the run on unsat anywhere, or when no subproblem produced a usable

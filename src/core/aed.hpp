@@ -13,6 +13,17 @@
 //      (one Z3 context per task)
 //   3. boolean metric encoding            — EncoderOptions::booleanLp
 //
+// AED is incremental: an update adds a few policies to a network that
+// already meets most of them. Before round 0 the simulator checks the
+// unchanged network against each destination group. When every objective is
+// NOMODIFY and defaultMinimality is on, a group that already holds has the
+// empty patch as its MaxSMT optimum (cost 0: every minimality and NOMODIFY
+// soft constraint holds when nothing changes), so it is answered with that
+// patch, rung SolveRung::kNone and a rungReason, and no Z3 solver is built
+// for it. ELIMINATE/EQUATE objectives, defaultMinimality off (the
+// NetComplete baseline) and a group that fault injection poisons are
+// solved as before.
+//
 // Every candidate patch is validated against the concrete control-plane
 // simulator; if validation fails (the SMT model admits stable states the
 // iterative simulator does not converge to, e.g. mutual redistribution
@@ -22,8 +33,8 @@
 // Resilience (the failure model; see DESIGN.md "Failure model & degradation
 // ladder"): subproblems are fault-isolated — one destination that throws,
 // times out, or goes unknown never discards sibling work. A global
-// wall-clock budget (timeBudgetMs) is split across queued subproblems and
-// wired to Z3's timeout; under pressure each subproblem degrades through an
+// wall-clock budget (timeBudgetMs) is split across the queued subproblems
+// that build a solver and wired to Z3's timeout; under pressure each subproblem degrades through an
 // anytime ladder (full MaxSMT → user objectives only → hard constraints
 // only) before being reported as failed. Per-subproblem outcomes are
 // returned in AedResult::subproblems.
@@ -130,8 +141,8 @@ struct AedOptions {
   bool incrementalResolve = true;
 
   /// Global wall-clock budget in milliseconds for the whole run, split
-  /// across queued subproblems and wired to Z3's timeout parameter.
-  /// 0 = unlimited.
+  /// across the queued subproblems that build a solver and wired to Z3's
+  /// timeout parameter. 0 = unlimited.
   std::uint64_t timeBudgetMs = 0;
   /// Cooperative cancellation: when set and triggered, the engine stops
   /// between subproblems and repair iterations and reports kCancelled.
@@ -169,8 +180,9 @@ struct SubproblemReport {
   double seconds = 0.0;  // solve() wall time, summed across rounds
   /// Solver introspection (§12): the rung that produced the final answer
   /// (last solve of the last round), why, and Z3 effort counters summed
-  /// across every round of this subproblem. aed_cli --solver-stats prints
-  /// the per-destination breakdown.
+  /// across every round of this subproblem. A group the input already
+  /// satisfies reports SolveRung::kNone, zero counters and a rungReason
+  /// saying so. aed_cli --solver-stats prints the per-destination breakdown.
   SolveRung rung = SolveRung::kNone;
   std::string rungReason;
   SolverStats solverStats;

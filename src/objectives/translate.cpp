@@ -1,6 +1,7 @@
 #include "objectives/translate.hpp"
 
 #include <map>
+#include <optional>
 #include <set>
 
 #include "util/error.hpp"
@@ -33,6 +34,34 @@ std::map<std::string, Group> collectGroups(const Sketch& sketch,
     group.roots[*root].push_back(&delta);
   }
   return groups;
+}
+
+// One desugared objective: its report label and the group its soft
+// constraint ranges over (none when the objective selects no delta).
+struct Desugared {
+  const Objective* objective;
+  std::string label;
+  std::optional<Group> group;
+};
+
+std::vector<Desugared> desugar(const Sketch& sketch,
+                               const std::vector<Objective>& objectives) {
+  std::vector<Desugared> out;
+  for (const Objective& objective : objectives) {
+    auto groups = collectGroups(sketch, objective);
+    if (groups.empty()) {
+      out.push_back({&objective, objective.label + " [no matches]", {}});
+      continue;
+    }
+    for (auto& [key, group] : groups) {
+      std::string label = objective.label;
+      if (!objective.groupBy.empty()) {
+        label += " [" + objective.groupBy + "=" + key + "]";
+      }
+      out.push_back({&objective, std::move(label), std::move(group)});
+    }
+  }
+  return out;
 }
 
 z3::expr noModifyConstraint(Encoder& encoder, const Group& group) {
@@ -115,44 +144,43 @@ z3::expr equateConstraint(Encoder& encoder, const Group& group) {
 
 }  // namespace
 
-std::vector<std::string> addObjectives(
-    Encoder& encoder, const std::vector<Objective>& objectives) {
-  SmtSession& session = encoder.session();
+std::vector<std::string> objectiveLabels(
+    const Sketch& sketch, const std::vector<Objective>& objectives) {
   std::vector<std::string> labels;
-  for (const Objective& objective : objectives) {
-    const auto groups = collectGroups(encoder.sketch(), objective);
-    if (groups.empty()) {
+  for (Desugared& one : desugar(sketch, objectives)) {
+    labels.push_back(std::move(one.label));
+  }
+  return labels;
+}
+
+void addObjectives(Encoder& encoder, const std::vector<Objective>& objectives) {
+  SmtSession& session = encoder.session();
+  const std::vector<Desugared> desugared =
+      desugar(encoder.sketch(), objectives);
+  for (const Desugared& one : desugared) {
+    const Objective& objective = *one.objective;
+    if (!one.group) {
       // Nothing selected: the objective is vacuously satisfied; register a
       // trivially-true soft constraint so reports stay complete.
-      const std::string label = objective.label + " [no matches]";
-      session.addSoft(session.boolVal(true), objective.weight, label);
-      labels.push_back(label);
+      session.addSoft(session.boolVal(true), objective.weight, one.label);
       continue;
     }
-    for (const auto& [key, group] : groups) {
-      std::string label = objective.label;
-      if (!objective.groupBy.empty()) {
-        label += " [" + objective.groupBy + "=" + key + "]";
-      }
-      z3::expr constraint = session.boolVal(true);
-      switch (objective.restriction) {
-        case Restriction::kNoModify:
-          session.reassign(constraint, noModifyConstraint(encoder, group));
-          break;
-        case Restriction::kEliminate:
-          session.reassign(constraint, eliminateConstraint(encoder, group));
-          break;
-        case Restriction::kEquate:
-          session.reassign(constraint, equateConstraint(encoder, group));
-          break;
-      }
-      session.addSoft(constraint, objective.weight, label);
-      labels.push_back(label);
+    z3::expr constraint = session.boolVal(true);
+    switch (objective.restriction) {
+      case Restriction::kNoModify:
+        session.reassign(constraint, noModifyConstraint(encoder, *one.group));
+        break;
+      case Restriction::kEliminate:
+        session.reassign(constraint, eliminateConstraint(encoder, *one.group));
+        break;
+      case Restriction::kEquate:
+        session.reassign(constraint, equateConstraint(encoder, *one.group));
+        break;
     }
+    session.addSoft(constraint, objective.weight, one.label);
   }
-  logInfo() << "registered " << labels.size()
+  logInfo() << "registered " << desugared.size()
             << " desugared objective soft constraints";
-  return labels;
 }
 
 void addPerDeltaMinimality(Encoder& encoder) {

@@ -17,11 +17,17 @@
 
 namespace aed {
 
+/// The labels of the desugared objectives over `sketch`, in the order
+/// addObjectives() registers them: one per GROUPBY value an objective
+/// selects, or one "<label> [no matches]" when it selects no delta. Needs no
+/// solver, so a caller that already knows the answer can report it.
+std::vector<std::string> objectiveLabels(
+    const Sketch& sketch, const std::vector<Objective>& objectives);
+
 /// Adds one soft constraint per desugared objective to the encoder's
-/// session. Returns the labels registered (one per desugared objective),
-/// so callers can report satisfied/violated objectives after check().
-std::vector<std::string> addObjectives(Encoder& encoder,
-                                       const std::vector<Objective>& objectives);
+/// session, named as objectiveLabels() names it; check() reports each
+/// label as satisfied or violated.
+void addObjectives(Encoder& encoder, const std::vector<Objective>& objectives);
 
 /// The default change-minimality pressure: one unit-weight soft constraint
 /// per delta preferring it inactive. This doubles as the paper's `min-lines`

@@ -17,7 +17,10 @@ namespace aed {
 /// (DESIGN.md §5/§6): the warm-start plain-SAT probe, the full MaxSMT
 /// optimum, or one of the anytime degradation rungs.
 enum class SolveRung {
-  kNone,          // no check ran (e.g. nothing to solve)
+  kNone,          // no check ran: the subproblem threw or was cancelled
+                  // first, or the input already satisfies its policies and
+                  // the empty patch was given without a solver
+                  // (core/aed.hpp)
   kWarmStart,     // plain-SAT probe at the previous optimum's cost bound
   kFull,          // full MaxSMT over user + minimality objectives
   kNoMinimality,  // degraded: user objectives only

@@ -7,9 +7,11 @@
 #include "conftree/diff.hpp"
 #include "conftree/parser.hpp"
 #include "core/aed.hpp"
+#include "core/subsolver.hpp"
 #include "fixtures.hpp"
 #include "gen/netgen.hpp"
 #include "gen/policygen.hpp"
+#include "objectives/translate.hpp"
 #include "obs/trace.hpp"
 #include "simulate/simulator.hpp"
 
@@ -366,30 +368,201 @@ TEST(Aed, TopLevelSpansCoverTheWholeCall) {
             0.95 * static_cast<double>(root->durUs));
 }
 
+/// Spans named `name` per parent span name.
+std::map<std::string, std::size_t> countUnder(
+    const std::vector<TraceEvent>& events, const std::string& name) {
+  std::map<std::uint64_t, std::string> names;
+  for (const TraceEvent& event : events) names[event.id] = event.name;
+  std::map<std::string, std::size_t> under;
+  for (const TraceEvent& event : events) {
+    if (name == event.name) ++under[names[event.parent]];
+  }
+  return under;
+}
+
 // A solver that no repair round can pick is freed on its worker, inside its
 // subproblem span; the run's teardown frees the rest. Of the dc8 update's 5
-// groups exactly 1 solves to an empty delta set, so its solver dies in its
-// subproblem and the other 4 live until the teardown.
+// groups, 1 is already satisfied by the input and builds no solver, and the
+// other 4 solve to non-empty delta sets, so their solvers live until the
+// teardown. Demanding that one added reachability class also be blocked
+// makes its group unsat: that solver is dead, so its subproblem frees it.
 TEST(Aed, DeadSolversAreFreedInsideTheirSubproblem) {
+  AedOptions options;
+  options.workers = 2;
+  Scenario scenario = dc8Update();
+  {
+    const auto [result, events] = tracedSynthesize(scenario, options);
+    ASSERT_TRUE(result.success) << result.error;
+    ASSERT_EQ(result.stats.subproblems, 5u);
+    ASSERT_EQ(result.stats.repairRounds, 0u);
+    const auto freesUnder = countUnder(events, "subsolver.free");
+    EXPECT_EQ(freesUnder.count("aed.subproblem"), 0u);
+    EXPECT_EQ(freesUnder.at("aed.teardown"), 4u);
+  }
+
+  scenario.policies.push_back(Policy::blocking(scenario.policies.back().cls));
+  const auto [result, events] = tracedSynthesize(scenario, options);
+  ASSERT_FALSE(result.success);
+  ASSERT_EQ(result.errorCode, ErrorCode::kUnsat) << result.error;
+  const auto freesUnder = countUnder(events, "subsolver.free");
+  EXPECT_EQ(freesUnder.at("aed.subproblem"), 1u);
+  EXPECT_EQ(freesUnder.at("aed.teardown"), 3u);
+}
+
+/// Index of the one dc8 update group the input already satisfies, per the
+/// serial oracle.
+std::size_t satisfiedGroup(const Scenario& scenario,
+                           const AedResult& result) {
+  const Simulator input(scenario.tree);
+  std::vector<std::size_t> satisfied;
+  for (const SubproblemReport& report : result.subproblems) {
+    PolicySet group;
+    for (const Policy& policy : scenario.policies) {
+      if (policy.cls.dst.str() == report.destination) group.push_back(policy);
+    }
+    if (input.violations(group).empty()) satisfied.push_back(report.index);
+  }
+  EXPECT_EQ(satisfied.size(), 1u);
+  return satisfied.empty() ? 0 : satisfied.front();
+}
+
+// A group the input already satisfies is answered without a solver: the
+// dc8 update's 5 groups run 4 solves, and the input check is a phase of the
+// call.
+TEST(Aed, InputSatisfiedGroupBuildsNoSolver) {
   AedOptions options;
   options.workers = 2;
   const auto [result, events] = tracedSynthesize(dc8Update(), options);
   ASSERT_TRUE(result.success) << result.error;
   ASSERT_EQ(result.stats.subproblems, 5u);
-  ASSERT_EQ(result.stats.repairRounds, 0u);
+  const auto solves = countUnder(events, "subsolver.solve");
+  EXPECT_EQ(solves.at("aed.subproblem"), 4u);
+  EXPECT_EQ(solves.size(), 1u);
+  EXPECT_EQ(countUnder(events, "aed.input_check").at("aed.synthesize"), 1u);
+  EXPECT_EQ(result.stats.rungCounts[static_cast<std::size_t>(
+                SolveRung::kFull)],
+            4u);
+}
 
-  std::map<std::uint64_t, std::string> names;
-  for (const TraceEvent& event : events) names[event.id] = event.name;
-  std::size_t frees = 0;
-  std::map<std::string, std::size_t> freesUnder;
-  for (const TraceEvent& event : events) {
-    if (std::string("subsolver.free") != event.name) continue;
-    ++frees;
-    ++freesUnder[names[event.parent]];
+// Its report says so: rung "none", no solver effort, and a reason.
+TEST(Aed, InputSatisfiedGroupReportsWhy) {
+  const Scenario scenario = dc8Update();
+  const AedResult result = synthesize(scenario.tree, scenario.policies);
+  ASSERT_TRUE(result.success) << result.error;
+  const SubproblemReport& report =
+      result.subproblems.at(satisfiedGroup(scenario, result));
+  EXPECT_EQ(report.outcome, SubOutcome::kOk);
+  EXPECT_EQ(report.rung, SolveRung::kNone);
+  EXPECT_NE(report.rungReason.find("input satisfied"), std::string::npos)
+      << report.rungReason;
+  EXPECT_EQ(report.solverStats.checks, 0u);
+  EXPECT_EQ(report.solverStats.conflicts, 0u);
+  EXPECT_EQ(report.solverStats.decisions, 0u);
+  EXPECT_EQ(report.solverStats.vars, 0u);
+  EXPECT_EQ(report.solverStats.assertions, 0u);
+  for (const SubproblemReport& other : result.subproblems) {
+    if (other.index == report.index) continue;
+    EXPECT_EQ(other.rung, SolveRung::kFull) << other.destination;
   }
-  EXPECT_EQ(frees, 5u);
-  EXPECT_EQ(freesUnder["aed.subproblem"], 1u);
-  EXPECT_EQ(freesUnder["aed.teardown"], 4u);
+}
+
+// The skip's premise, checked against the real encoder: solving the
+// satisfied group with its own destination-scoped solver gives the empty
+// patch with every objective met, under the same labels the skip reports.
+// And a run that is made to solve that group (a zero-length injected delay
+// poisons it) returns the same patch, labels and delta count.
+TEST(Aed, InputSatisfiedGroupMatchesItsSolve) {
+  const Scenario scenario = dc8Update();
+  const std::vector<Objective> objectives = objectivesMinDevices();
+  const AedResult skipped =
+      synthesize(scenario.tree, scenario.policies, objectives);
+  ASSERT_TRUE(skipped.success) << skipped.error;
+  const std::size_t index = satisfiedGroup(scenario, skipped);
+  ASSERT_EQ(skipped.subproblems[index].rung, SolveRung::kNone);
+
+  PolicySet group;
+  for (const Policy& policy : scenario.policies) {
+    if (policy.cls.dst.str() == skipped.subproblems[index].destination) {
+      group.push_back(policy);
+    }
+  }
+  AedOptions scoped;
+  scoped.sketch.destinationScoped = true;
+  const Topology topo = Topology::fromConfigs(scenario.tree);
+  SubproblemSolver solver(scenario.tree, topo, group, objectives, scoped);
+  const SubResult solved = solver.solve({}, Deadline::unlimited());
+  ASSERT_EQ(solved.outcome, SubOutcome::kOk) << solved.detail;
+  EXPECT_EQ(solved.rung, SolveRung::kFull);
+  EXPECT_TRUE(solved.patch.empty()) << solved.patch.describe();
+  EXPECT_TRUE(solved.activeDeltas.empty());
+  EXPECT_TRUE(solved.violated.empty());
+  std::vector<std::string> labels = objectiveLabels(
+      buildSketch(scenario.tree, topo, group, scoped.sketch), objectives);
+  std::vector<std::string> satisfied = solved.satisfied;
+  std::sort(labels.begin(), labels.end());
+  std::sort(satisfied.begin(), satisfied.end());
+  EXPECT_FALSE(labels.empty());
+  EXPECT_EQ(satisfied, labels);
+  // The run reports each of them, as violated when another group's patch
+  // touches that router.
+  for (const std::string& label : labels) {
+    const auto reports = [&label](const std::vector<std::string>& list) {
+      return std::binary_search(list.begin(), list.end(), label);
+    };
+    EXPECT_TRUE(reports(skipped.satisfiedObjectives) ||
+                reports(skipped.violatedObjectives))
+        << label;
+  }
+
+  AedOptions poison;
+  poison.faultInjection.kind = FaultInjection::Kind::kDelay;
+  poison.faultInjection.delayMs = 0;
+  poison.faultInjection.subproblem = static_cast<int>(index);
+  const AedResult forced =
+      synthesize(scenario.tree, scenario.policies, objectives, poison);
+  ASSERT_TRUE(forced.success) << forced.error;
+  EXPECT_EQ(forced.subproblems[index].rung, SolveRung::kFull);
+  EXPECT_EQ(forced.patch.describe(), skipped.patch.describe());
+  EXPECT_EQ(forced.satisfiedObjectives, skipped.satisfiedObjectives);
+  EXPECT_EQ(forced.violatedObjectives, skipped.violatedObjectives);
+  EXPECT_EQ(forced.stats.deltaCount, skipped.stats.deltaCount);
+}
+
+// Where the empty patch is not known to be the optimum, or a fault is aimed
+// at the group, every group is solved: an ELIMINATE objective, the
+// minimality softs off (the NetComplete baseline), and fault injection
+// poisoning the satisfied group.
+TEST(Aed, EveryGroupSolvesWhenTheSkipIsNotExact) {
+  const Scenario scenario = dc8Update();
+  const AedResult plain = synthesize(scenario.tree, scenario.policies);
+  ASSERT_TRUE(plain.success) << plain.error;
+  const std::size_t index = satisfiedGroup(scenario, plain);
+
+  const auto expectAllSolved = [&](const std::string& label,
+                                   const std::vector<Objective>& objectives,
+                                   const AedOptions& options) {
+    SCOPED_TRACE(label);
+    const AedResult result =
+        synthesize(scenario.tree, scenario.policies, objectives, options);
+    ASSERT_EQ(result.subproblems.size(), 5u);
+    for (const SubproblemReport& report : result.subproblems) {
+      EXPECT_NE(report.rung, SolveRung::kNone) << report.destination;
+      EXPECT_GE(report.solverStats.checks, 1u) << report.destination;
+    }
+  };
+  expectAllSolved("eliminate", objectivesAvoidStaticRoutes(), {});
+  AedOptions noMinimality;
+  noMinimality.defaultMinimality = false;
+  expectAllSolved("no minimality", {}, noMinimality);
+  AedOptions unknown;
+  unknown.faultInjection.kind = FaultInjection::Kind::kUnknown;
+  unknown.faultInjection.subproblem = static_cast<int>(index);
+  expectAllSolved("unknown injected", {}, unknown);
+  AedOptions delay;
+  delay.faultInjection.kind = FaultInjection::Kind::kDelay;
+  delay.faultInjection.delayMs = 0;
+  delay.faultInjection.subproblem = static_cast<int>(index);
+  expectAllSolved("delay injected", objectivesMinDevices(), delay);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include "gen/netgen.hpp"
 #include "gen/policygen.hpp"
 #include "objectives/objective.hpp"
+#include "simulate/simulator.hpp"
 #include "smt/session.hpp"
 
 namespace {
@@ -162,16 +163,21 @@ TEST(Z3Refs, ReassignReleasesWithTheSession) {
 }
 
 /// Runs synthesize() and expects every Z3 context it created to be deleted
-/// before it returns, with no reference outstanding.
+/// before it returns, with no reference outstanding. An input that violates
+/// a policy must be solved, so at least one context must go through the
+/// ledger; one that meets them all may build none.
 void expectNoReferenceOutlivesItsContext(
     const std::string& label, const ConfigTree& tree,
     const PolicySet& policies, const std::vector<Objective>& objectives,
     const AedOptions& options) {
   SCOPED_TRACE(label);
+  const bool inputViolates = !Simulator(tree).violations(policies).empty();
   takeTally();
   synthesize(tree, policies, objectives, options);
   const Tally tally = takeTally();
-  EXPECT_GT(tally.created, 0) << "no Z3 context went through the ledger";
+  if (inputViolates) {
+    EXPECT_GT(tally.created, 0) << "no Z3 context went through the ledger";
+  }
   EXPECT_EQ(tally.heldAtDelete.size(),
             static_cast<std::size_t>(tally.created))
       << "contexts created vs. deleted";
