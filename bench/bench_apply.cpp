@@ -28,7 +28,7 @@
 #include "common.hpp"
 #include "conftree/journal.hpp"
 #include "conftree/printer.hpp"
-#include "simulate/engine.hpp"
+#include "simulate/simulator.hpp"
 
 namespace {
 
@@ -47,8 +47,8 @@ Scenario applyScenario(int routers) {
   Scenario scenario{generateDatacenter(aedbench::dcPreset(routers, 37)),
                     {},
                     {}};
-  SimulationEngine engine(scenario.net.tree);
-  scenario.policies = engine.inferReachabilityPolicies();
+  const Simulator sim(scenario.net.tree);
+  scenario.policies = sim.inferReachabilityPolicies();
   int index = 0;
   for (const auto& [name, role] : scenario.net.roles) {
     if (role != "rack") continue;

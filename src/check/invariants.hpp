@@ -12,9 +12,9 @@
 //   synth-sound      the synthesized patch satisfies every policy per the
 //                    *serial* oracle — the paper's core claim, checked
 //                    against the engine that took no part in synthesis
-//   sim-differential memoized SimulationEngine verdicts (violations sweep +
-//                    inferred reachability matrix) are identical to the
-//                    serial Simulator's, on the base and the patched network
+//   sim-differential memoized SimulationEngine violations sweeps are
+//                    identical to the serial Simulator's, on the base and
+//                    the patched network
 //   journal-rollback Patch::applyJournaled aborted at *every* edit index
 //                    restores the bit-identical pre-apply tree; a completed
 //                    apply followed by rollback() does too

@@ -253,14 +253,13 @@ class SynthesisRun {
   std::vector<SubResult> subResults_;      // the group's latest solve
   std::vector<double> subSeconds_;         // solve seconds summed across rounds
   std::vector<SolverStats> solverTotals_;  // effort summed across rounds
-  // One persistent solver per group, alive until no repair round can pick
-  // it: a repair round pushes only the new blocked-delta clauses into the
-  // live z3::optimize instead of re-encoding (see core/subsolver.hpp). Each
-  // owns its own z3::context. A group the input already satisfies never
-  // gets one (checkInput()). solveOne() frees a solver on its worker right
-  // after a solve that leaves blame() no way to re-solve its group, which
-  // with incrementalResolve off is every solve (the fresh-per-round
-  // baseline bench_incremental compares against); finish() frees the rest.
+  // One persistent solver per group: a repair round pushes only the new
+  // blocked-delta clauses into the live z3::optimize instead of re-encoding
+  // (see core/subsolver.hpp). Each owns its own z3::context. A group the
+  // input already satisfies never gets one (checkInput()). With
+  // incrementalResolve off, each solve replaces its group's solver (the
+  // fresh-per-round baseline bench_incremental compares against). finish()
+  // frees the solvers still alive.
   std::vector<std::unique_ptr<SubproblemSolver>> solvers_;
   std::vector<bool> needsSolve_;  // coordinating thread only
   // Groups whose policies the input tree already meets, where that alone
@@ -424,7 +423,7 @@ void SynthesisRun::solveRound(int round,
     stats.sumSubproblemSeconds += sub.seconds;
     stats.maxSubproblemSeconds =
         std::max(stats.maxSubproblemSeconds, sub.seconds);
-    if (sub.warmStart) ++stats.warmStartSolves;
+    if (sub.rung == SolveRung::kWarmStart) ++stats.warmStartSolves;
     // §12 introspection, merged post-join on this thread: per-solve
     // latency/effort distributions and ladder-rung outcomes.
     hist.subproblemSeconds.record(sub.seconds);
@@ -471,7 +470,9 @@ void SynthesisRun::solveOne(std::size_t i, std::uint64_t perSubproblemMs) {
           deadline_.isUnlimited()
               ? deadline_
               : Deadline::after(perSubproblemMs).min(deadline_);
-      if (solvers_[i] == nullptr) {
+      // Without incrementalResolve every solve starts from a fresh solver;
+      // replacing the group's previous one frees it.
+      if (solvers_[i] == nullptr || !effective_.incrementalResolve) {
         solvers_[i] = std::make_unique<SubproblemSolver>(
             tree_, topo_, groups_[i], objectives_, effective_);
       }
@@ -491,15 +492,6 @@ void SynthesisRun::solveOne(std::size_t i, std::uint64_t perSubproblemMs) {
     // Covers z3::exception: solver infrastructure trouble, isolated.
     subResults_[i] = failedSubResult(
         SubOutcome::kError, ErrorCode::kSubproblemFailed, e.what());
-  }
-  // blame() re-solves only a group with a usable patch and active deltas,
-  // and only on a persistent solver. Any other group's solver (a throwing
-  // one included) is dead, so it is freed here, while sibling subproblems
-  // still solve, and its memory does not wait for the end of the call.
-  const SubResult& sub = subResults_[i];
-  if (!effective_.incrementalResolve || !usable(sub) ||
-      sub.activeDeltas.empty()) {
-    solvers_[i].reset();
   }
   Progress::incrDone();
 }
@@ -730,9 +722,10 @@ void SynthesisRun::deploy() {
 AedResult SynthesisRun::finish(bool thrown) {
   {
     AED_SPAN("aed.teardown");
-    // The solvers still alive are independent Z3 contexts, each freed in a
-    // few milliseconds: free them side by side, on one thread each up to
-    // workers_.
+    // The only place a solver is freed, apart from a fresh-mode solve
+    // replacing its group's previous one. The solvers are independent Z3
+    // contexts, each freed in a few milliseconds: free them side by side,
+    // on one thread each up to workers_.
     std::vector<std::function<void()>> frees;
     for (std::unique_ptr<SubproblemSolver>& solver : solvers_) {
       if (solver != nullptr) frees.emplace_back([&solver] { solver.reset(); });

@@ -34,10 +34,10 @@
 // ladder"): subproblems are fault-isolated — one destination that throws,
 // times out, or goes unknown never discards sibling work. A global
 // wall-clock budget (timeBudgetMs) is split across the queued subproblems
-// that build a solver and wired to Z3's timeout; under pressure each subproblem degrades through an
-// anytime ladder (full MaxSMT → user objectives only → hard constraints
-// only) before being reported as failed. Per-subproblem outcomes are
-// returned in AedResult::subproblems.
+// that build a solver and wired to Z3's timeout. Under pressure each
+// subproblem degrades through an anytime ladder (full MaxSMT → user
+// objectives only → hard constraints only) before being reported as
+// failed. Per-subproblem outcomes are returned in AedResult::subproblems.
 #pragma once
 
 #include <array>
@@ -133,11 +133,11 @@ struct AedOptions {
 
   /// Incremental re-solve (the paper's headline lever, applied to the repair
   /// loop): keep one persistent SubproblemSolver — sketch, Z3 session, and
-  /// encoding — per destination group until no repair round can pick that
-  /// group, so a repair round only pushes the new blocked-delta clauses into
-  /// the live solver and re-checks. When false, every repair round rebuilds
-  /// the subproblem from scratch (the pre-incremental behavior; kept for A/B
-  /// benchmarking in bench_incremental).
+  /// encoding — per destination group for the whole call, so a repair round
+  /// only pushes the new blocked-delta clauses into the live solver and
+  /// re-checks. When false, every repair round rebuilds the subproblem from
+  /// scratch (the pre-incremental behavior; kept for A/B benchmarking in
+  /// bench_incremental).
   bool incrementalResolve = true;
 
   /// Global wall-clock budget in milliseconds for the whole run, split

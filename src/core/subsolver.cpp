@@ -106,49 +106,50 @@ SubResult SubproblemSolver::solve(
     Span span("subsolver.solve");
     check = session_->check();
     if (span.active()) {
-      span.setDetail("status=" + check.status +
-                     (check.warmStart ? " warm_start" : ""));
+      span.setDetail(std::string("rung=") + solveRungName(check.rung));
     }
   }
   result.phases.solveSeconds = secondsSince(phaseStart);
-  result.sat = check.sat;
-  result.warmStart = check.warmStart;
+  result.sat = check.sat();
   result.rung = check.rung;
   result.rungReason = std::move(check.rungReason);
   result.solverStats = check.stats;
   ++rounds_;
 
-  if (!check.sat) {
-    if (check.code == ErrorCode::kUnsat) {
-      result.outcome = SubOutcome::kUnsat;
-      result.code = ErrorCode::kUnsat;
-      result.detail = "hard constraints unsatisfiable";
-    } else if (check.code == ErrorCode::kTimeout) {
-      result.outcome = SubOutcome::kTimedOut;
-      result.code = ErrorCode::kTimeout;
-      result.detail =
-          "wall-clock budget exhausted (status " + check.status + ")";
-    } else {
-      result.outcome = SubOutcome::kError;
-      result.code = ErrorCode::kSolverUnknown;
-      result.detail = "solver answered " + check.status;
-    }
-    result.seconds = secondsSince(start);
-    return result;
-  }
-
-  switch (check.degradation) {
-    case SmtSession::Degradation::kNone:
+  switch (check.rung) {
+    case SolveRung::kWarmStart:
+    case SolveRung::kFull:
       result.outcome = SubOutcome::kOk;
       break;
-    case SmtSession::Degradation::kNoMinimality:
+    case SolveRung::kNoMinimality:
       result.outcome = SubOutcome::kDegraded;
       result.detail = "degraded: minimality softs dropped";
       break;
-    case SmtSession::Degradation::kHardOnly:
+    case SolveRung::kHardOnly:
       result.outcome = SubOutcome::kDegraded;
       result.detail = "degraded: hard constraints only";
       break;
+    case SolveRung::kUnsat:
+      result.outcome = SubOutcome::kUnsat;
+      result.code = ErrorCode::kUnsat;
+      result.detail = "hard constraints unsatisfiable";
+      break;
+    case SolveRung::kNone:  // check() always names a rung
+    case SolveRung::kGaveUp:
+      if (check.code == ErrorCode::kTimeout) {
+        result.outcome = SubOutcome::kTimedOut;
+        result.code = ErrorCode::kTimeout;
+        result.detail = "wall-clock budget exhausted (status timeout)";
+      } else {
+        result.outcome = SubOutcome::kError;
+        result.code = ErrorCode::kSolverUnknown;
+        result.detail = "solver answered unknown";
+      }
+      break;
+  }
+  if (!result.sat) {
+    result.seconds = secondsSince(start);
+    return result;
   }
 
   phaseStart = Deadline::Clock::now();

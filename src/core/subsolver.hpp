@@ -2,14 +2,13 @@
 //
 // One SubproblemSolver owns the Sketch, SmtSession (and therefore the
 // z3::context + z3::optimize instance), and Encoder for one subproblem (the
-// whole problem, or one destination group) until no repair round of the
-// synthesis run can pick that subproblem again. The first solve() pays the
-// full sketch + encode cost; every repair round after that only pushes the
-// *new* blocked-delta hard clauses into the live solver and re-checks,
-// instead of rebuilding everything from scratch. Destruction frees the Z3
-// context inside a "subsolver.free" span; the session releases every
-// reference it holds first (smt/session.hpp), so Z3 has no leaked nodes to
-// sweep.
+// whole problem, or one destination group) until the synthesis run's
+// teardown frees it. The first solve() pays the full sketch + encode cost;
+// every repair round after that only pushes the *new* blocked-delta hard
+// clauses into the live solver and re-checks, instead of rebuilding
+// everything from scratch. Destruction frees the Z3 context inside a
+// "subsolver.free" span; the session releases every reference it holds
+// first (smt/session.hpp), so Z3 has no leaked nodes to sweep.
 //
 // Why incremental blocking is sound: the blocked-delta list shared across
 // repair rounds grows monotonically — a delta combination that failed
@@ -53,12 +52,11 @@ struct SubResult {
   /// This call's phase timings: sketch/encode are zero on incremental
   /// re-solves (nothing is rebuilt).
   PhaseBreakdown phases;
-  /// True when the solve was served by the session's incremental warm-start
-  /// fast path (single SAT query at the previous optimum, no MaxSMT run).
-  bool warmStart = false;
-  /// Introspection (§12): which ladder rung answered this solve and why,
-  /// plus Z3 effort counters and encoding sizes for the call. Totals across
-  /// the rounds of one subproblem accumulate in SubproblemReport.
+  /// Introspection (§12): which ladder rung answered this solve and why
+  /// (SolveRung::kWarmStart: the session's incremental fast path, one SAT
+  /// query at the previous optimum), plus Z3 effort counters and encoding
+  /// sizes for the call. Totals across the rounds of one subproblem
+  /// accumulate in SubproblemReport.
   SolveRung rung = SolveRung::kNone;
   std::string rungReason;
   SolverStats solverStats;

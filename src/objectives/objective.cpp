@@ -5,15 +5,6 @@
 
 namespace aed {
 
-std::string restrictionName(Restriction restriction) {
-  switch (restriction) {
-    case Restriction::kEliminate: return "ELIMINATE";
-    case Restriction::kEquate: return "EQUATE";
-    case Restriction::kNoModify: return "NOMODIFY";
-  }
-  return "?";
-}
-
 Objective parseObjective(std::string_view text) {
   Objective objective;
   objective.label = std::string(trim(text));

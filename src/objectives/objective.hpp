@@ -24,8 +24,6 @@ namespace aed {
 
 enum class Restriction { kEliminate, kEquate, kNoModify };
 
-std::string restrictionName(Restriction restriction);
-
 struct Objective {
   Restriction restriction = Restriction::kNoModify;
   XPath xpath;

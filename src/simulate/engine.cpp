@@ -639,50 +639,6 @@ PolicySet SimulationEngine::violations(const PolicySet& policies) const {
   return result;
 }
 
-PolicySet SimulationEngine::inferReachabilityPolicies() const {
-  AED_SPAN("sim.infer");
-  const std::size_t n = stubs_.size();
-  std::vector<char> delivered(n * n, 0);
-  const auto probe = [this, n, &delivered](std::size_t dstIdx) {
-    for (std::size_t srcIdx = 0; srcIdx < n; ++srcIdx) {
-      if (srcIdx == dstIdx) continue;
-      const TrafficClass cls{stubs_[srcIdx].first, stubs_[dstIdx].first};
-      delivered[srcIdx * n + dstIdx] =
-          forward(cls, stubs_[srcIdx].second).delivered;
-    }
-  };
-
-  if (n > 2 && workers_ > 1) {
-    parallelBatches_.fetch_add(1, std::memory_order_relaxed);
-    parallelTasks_.fetch_add(n, std::memory_order_relaxed);
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(n);
-    for (std::size_t dstIdx = 0; dstIdx < n; ++dstIdx) {
-      tasks.push_back([&probe, dstIdx] {
-        AED_SPAN("sim.shard");
-        const ShardTimer shardTimer;
-        probe(dstIdx);
-      });
-    }
-    pool().runAll(std::move(tasks));
-  } else {
-    for (std::size_t dstIdx = 0; dstIdx < n; ++dstIdx) probe(dstIdx);
-  }
-
-  // Assemble in the oracle's (src, dst) iteration order.
-  PolicySet policies;
-  for (std::size_t srcIdx = 0; srcIdx < n; ++srcIdx) {
-    for (std::size_t dstIdx = 0; dstIdx < n; ++dstIdx) {
-      if (srcIdx == dstIdx) continue;
-      const TrafficClass cls{stubs_[srcIdx].first, stubs_[dstIdx].first};
-      policies.push_back(delivered[srcIdx * n + dstIdx]
-                             ? Policy::reachability(cls)
-                             : Policy::blocking(cls));
-    }
-  }
-  return policies;
-}
-
 SimCacheStats SimulationEngine::cacheStats() const {
   SimCacheStats stats;
   stats.routeHits = routeHits_.load(std::memory_order_relaxed);

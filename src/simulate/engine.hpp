@@ -21,11 +21,11 @@
 //  2. **Memoization.** Converged route tables are cached keyed by
 //     (destination prefix, canonicalized Environment). N policies over the
 //     same destination pay one convergence instead of N×sources.
-//  3. **Parallelism.** violations() and inferReachabilityPolicies() shard
-//     work across destination classes on an aed::ThreadPool (per-destination
-//     tables are independent, so the cache is sharded by destination and a
-//     task normally owns its shard exclusively — a per-shard mutex covers
-//     the rare cross-shard reads of isolation policies).
+//  3. **Parallelism.** violations() shards work across destination classes
+//     on an aed::ThreadPool (per-destination tables are independent, so the
+//     cache is sharded by destination and a task normally owns its shard
+//     exclusively — a per-shard mutex covers the rare cross-shard reads of
+//     isolation policies).
 //
 // An engine is bound to the one tree it is built with: it compiles that
 // tree and keeps no reference to it, so the caller's tree may die first.
@@ -55,7 +55,7 @@ class ThreadPool;
 struct SimCacheStats {
   std::size_t routeHits = 0;        // route-table lookups served from cache
   std::size_t routeMisses = 0;      // lookups that ran a fresh convergence
-  std::size_t parallelBatches = 0;  // violations()/infer() calls that fanned out
+  std::size_t parallelBatches = 0;  // violations() calls that fanned out
   std::size_t parallelTasks = 0;    // destination-shard tasks submitted
 
   double hitRate() const {
@@ -100,10 +100,6 @@ class SimulationEngine {
   /// All violated policies, in the input order (deterministic merge of the
   /// parallel per-destination verdicts).
   PolicySet violations(const PolicySet& policies) const;
-
-  /// Same output as Simulator::inferReachabilityPolicies(), computed in
-  /// parallel across destination subnets.
-  PolicySet inferReachabilityPolicies() const;
 
   SimCacheStats cacheStats() const;
 

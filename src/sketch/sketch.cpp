@@ -132,7 +132,7 @@ Sketch buildSketch(const ConfigTree& tree, const Topology& topo,
       }
 
       const std::string plabel = procLabel(*proc);
-      if (options.allowRemoveProcess && !options.destinationScoped) {
+      if (!options.destinationScoped) {
         DeltaVar d;
         d.name = mangle({"rm", rname, plabel});
         d.kind = DeltaKind::kRemoveProcess;
@@ -147,9 +147,7 @@ Sketch buildSketch(const ConfigTree& tree, const Topology& topo,
       std::set<std::string> adjacentPeers;
       for (const Node* adj : proc->childrenOfKind(NodeKind::kAdjacency)) {
         adjacentPeers.insert(adj->attr("peer"));
-        if (!options.allowRemoveAdjacency || options.destinationScoped) {
-          continue;
-        }
+        if (options.destinationScoped) continue;
         DeltaVar d;
         d.name = mangle({"rm", rname, plabel, "Adj", adj->attr("peer")});
         d.kind = DeltaKind::kRemoveAdjacency;
@@ -246,41 +244,39 @@ Sketch buildSketch(const ConfigTree& tree, const Topology& topo,
       }
 
       // -- redistributions.
-      if (options.allowRedistributionChanges) {
-        std::set<std::string> redistFrom;
-        for (const Node* redist :
-             proc->childrenOfKind(NodeKind::kRedistribution)) {
-          redistFrom.insert(redist->attr("from"));
-          if (options.destinationScoped) continue;
-          DeltaVar d;
-          d.name = mangle({"rm", rname, plabel, "Redist", redist->attr("from")});
-          d.kind = DeltaKind::kRemoveRedistribution;
-          d.router = rname;
-          d.nodePath = redist->path();
-          d.procType = type;
-          d.fromProto = redist->attr("from");
-          sketch.add(std::move(d));
+      std::set<std::string> redistFrom;
+      for (const Node* redist :
+           proc->childrenOfKind(NodeKind::kRedistribution)) {
+        redistFrom.insert(redist->attr("from"));
+        if (options.destinationScoped) continue;
+        DeltaVar d;
+        d.name = mangle({"rm", rname, plabel, "Redist", redist->attr("from")});
+        d.kind = DeltaKind::kRemoveRedistribution;
+        d.router = rname;
+        d.nodePath = redist->path();
+        d.procType = type;
+        d.fromProto = redist->attr("from");
+        sketch.add(std::move(d));
+      }
+      for (const std::string& from :
+           {std::string("bgp"), std::string("ospf"), std::string("static"),
+            std::string("connected")}) {
+        if (from == type || redistFrom.count(from) != 0) continue;
+        // Only meaningful if the source protocol exists on this router.
+        bool sourceExists = from == "connected";
+        for (const Node* sproc :
+             router->childrenOfKind(NodeKind::kRoutingProcess)) {
+          if (sproc->attr("type") == from) sourceExists = true;
         }
-        for (const std::string& from :
-             {std::string("bgp"), std::string("ospf"), std::string("static"),
-              std::string("connected")}) {
-          if (from == type || redistFrom.count(from) != 0) continue;
-          // Only meaningful if the source protocol exists on this router.
-          bool sourceExists = from == "connected";
-          for (const Node* sproc :
-               router->childrenOfKind(NodeKind::kRoutingProcess)) {
-            if (sproc->attr("type") == from) sourceExists = true;
-          }
-          if (!sourceExists) continue;
-          DeltaVar d;
-          d.name = mangle({"add", rname, plabel, "Redist", from});
-          d.kind = DeltaKind::kAddRedistribution;
-          d.router = rname;
-          d.nodePath = proc->path();
-          d.procType = type;
-          d.fromProto = from;
-          sketch.add(std::move(d));
-        }
+        if (!sourceExists) continue;
+        DeltaVar d;
+        d.name = mangle({"add", rname, plabel, "Redist", from});
+        d.kind = DeltaKind::kAddRedistribution;
+        d.router = rname;
+        d.nodePath = proc->path();
+        d.procType = type;
+        d.fromProto = from;
+        sketch.add(std::move(d));
       }
 
       // -- route filters on import adjacencies. Rule deltas belong to the

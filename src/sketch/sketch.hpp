@@ -34,12 +34,11 @@ struct SketchOptions {
   /// is contained in one of the subproblem's destination classes.
   bool destinationScoped = false;
 
-  // Which families of potential nodes to offer the solver.
-  bool allowRemoveProcess = true;
+  // Which families of potential nodes to offer the solver. Redistribution
+  // additions are always offered, and process, adjacency and redistribution
+  // removals whenever the sketch is not destination-scoped.
   bool allowAddAdjacency = true;
-  bool allowRemoveAdjacency = true;
   bool allowOriginationChanges = true;
-  bool allowRedistributionChanges = true;
   bool allowStaticRoutes = true;
   bool allowRouteFilterChanges = true;
   bool allowPacketFilterChanges = true;

@@ -75,10 +75,6 @@ z3::expr SmtSession::freshBool(const std::string& stem) {
   return boolVar(stem + "!" + std::to_string(freshCounter_++));
 }
 
-z3::expr SmtSession::freshInt(const std::string& stem) {
-  return intVar(stem + "!" + std::to_string(freshCounter_++));
-}
-
 std::size_t SmtSession::addSoft(const z3::expr& constraint, unsigned weight,
                                 const std::string& label, SoftKind kind) {
   opt_.add_soft(constraint, weight);
@@ -168,10 +164,6 @@ bool SmtSession::tryWarmCheck(Result& result) {
     // The model's cost is <= the previous optimum, and adding constraints
     // cannot lower the optimum below it, so this model IS a MaxSMT optimum.
     model_ = probe_.get_model();
-    result.sat = true;
-    result.status = "sat";
-    result.degradation = Degradation::kNone;
-    result.warmStart = true;
     result.rung = SolveRung::kWarmStart;
     result.rungReason = "plain-SAT probe found a model at the previous "
                         "optimal cost " +
@@ -246,9 +238,6 @@ SmtSession::Result SmtSession::check() {
       if (status != z3::sat) {
         logWarn() << "wmax retry failed too; using the unoptimized model";
         model_ = probe_.get_model();
-        result.sat = true;
-        result.status = "sat";
-        result.degradation = Degradation::kHardOnly;
         result.rung = SolveRung::kHardOnly;
         result.rungReason =
             "MaxSMT engine reported a bogus unsat (hard constraints are "
@@ -261,8 +250,6 @@ SmtSession::Result SmtSession::check() {
   }
 
   if (status == z3::sat) {
-    result.sat = true;
-    result.status = "sat";
     result.rung = SolveRung::kFull;
     result.rungReason = "full MaxSMT optimum over user + minimality softs";
     model_ = opt_.get_model();
@@ -278,8 +265,6 @@ SmtSession::Result SmtSession::check() {
     return result;
   }
   if (status == z3::unsat) {
-    result.status = "unsat";
-    result.code = ErrorCode::kUnsat;
     result.rung = SolveRung::kUnsat;
     result.rungReason = "hard constraints unsatisfiable (cross-checked "
                         "against the plain-SAT mirror)";
@@ -311,9 +296,6 @@ SmtSession::Result SmtSession::check() {
         const z3::check_result reducedStatus = reduced.check();
         captureCheck(result.stats, reduced);
         if (reducedStatus == z3::sat) {
-          result.sat = true;
-          result.status = "sat";
-          result.degradation = Degradation::kNoMinimality;
           result.rung = SolveRung::kNoMinimality;
           result.rungReason =
               "full MaxSMT timed out/unknown; re-solved with minimality "
@@ -338,9 +320,6 @@ SmtSession::Result SmtSession::check() {
         const z3::check_result plainStatus = probe_.check();
         captureCheck(result.stats, probe_);
         if (plainStatus == z3::sat) {
-          result.sat = true;
-          result.status = "sat";
-          result.degradation = Degradation::kHardOnly;
           result.rung = SolveRung::kHardOnly;
           result.rungReason =
               "both MaxSMT rungs timed out/unknown; plain SAT over the hard "
@@ -350,8 +329,6 @@ SmtSession::Result SmtSession::check() {
           return result;
         }
         if (plainStatus == z3::unsat) {
-          result.status = "unsat";
-          result.code = ErrorCode::kUnsat;
           result.rung = SolveRung::kUnsat;
           result.rungReason =
               "hard constraints unsatisfiable (found at the plain-SAT rung)";
@@ -365,9 +342,8 @@ SmtSession::Result SmtSession::check() {
 
   // ---- rung 4: give up -----------------------------------------------------
   const bool expired = deadline_.expired();
-  result.status = expired ? "timeout" : "unknown";
-  result.code = expired ? ErrorCode::kTimeout : ErrorCode::kSolverUnknown;
   result.rung = SolveRung::kGaveUp;
+  result.code = expired ? ErrorCode::kTimeout : ErrorCode::kSolverUnknown;
   result.rungReason =
       expired ? "wall-clock deadline expired before any ladder rung answered"
               : "every ladder rung returned unknown";

@@ -24,10 +24,10 @@
 // Resilience: a session can be given a wall-clock Deadline (wired to Z3's
 // `timeout` parameter), and check() falls back through a degradation ladder
 // when the full MaxSMT query times out or goes unknown:
-//   1. full MaxSMT (user objectives + minimality softs)     → Degradation::kNone
+//   1. full MaxSMT (user objectives + minimality softs)     → SolveRung::kFull
 //   2. MaxSMT with the minimality softs dropped             → kNoMinimality
 //   3. plain SAT over the hard constraints only             → kHardOnly
-//   4. give up: timed out (deadline expired) or unknown
+//   4. give up: timed out (deadline expired) or unknown     → kGaveUp
 // Every rung still satisfies the hard policy constraints, so a
 // policy-compliant (if less manageable) patch is returned whenever Z3 can
 // decide satisfiability at all within the budget.
@@ -76,9 +76,8 @@ class SmtSession {
   /// Looks up a previously created variable; throws if unknown.
   z3::expr var(const std::string& name) const;
 
-  /// Fresh anonymous variables for encoder internals.
+  /// Fresh anonymous variable for encoder internals.
   z3::expr freshBool(const std::string& stem);
-  z3::expr freshInt(const std::string& stem);
 
   // ---- constants ----------------------------------------------------------
 
@@ -140,38 +139,30 @@ class SmtSession {
 
   // ---- solving --------------------------------------------------------------
 
-  /// How far down the ladder check() had to fall to produce a model.
-  enum class Degradation {
-    kNone = 0,        // full MaxSMT optimum
-    kNoMinimality,    // minimality softs dropped, user objectives kept
-    kHardOnly,        // hard constraints only (plain SAT, nothing optimized)
-  };
-
   struct Result {
-    bool sat = false;
-    /// Raw solver verdict: "sat", "unsat", "unknown", or "timeout". A solver
-    /// that answers "unknown" must never be treated as a proof of
-    /// unsatisfiability; callers distinguishing the two read this field.
-    /// "timeout" means the wall-clock deadline expired before any rung of
-    /// the ladder produced a verdict.
-    std::string status = "unknown";
-    /// Ladder rung that produced the model (meaningful only when sat).
-    Degradation degradation = Degradation::kNone;
-    /// True when the model came from the incremental warm-start fast path:
-    /// a single SAT query at the previous optimal cost, no MaxSMT engine
-    /// run. The model is still a full MaxSMT optimum (see the header).
-    bool warmStart = false;
-    /// Structured failure classification when !sat.
+    /// Introspection (§12) and the answer itself: the ladder rung that
+    /// answered and why. kWarmStart and kFull are the MaxSMT optimum (the
+    /// warm start proves the previous optimum still attainable with one SAT
+    /// query), kNoMinimality and kHardOnly are degraded models, kUnsat proves
+    /// the hard constraints unsatisfiable, and kGaveUp means no rung decided.
+    SolveRung rung = SolveRung::kNone;
+    std::string rungReason;
+    /// On kGaveUp: kTimeout when the wall-clock deadline expired, otherwise
+    /// kSolverUnknown. An "unknown" must never be treated as a proof of
+    /// unsatisfiability.
     ErrorCode code = ErrorCode::kNone;
     /// Labels of soft constraints satisfied / violated by the model.
     std::vector<std::string> satisfiedObjectives;
     std::vector<std::string> violatedObjectives;
-    /// Introspection (§12): which ladder rung produced this answer and why,
-    /// plus the Z3 effort counters summed across the rung attempts of this
-    /// check() call.
-    SolveRung rung = SolveRung::kNone;
-    std::string rungReason;
+    /// Z3 effort counters summed across the rung attempts of this check()
+    /// call.
     SolverStats stats;
+
+    /// True when a rung produced a model (retained for eval calls).
+    bool sat() const {
+      return rung == SolveRung::kWarmStart || rung == SolveRung::kFull ||
+             rung == SolveRung::kNoMinimality || rung == SolveRung::kHardOnly;
+    }
   };
 
   /// Runs the MaxSMT query, falling down the degradation ladder if needed.

@@ -39,7 +39,6 @@ const char* levelMetric(LogLevel level) {
 }  // namespace
 
 void setLogLevel(LogLevel level) { g_level.store(level); }
-LogLevel logLevel() { return g_level.load(); }
 
 void setLogSink(LogSink sink) {
   const std::lock_guard<std::mutex> lock(g_mutex);

@@ -1,9 +1,10 @@
 // Minimal leveled logger.
 //
-// AED's engine logs milestone events (sketch size, solver statistics) at
-// Info, and detailed encoding decisions at Debug. The level is a process
-// global settable by tests/benches; output goes to stderr so bench result
-// tables on stdout stay machine-parseable.
+// AED's engine logs milestone events (encoding sizes, registered
+// objectives) at Info and recoverable trouble (ladder descents, injected
+// faults, failed subproblems) at Warn. The level is a process global
+// settable by tests/benches; output goes to stderr so bench result tables
+// on stdout stay machine-parseable.
 #pragma once
 
 #include <functional>
@@ -16,7 +17,6 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
 /// Sets the global threshold; messages below it are discarded.
 void setLogLevel(LogLevel level);
-LogLevel logLevel();
 
 /// Writes one formatted line to stderr if `level` passes the threshold.
 /// Thread-safe: the line (prefix, message, newline) is formatted into one
@@ -52,9 +52,7 @@ class LogLine {
 };
 }  // namespace detail
 
-inline detail::LogLine logDebug() { return detail::LogLine(LogLevel::kDebug); }
 inline detail::LogLine logInfo() { return detail::LogLine(LogLevel::kInfo); }
 inline detail::LogLine logWarn() { return detail::LogLine(LogLevel::kWarn); }
-inline detail::LogLine logError() { return detail::LogLine(LogLevel::kError); }
 
 }  // namespace aed

@@ -29,7 +29,7 @@ bool frozenModelAccepts(const ConfigTree& tree, const PolicySet& policies) {
   for (const DeltaVar& delta : sketch.deltas()) {
     session.addHard(!encoder.deltaActive(delta));
   }
-  return session.check().sat;
+  return session.check().sat();
 }
 
 Policy negate(const Policy& policy) {

@@ -634,8 +634,8 @@ TEST(StagedDeployProperty, GeneratedScenariosAreSafeAndAtomic) {
     const ConfigTree& base = scenario.tree;
 
     // Policies: the reachability set the base network actually implements.
-    SimulationEngine inferEngine(base);
-    const PolicySet policies = inferEngine.inferReachabilityPolicies();
+    const Simulator inferSim(base);
+    const PolicySet policies = inferSim.inferReachabilityPolicies();
 
     DeploymentPlan plan = planStagedRollout(base, scenario.patch, policies);
     ASSERT_FALSE(plan.empty()) << scenario.name;

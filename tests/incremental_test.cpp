@@ -2,6 +2,7 @@
 // repair-round fixtures, phase-stat accounting, where the fresh-per-round
 // solvers are freed, the mergePatches positive seq floor, malformed-attribute
 // parsing, and ThreadPool::runAll exception collection.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -150,10 +151,11 @@ TEST(Incremental, SubproblemSolverReusesEncodingAcrossRounds) {
   EXPECT_EQ(solver.rounds(), 2);
 }
 
-// With incrementalResolve off no solver outlives its solve: each one is
-// freed on the thread that solved it, inside its subproblem span, and the
-// run's teardown finds nothing left to free. A subproblem span that ran no
-// solve (a group the input already satisfies) built no solver to free.
+// With incrementalResolve off each solve builds a fresh solver, and each
+// solver built is freed exactly once: by its group's next solve, inside that
+// subproblem span, or, after the group's last solve, by the run's teardown.
+// A subproblem span that ran no solve (a group the input already satisfies)
+// built no solver and frees none. (The test's name predates this contract.)
 TEST(Incremental, FreshSolversAreFreedInsideTheirSubproblem) {
   const RepairFixture fixture = dcRepairFixture();
   Tracer::clear();
@@ -168,29 +170,57 @@ TEST(Incremental, FreshSolversAreFreedInsideTheirSubproblem) {
 
   std::map<std::uint64_t, std::size_t> freesUnder;
   std::map<std::uint64_t, std::size_t> solvesUnder;
+  std::size_t frees = 0;
   for (const TraceEvent& event : events) {
-    if (std::string("subsolver.free") == event.name) ++freesUnder[event.parent];
+    if (std::string("subsolver.free") == event.name) {
+      ++freesUnder[event.parent];
+      ++frees;
+    }
     if (std::string("subsolver.solve") == event.name) {
       ++solvesUnder[event.parent];
     }
   }
+  // Each group's subproblem spans (detail "dst=..."), in round order.
+  std::map<std::string, std::vector<const TraceEvent*>> byGroup;
   std::size_t subproblems = 0;
-  std::size_t solved = 0;
   std::size_t teardowns = 0;
+  std::size_t teardownFrees = 0;
   for (const TraceEvent& event : events) {
     if (std::string("aed.subproblem") == event.name) {
+      byGroup[event.detail].push_back(&event);
       ++subproblems;
-      solved += solvesUnder[event.id];
-      EXPECT_EQ(freesUnder[event.id], solvesUnder[event.id]) << event.detail;
     } else if (std::string("aed.teardown") == event.name) {
       ++teardowns;
-      EXPECT_EQ(freesUnder[event.id], 0u);
+      teardownFrees += freesUnder[event.id];
     }
   }
+  std::size_t solved = 0;
+  std::size_t solvingGroups = 0;
+  for (auto& [group, spans] : byGroup) {
+    std::sort(spans.begin(), spans.end(),
+              [](const TraceEvent* a, const TraceEvent* b) {
+                return a->startUs < b->startUs;
+              });
+    std::size_t groupSolves = 0;
+    for (const TraceEvent* span : spans) {
+      // A solve frees the solver of the group's previous solve, if any.
+      const std::size_t replaced =
+          groupSolves > 0 && solvesUnder[span->id] > 0 ? 1 : 0;
+      EXPECT_EQ(freesUnder[span->id], replaced) << group;
+      groupSolves += solvesUnder[span->id];
+    }
+    solved += groupSolves;
+    if (groupSolves > 0) ++solvingGroups;
+  }
+  // The teardown frees the solver of each group's last solve, so every
+  // solver built is freed once.
+  EXPECT_EQ(teardowns, 1u);
+  EXPECT_EQ(teardownFrees, solvingGroups);
+  EXPECT_EQ(frees, solved);
   // Round 0 answers every group; each repair round re-solves some again.
   EXPECT_GT(subproblems, result.stats.subproblems);
   EXPECT_GT(solved, result.stats.repairRounds);
-  EXPECT_EQ(teardowns, 1u);
+  EXPECT_GT(solved, solvingGroups);
 }
 
 TEST(Incremental, FaultInjectionRejectCountsRepairRounds) {
@@ -216,8 +246,9 @@ TEST(Incremental, WarmStartReusesOptimumAfterAddHard) {
   session.addSoft(!c, 1, "not-c");
 
   const SmtSession::Result first = session.check();
-  ASSERT_TRUE(first.sat);
-  EXPECT_FALSE(first.warmStart);  // no prior optimum to warm-start from
+  ASSERT_TRUE(first.sat());
+  // No prior optimum to warm-start from: the full MaxSMT rung answers.
+  EXPECT_EQ(first.rung, SolveRung::kFull);
   EXPECT_EQ(first.violatedObjectives.size(), 1u);
 
   // Block the chosen variable. Another single-violation model exists, so the
@@ -226,8 +257,8 @@ TEST(Incremental, WarmStartReusesOptimumAfterAddHard) {
       session.evalBool(a) ? a : (session.evalBool(b) ? b : c);
   session.addHard(!chosen);
   const SmtSession::Result second = session.check();
-  ASSERT_TRUE(second.sat);
-  EXPECT_TRUE(second.warmStart);
+  ASSERT_TRUE(second.sat());
+  EXPECT_EQ(second.rung, SolveRung::kWarmStart);
   EXPECT_EQ(second.violatedObjectives.size(), 1u);
   EXPECT_FALSE(session.evalBool(chosen));
 }
@@ -240,7 +271,7 @@ TEST(Incremental, WarmStartDeclinesWhenOptimumGrows) {
   session.addSoft(!a, 1, "not-a");
   session.addSoft(!b, 1, "not-b");
   const SmtSession::Result first = session.check();
-  ASSERT_TRUE(first.sat);
+  ASSERT_TRUE(first.sat());
   EXPECT_EQ(first.violatedObjectives.size(), 1u);
 
   // Force both variables: the optimum grows from 1 to 2. The warm probe has
@@ -248,8 +279,8 @@ TEST(Incremental, WarmStartDeclinesWhenOptimumGrows) {
   session.addHard(a);
   session.addHard(b);
   const SmtSession::Result second = session.check();
-  ASSERT_TRUE(second.sat);
-  EXPECT_FALSE(second.warmStart);
+  ASSERT_TRUE(second.sat());
+  EXPECT_EQ(second.rung, SolveRung::kFull);
   EXPECT_EQ(second.violatedObjectives.size(), 2u);
 }
 

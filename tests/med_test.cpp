@@ -104,7 +104,7 @@ TEST(Med, FrozenModelAlignsWithSimulator) {
   for (const DeltaVar& delta : sketch.deltas()) {
     session.addHard(!encoder.deltaActive(delta));
   }
-  EXPECT_TRUE(session.check().sat);
+  EXPECT_TRUE(session.check().sat());
 }
 
 }  // namespace

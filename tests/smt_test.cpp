@@ -29,7 +29,7 @@ TEST(SmtSession, HardConstraintsSolve) {
   session.addHard(x > 3);
   session.addHard(x < 5);
   const auto result = session.check();
-  ASSERT_TRUE(result.sat);
+  ASSERT_TRUE(result.sat());
   EXPECT_EQ(session.evalInt(x), 4);
 }
 
@@ -38,7 +38,7 @@ TEST(SmtSession, UnsatReported) {
   const z3::expr a = session.boolVar("a");
   session.addHard(a);
   session.addHard(!a);
-  EXPECT_FALSE(session.check().sat);
+  EXPECT_FALSE(session.check().sat());
 }
 
 TEST(SmtSession, MaxSmtPrefersHigherWeight) {
@@ -49,7 +49,7 @@ TEST(SmtSession, MaxSmtPrefersHigherWeight) {
   session.addSoft(a, 1, "want-a");
   session.addSoft(b, 10, "want-b");
   const auto result = session.check();
-  ASSERT_TRUE(result.sat);
+  ASSERT_TRUE(result.sat());
   EXPECT_FALSE(session.evalBool(a));
   EXPECT_TRUE(session.evalBool(b));
   ASSERT_EQ(result.satisfiedObjectives.size(), 1u);
@@ -70,7 +70,7 @@ TEST(SmtSession, MaxSmtMaximizesSatisfiedCount) {
   session.addSoft(b, 1, "b");
   session.addSoft(c, 1, "c");
   const auto result = session.check();
-  ASSERT_TRUE(result.sat);
+  ASSERT_TRUE(result.sat());
   EXPECT_EQ(result.satisfiedObjectives.size(), 2u);
   EXPECT_EQ(result.violatedObjectives.size(), 1u);
 }
@@ -83,7 +83,7 @@ TEST(SmtSession, EvalBeforeCheckThrows) {
 TEST(SmtSession, ModelCompletionDefaultsUnconstrainedVars) {
   SmtSession session;
   session.addHard(session.boolVar("used"));
-  ASSERT_TRUE(session.check().sat);
+  ASSERT_TRUE(session.check().sat());
   // "unused" never occurs in any constraint; completion yields a value.
   EXPECT_NO_THROW(session.evalBool(session.boolVar("unused")));
 }
