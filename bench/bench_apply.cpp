@@ -111,11 +111,11 @@ void executeCase(benchmark::State& state, int routers, bool injectFault) {
   const Scenario scenario = applyScenario(routers);
   const DeploymentPlan plan = planStagedRollout(
       scenario.net.tree, scenario.patch, scenario.policies);
-  DeployFaultInjection fault;
+  FaultInjection fault;
   if (injectFault) {
-    fault.kind = DeployFaultInjection::Kind::kStageCommitFailure;
-    fault.stage = plan.stages.size() / 2;
-    fault.atEdit = 0;
+    fault.kind = FaultInjection::Kind::kStageCommitFailure;
+    fault.applyStage = plan.stages.size() / 2;
+    fault.applyEdit = 0;
   }
   DeploymentPlan executed;
   for (auto _ : state) {
@@ -132,7 +132,7 @@ void executeCase(benchmark::State& state, int routers, bool injectFault) {
       // The chaos contract: bit-identical to the last committed state.
       state.PauseTiming();
       ConfigTree expected = scenario.net.tree.clone();
-      for (std::size_t i = 0; i < fault.stage; ++i) {
+      for (std::size_t i = 0; i < fault.applyStage; ++i) {
         executed.stages[i].patch.apply(expected);
       }
       if (printNetworkConfig(tree) != printNetworkConfig(expected)) {

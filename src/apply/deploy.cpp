@@ -46,7 +46,7 @@ std::string stagesJson(const DeploymentPlan& plan) {
 
 bool executeDeployment(ConfigTree& tree, DeploymentPlan& plan,
                        const DeployOptions& options,
-                       const DeployFaultInjection& fault) {
+                       const FaultInjection& fault) {
   Span span("deploy.execute");
   if (span.active()) {
     span.setDetail("stages=" + std::to_string(plan.stages.size()));
@@ -89,9 +89,9 @@ bool executeDeployment(ConfigTree& tree, DeploymentPlan& plan,
     const auto applyStart = Deadline::Clock::now();
     ApplyJournal journal;
     Patch::EditHook hook;
-    if (fault.kind == DeployFaultInjection::Kind::kStageCommitFailure &&
-        fault.stage == stage.index) {
-      const std::size_t failAt = fault.atEdit;
+    if (fault.kind == FaultInjection::Kind::kStageCommitFailure &&
+        fault.applyStage == stage.index) {
+      const std::size_t failAt = fault.applyEdit;
       hook = [failAt](std::size_t index, const Edit&) {
         if (index == failAt) {
           throw AedError(ErrorCode::kApplyFailed,
@@ -113,8 +113,8 @@ bool executeDeployment(ConfigTree& tree, DeploymentPlan& plan,
 
     // Validate the intermediate state before committing the journal.
     const auto validateStart = Deadline::Clock::now();
-    if (fault.kind == DeployFaultInjection::Kind::kValidationTimeout &&
-        fault.stage == stage.index) {
+    if (fault.kind == FaultInjection::Kind::kStageValidationTimeout &&
+        fault.applyStage == stage.index) {
       stage.validateSeconds = secondsSince(validateStart);
       histStageValidateSeconds().record(stage.validateSeconds);
       journal.rollback();

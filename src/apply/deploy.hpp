@@ -11,33 +11,53 @@
 //   - Stages after an abort are never touched (StageStatus::kSkipped).
 //   - executeDeployment never throws: every failure is reported through the
 //     plan's execution summary (code / error / per-stage status + detail).
-//
-// DeployFaultInjection mirrors core::FaultInjection's deployment-specific
-// kinds (this module sits below core and cannot include it); core's
-// deployFault() translates between the two.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "apply/plan.hpp"
 #include "conftree/tree.hpp"
 
 namespace aed {
 
-/// Deterministic fault injection for deployment chaos tests.
-struct DeployFaultInjection {
+/// Deterministic fault injection for tests and chaos benches. synthesize()
+/// (core/aed.hpp) poisons the subproblem with index `subproblem` (in
+/// destination order, as reported by AedResult::subproblems) every time it
+/// is solved; executeDeployment() acts on the kStage* kinds only. Declared
+/// here because this module sits below core.
+struct FaultInjection {
   enum class Kind {
-    kNone,
-    /// Throw from the edit hook of stage `stage` at edit `atEdit`,
-    /// simulating a device rejecting part of a config push mid-commit.
-    kStageCommitFailure,
-    /// Report a validation timeout for stage `stage` instead of running the
-    /// post-stage simulation check.
-    kValidationTimeout,
+    kNone,     // no injection
+    kThrow,    // the subproblem throws AedError(kSubproblemFailed)
+    kDelay,    // the subproblem sleeps delayMs before solving
+    kUnknown,  // the full MaxSMT check reports "unknown", forcing the
+               // degradation ladder to run for real
+    kRejectValidation,  // the simulator validation of the first rejectRounds
+                        // otherwise-passing merged patches is treated as
+                        // failed, deterministically forcing that many repair
+                        // rounds (blocking + re-solve run for real); used by
+                        // the repair-round equivalence tests and
+                        // bench_incremental
+    kStageCommitFailure,     // staged deployment only: stage `applyStage`
+                             // fails mid-commit at edit `applyEdit` and is
+                             // rolled back
+    kStageValidationTimeout, // staged deployment only: validating stage
+                             // `applyStage` times out; the stage is rolled
+                             // back and the deployment aborts
   };
   Kind kind = Kind::kNone;
-  std::size_t stage = 0;   // stage index the fault targets
-  std::size_t atEdit = 0;  // kStageCommitFailure: edit index within the stage
+  /// Index of the subproblem to poison (destination order); ignored by
+  /// Kind::kRejectValidation, which rejects whole-run validation verdicts.
+  int subproblem = 0;
+  /// Sleep duration for Kind::kDelay.
+  std::uint64_t delayMs = 50;
+  /// Rounds of forced validation rejection for Kind::kRejectValidation.
+  int rejectRounds = 1;
+  /// Deployment stage targeted by the kStage* kinds.
+  std::size_t applyStage = 0;
+  /// Edit index within the stage for Kind::kStageCommitFailure.
+  std::size_t applyEdit = 0;
 };
 
 /// Executes `plan` against `tree`, mutating both: `tree` advances stage by
@@ -47,6 +67,6 @@ struct DeployFaultInjection {
 /// plan.guard even for stages the planner could not pre-validate.
 bool executeDeployment(ConfigTree& tree, DeploymentPlan& plan,
                        const DeployOptions& options = {},
-                       const DeployFaultInjection& fault = {});
+                       const FaultInjection& fault = {});
 
 }  // namespace aed

@@ -470,8 +470,8 @@ class Checker {
         planStagedRollout(scenario_.tree, patch, scenario_.policies, options);
 
     ConfigTree work = scenario_.tree.clone();
-    const bool committed = executeDeployment(work, plan, options,
-                                             deployFault(scenario_.fault));
+    const bool committed =
+        executeDeployment(work, plan, options, scenario_.fault);
     if (!committed) {
       std::ostringstream detail;
       detail << "staged deployment aborted after " << plan.committedStages

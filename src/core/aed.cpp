@@ -711,7 +711,7 @@ void SynthesisRun::deploy() {
       planStagedRollout(tree_, result_.patch, policies_, deployOptions);
   ConfigTree staged = tree_.clone();
   if (!executeDeployment(staged, result_.deployment, deployOptions,
-                         deployFault(options_.faultInjection))) {
+                         options_.faultInjection)) {
     result_.degraded = true;
     logWarn() << "staged deployment aborted ["
               << errorCodeName(result_.deployment.code)
@@ -809,19 +809,6 @@ const char* subOutcomeName(SubOutcome outcome) {
     case SubOutcome::kCancelled: return "cancelled";
   }
   return "error";
-}
-
-DeployFaultInjection deployFault(const FaultInjection& fault) {
-  DeployFaultInjection deploy;
-  if (fault.kind == FaultInjection::Kind::kStageCommitFailure) {
-    deploy.kind = DeployFaultInjection::Kind::kStageCommitFailure;
-    deploy.stage = fault.applyStage;
-    deploy.atEdit = fault.applyEdit;
-  } else if (fault.kind == FaultInjection::Kind::kStageValidationTimeout) {
-    deploy.kind = DeployFaultInjection::Kind::kValidationTimeout;
-    deploy.stage = fault.applyStage;
-  }
-  return deploy;
 }
 
 Patch mergePatches(const std::vector<Patch>& patches) {

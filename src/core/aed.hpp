@@ -60,47 +60,6 @@
 
 namespace aed {
 
-/// Deterministic fault injection for tests and chaos benches: poison the
-/// subproblem with index `subproblem` (in destination order, as reported by
-/// AedResult::subproblems) every time it is solved.
-struct FaultInjection {
-  enum class Kind {
-    kNone,     // no injection
-    kThrow,    // the subproblem throws AedError(kSubproblemFailed)
-    kDelay,    // the subproblem sleeps delayMs before solving
-    kUnknown,  // the full MaxSMT check reports "unknown", forcing the
-               // degradation ladder to run for real
-    kRejectValidation,  // the simulator validation of the first rejectRounds
-                        // otherwise-passing merged patches is treated as
-                        // failed, deterministically forcing that many repair
-                        // rounds (blocking + re-solve run for real); used by
-                        // the repair-round equivalence tests and
-                        // bench_incremental
-    kStageCommitFailure,     // staged deployment only: stage `applyStage`
-                             // fails mid-commit at edit `applyEdit` and is
-                             // rolled back (see apply/deploy.hpp)
-    kStageValidationTimeout, // staged deployment only: validating stage
-                             // `applyStage` times out; the stage is rolled
-                             // back and the deployment aborts
-  };
-  Kind kind = Kind::kNone;
-  /// Index of the subproblem to poison (destination order); ignored by
-  /// Kind::kRejectValidation, which rejects whole-run validation verdicts.
-  int subproblem = 0;
-  /// Sleep duration for Kind::kDelay.
-  std::uint64_t delayMs = 50;
-  /// Rounds of forced validation rejection for Kind::kRejectValidation.
-  int rejectRounds = 1;
-  /// Deployment stage targeted by the kStage* kinds.
-  std::size_t applyStage = 0;
-  /// Edit index within the stage for Kind::kStageCommitFailure.
-  std::size_t applyEdit = 0;
-};
-
-/// The staged-deployment faults (the kStage* kinds) in the form
-/// executeDeployment() takes; Kind::kNone for every other kind.
-DeployFaultInjection deployFault(const FaultInjection& fault);
-
 struct AedOptions {
   SketchOptions sketch;
   EncoderOptions encoder;

@@ -10,21 +10,24 @@
 // recent spans and log lines in global order, the metrics snapshot, the
 // error code, and caller-supplied context such as per-subproblem states.
 //
-// Memory budget: each thread owns a statically-sized ring of
+// Memory budget: the ring is part of the thread's one log (obs/trace.hpp),
 // kEventsPerThread slots of sizeof(Event) bytes (~32 KiB per thread, see the
 // constants below) — allocated once per thread, never grown, oldest events
-// overwritten. Retired threads park their events in a process-wide buffer
-// trimmed to kRetiredEventCap, so the whole recorder is O(threads) memory no
-// matter how long the process runs.
+// overwritten. An event's tid is its thread's log index, so a dump lines up
+// with a Chrome trace of the same run by thread. Exited threads hand their
+// ring to the log's process-wide collector, which keeps only the newest
+// kRetiredEventCap of those events, so the whole recorder is O(threads)
+// memory no matter how long the process runs.
 //
 // Cost model: recording is two steady-clock reads plus a bounded copy into
-// the caller's own ring under the ring's lock — the lock is only ever
-// contended by a post-mortem reader, so steady-state recording never blocks
-// on other recording threads and never allocates. Event text is truncated
-// into a fixed char array (no std::string). FlightRecorder::setEnabled(false)
-// restores the §10 inert-span fast path (one relaxed load, no clock read) —
-// that is the configuration the <250 ns disabled-span budget in bench_obs
-// measures, and flight-on recording has its own budget there.
+// the caller's own log under the log's lock — the lock is only ever
+// contended by a collect() or clear(), so steady-state recording never
+// blocks on other recording threads and never allocates. Event text is
+// truncated into a fixed char array (no std::string).
+// FlightRecorder::setEnabled(false) restores the §10 inert-span fast path
+// (one relaxed load, no clock read) — that is the configuration the <250 ns
+// disabled-span budget in bench_obs measures; bench_obs reports flight-on
+// recording as obs/spanFlight.
 //
 // Dump triggers: core/aed.cpp calls maybeDump() from its finalize path when
 // a run exits degraded/thrown/cancelled, apply/deploy.cpp when a stage
@@ -58,7 +61,7 @@ class FlightRecorder {
     std::uint64_t seq = 0;    // global record order; never 0 for a live slot
     std::int64_t timeUs = 0;  // microseconds since the tracer epoch
     std::int64_t durUs = 0;   // span duration; 0 for log lines
-    std::uint32_t tid = 0;    // flight-recorder thread index
+    std::uint32_t tid = 0;    // the thread's log index, as in TraceEvent
     char kind = 's';          // 's' span, 'l' log
     char text[kTextCapacity + 1] = {0};
   };
@@ -77,9 +80,6 @@ class FlightRecorder {
   static void setEnabled(bool enabled);
   static bool enabled();
 
-  /// Records a closed span. Called by Span::~Span; `detail` may be empty.
-  static void recordSpan(const char* name, std::string_view detail,
-                         std::int64_t startUs, std::int64_t durUs);
   /// Records one log line (already formatted, single line).
   static void recordLog(const char* level, std::string_view line);
 

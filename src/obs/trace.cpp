@@ -4,18 +4,22 @@
 #include "obs/json.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <mutex>
 #include <ostream>
+#include <string_view>
 
 namespace aed {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using FlightEvent = FlightRecorder::Event;
 
 /// Recording toggle. A single process-wide relaxed flag: the disabled-path
 /// cost is one load, and enabling mid-run only needs eventual visibility
@@ -24,6 +28,9 @@ std::atomic<bool> g_enabled{false};
 
 /// Monotonic span ids; 0 is reserved for "no span".
 std::atomic<std::uint64_t> g_nextSpanId{1};
+/// Global flight record order; 0 is reserved for "empty slot".
+std::atomic<std::uint64_t> g_nextSeq{1};
+/// Thread indices, shared by trace events and flight events.
 std::atomic<std::uint32_t> g_nextTid{1};
 
 Clock::time_point epoch() {
@@ -37,71 +44,125 @@ std::int64_t nowUs() {
       .count();
 }
 
-struct ThreadBuffer;
+/// A lambda, not a function, so std::sort inlines it: once the retired cap
+/// is reached, every thread exit sorts about a thousand events.
+constexpr auto bySeq = [](const FlightEvent& a, const FlightEvent& b) {
+  return a.seq < b.seq;
+};
 
-/// Process-wide collector: owns events flushed by exited threads and a
-/// registry of live per-thread buffers for collect() to drain.
+/// Copies `a`, then a space and `b` when `b` is non-empty, into the slot's
+/// fixed buffer, truncating; always terminates.
+void setText(FlightEvent& event, std::string_view a, std::string_view b) {
+  std::size_t n = 0;
+  for (std::string_view part : {a, std::string_view(b.empty() ? "" : " "), b}) {
+    const std::size_t room = FlightRecorder::kTextCapacity - n;
+    const std::size_t take = std::min(part.size(), room);
+    std::memcpy(event.text + n, part.data(), take);
+    n += take;
+    if (n == FlightRecorder::kTextCapacity) break;
+  }
+  event.text[n] = '\0';
+}
+
+struct ThreadLog;
+
+/// Process-wide collector: the live logs, plus what exited threads left
+/// behind — all their traced spans and the newest kRetiredEventCap of their
+/// flight events.
 struct Collector {
   std::mutex mutex;
-  std::vector<TraceEvent> flushed;
-  std::vector<ThreadBuffer*> live;
+  std::vector<ThreadLog*> live;
+  std::vector<TraceEvent> spans;
+  std::vector<FlightEvent> flight;
 
   static Collector& instance() {
-    // Leaked intentionally: thread-exit flushes may run during process
+    // Leaked intentionally: thread-exit hand-offs may run during process
     // teardown, after function-local statics would have been destroyed.
     static Collector* collector = new Collector();
     return *collector;
   }
 };
 
-/// Per-thread event buffer. The mutex is only contended when an exporter
-/// drains a live buffer mid-run; the owning thread's appends are otherwise
-/// uncontended lock/unlock pairs.
-struct ThreadBuffer {
+/// One thread's recording under one thread index: its traced spans and its
+/// flight ring. The ring is allocated with the thread_local itself and never
+/// grows. The mutex is only contended when collect() or clear() reads a live
+/// log, so the owning thread's writes never block on other recording threads.
+struct ThreadLog {
   std::mutex mutex;
-  std::vector<TraceEvent> events;
-  std::uint32_t tid;
+  std::vector<TraceEvent> spans;
+  std::array<FlightEvent, FlightRecorder::kEventsPerThread> ring;
+  std::uint64_t written = 0;  // flight records; slot index = written % cap
+  const std::uint32_t tid;
 
-  ThreadBuffer() : tid(g_nextTid.fetch_add(1, std::memory_order_relaxed)) {
+  ThreadLog() : tid(g_nextTid.fetch_add(1, std::memory_order_relaxed)) {
     Collector& collector = Collector::instance();
     const std::lock_guard<std::mutex> lock(collector.mutex);
     collector.live.push_back(this);
   }
 
-  ~ThreadBuffer() {
+  ~ThreadLog() {
     Collector& collector = Collector::instance();
-    const std::lock_guard<std::mutex> lock(collector.mutex);
-    {
-      const std::lock_guard<std::mutex> bufferLock(mutex);
-      collector.flushed.insert(collector.flushed.end(),
-                               std::make_move_iterator(events.begin()),
-                               std::make_move_iterator(events.end()));
-      events.clear();
+    const std::scoped_lock lock(collector.mutex, mutex);
+    collector.spans.insert(collector.spans.end(),
+                           std::make_move_iterator(spans.begin()),
+                           std::make_move_iterator(spans.end()));
+    appendRing(collector.flight);
+    if (collector.flight.size() > FlightRecorder::kRetiredEventCap) {
+      std::sort(collector.flight.begin(), collector.flight.end(), bySeq);
+      collector.flight.erase(
+          collector.flight.begin(),
+          collector.flight.end() - FlightRecorder::kRetiredEventCap);
     }
     collector.live.erase(
         std::remove(collector.live.begin(), collector.live.end(), this),
         collector.live.end());
   }
 
-  void append(TraceEvent event) {
-    event.tid = tid;
-    const std::lock_guard<std::mutex> lock(mutex);
-    events.push_back(std::move(event));
+  /// Writes the next ring slot, overwriting the oldest once the ring is
+  /// full. Caller holds `mutex`.
+  void record(char kind, std::int64_t timeUs, std::int64_t durUs,
+              std::string_view text, std::string_view detail) {
+    FlightEvent& slot = ring[written++ % ring.size()];
+    slot.seq = g_nextSeq.fetch_add(1, std::memory_order_relaxed);
+    slot.timeUs = timeUs;
+    slot.durUs = durUs;
+    slot.tid = tid;
+    slot.kind = kind;
+    setText(slot, text, detail);
+  }
+
+  /// Appends the ring's events, oldest first. Caller holds `mutex`.
+  void appendRing(std::vector<FlightEvent>& out) const {
+    const std::size_t valid = std::min<std::uint64_t>(written, ring.size());
+    for (std::size_t i = 0; i < valid; ++i) {
+      out.push_back(ring[(written - valid + i) % ring.size()]);
+    }
   }
 };
 
-ThreadBuffer& threadBuffer() {
-  static thread_local ThreadBuffer buffer;
-  return buffer;
+ThreadLog& threadLog() {
+  static thread_local ThreadLog log;
+  return log;
 }
 
-/// Innermost open span on this thread. Plain thread_local (not in the
-/// buffer struct) so ScopedParent stays cheap and usable pre-registration.
+/// Calls `retired` on the collector and `live` on every live log, holding
+/// the collector's lock throughout and each log's lock while it is visited.
+template <typename RetiredFn, typename LiveFn>
+void visitLogs(RetiredFn retired, LiveFn live) {
+  Collector& collector = Collector::instance();
+  const std::lock_guard<std::mutex> lock(collector.mutex);
+  retired(collector);
+  for (ThreadLog* log : collector.live) {
+    const std::lock_guard<std::mutex> logLock(log->mutex);
+    live(*log);
+  }
+}
+
+/// Innermost open span on this thread. Plain thread_local (not in the log)
+/// so ScopedParent stays cheap and never registers a log.
 thread_local std::uint64_t t_currentSpan = 0;
 
 }  // namespace
-
-std::int64_t tracerNowUs() { return nowUs(); }
 
 bool Tracer::enabledFlag() {
   return g_enabled.load(std::memory_order_relaxed);
@@ -115,27 +176,16 @@ void Tracer::enable() {
 void Tracer::disable() { g_enabled.store(false, std::memory_order_relaxed); }
 
 void Tracer::clear() {
-  Collector& collector = Collector::instance();
-  const std::lock_guard<std::mutex> lock(collector.mutex);
-  collector.flushed.clear();
-  for (ThreadBuffer* buffer : collector.live) {
-    const std::lock_guard<std::mutex> bufferLock(buffer->mutex);
-    buffer->events.clear();
-  }
+  visitLogs([](Collector& collector) { collector.spans.clear(); },
+            [](ThreadLog& log) { log.spans.clear(); });
 }
 
 std::vector<TraceEvent> Tracer::collect() {
   std::vector<TraceEvent> result;
-  Collector& collector = Collector::instance();
-  {
-    const std::lock_guard<std::mutex> lock(collector.mutex);
-    result = collector.flushed;
-    for (ThreadBuffer* buffer : collector.live) {
-      const std::lock_guard<std::mutex> bufferLock(buffer->mutex);
-      result.insert(result.end(), buffer->events.begin(),
-                    buffer->events.end());
-    }
-  }
+  visitLogs([&result](Collector& collector) { result = collector.spans; },
+            [&result](ThreadLog& log) {
+              result.insert(result.end(), log.spans.begin(), log.spans.end());
+            });
   std::sort(result.begin(), result.end(),
             [](const TraceEvent& a, const TraceEvent& b) {
               return a.startUs != b.startUs ? a.startUs < b.startUs
@@ -219,17 +269,40 @@ void Span::setDetail(std::string detail) {
 Span::~Span() {
   if (id_ == 0 && !flight_) return;
   const std::int64_t durUs = nowUs() - startUs_;
-  if (flight_) FlightRecorder::recordSpan(name_, detail_, startUs_, durUs);
+  ThreadLog& log = threadLog();
+  const std::lock_guard<std::mutex> lock(log.mutex);
+  if (flight_) log.record('s', startUs_, durUs, name_, detail_);
   if (id_ == 0) return;
   t_currentSpan = parent_;
-  TraceEvent event;
+  TraceEvent& event = log.spans.emplace_back();
   event.name = name_;
   event.detail = std::move(detail_);
   event.id = id_;
   event.parent = parent_;
+  event.tid = log.tid;
   event.startUs = startUs_;
   event.durUs = durUs;
-  threadBuffer().append(std::move(event));
+}
+
+void FlightRecorder::recordLog(const char* level, std::string_view line) {
+  if (!enabled()) return;
+  const std::int64_t timeUs = nowUs();
+  ThreadLog& log = threadLog();
+  const std::lock_guard<std::mutex> lock(log.mutex);
+  log.record('l', timeUs, 0, level, line);
+}
+
+std::vector<FlightRecorder::Event> FlightRecorder::collect() {
+  std::vector<Event> result;
+  visitLogs([&result](Collector& collector) { result = collector.flight; },
+            [&result](ThreadLog& log) { log.appendRing(result); });
+  std::sort(result.begin(), result.end(), bySeq);
+  return result;
+}
+
+void FlightRecorder::clear() {
+  visitLogs([](Collector& collector) { collector.flight.clear(); },
+            [](ThreadLog& log) { log.written = 0; });
 }
 
 }  // namespace aed

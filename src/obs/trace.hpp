@@ -18,17 +18,20 @@
 // Cost model. Tracing is off by default. A fully disabled Span (tracer off
 // AND FlightRecorder off) is two relaxed atomic loads and a few stores to a
 // trivially-constructible struct: no clock read, no allocation (asserted by
-// an operator-new-counting test), no lock. An enabled Span appends to a
-// per-thread buffer whose mutex is only ever contended by a concurrent
-// exporter, so steady-state recording never blocks on other threads. The
-// always-on flight recorder (obs/flight.hpp) additionally receives every
-// closed span — two clock reads plus a bounded copy into the thread's own
-// ring — unless explicitly switched off. Compiling with
-// -DAED_DISABLE_TRACING removes the AED_SPAN statements entirely.
+// an operator-new-counting test), no lock. A closing span that either
+// recorder takes is written into its thread's log, whose mutex is only ever
+// contended by a concurrent collect() or clear(), so steady-state recording
+// never blocks on other threads. The always-on flight recorder
+// (obs/flight.hpp) takes every closed span — two clock reads plus a bounded
+// copy into the log's fixed ring — unless explicitly switched off. Compiling
+// with -DAED_DISABLE_TRACING removes the AED_SPAN statements entirely.
 //
-// Thread-buffer lifetime: buffers are registered with a process-wide
-// collector on first use and flush their remaining events into it when their
-// thread exits, so short-lived pool threads never lose spans.
+// One log per thread: a thread's traced spans and its flight ring live in
+// one thread-local log, which takes the thread's index (TraceEvent::tid,
+// FlightRecorder::Event::tid) on first use and registers with one
+// process-wide collector. When the thread exits the log hands its traced
+// spans and its ring to the collector, so short-lived pool threads never
+// lose spans.
 #pragma once
 
 #include <cstdint>
@@ -38,10 +41,6 @@
 
 namespace aed {
 
-/// Microseconds since the tracer epoch (process start, steady_clock) — the
-/// time base every TraceEvent and flight-recorder event shares.
-std::int64_t tracerNowUs();
-
 #if defined(AED_DISABLE_TRACING)
 #define AED_TRACING_COMPILED 0
 #else
@@ -49,13 +48,13 @@ std::int64_t tracerNowUs();
 #endif
 
 /// One closed span. Times are microseconds since the tracer epoch (process
-/// start), monotonic (steady_clock).
+/// start), monotonic (steady_clock), the time base flight events share.
 struct TraceEvent {
   const char* name = "";   // static-storage literal supplied by the Span
   std::string detail;      // optional free-form annotation ("dst=10.0.1.0/24")
   std::uint64_t id = 0;     // unique per span, never 0
   std::uint64_t parent = 0; // enclosing span id; 0 = root
-  std::uint32_t tid = 0;    // small per-thread index assigned on first use
+  std::uint32_t tid = 0;    // the thread's log index, as in flight events
   std::int64_t startUs = 0;
   std::int64_t durUs = 0;
 };

@@ -457,10 +457,10 @@ TEST(StagedDeploy, CommitFaultRollsBackToLastConsistentState) {
       planStagedRollout(base, merged, figure1GuardPolicies());
   ASSERT_EQ(plan.stages.size(), 2u);
 
-  DeployFaultInjection fault;
-  fault.kind = DeployFaultInjection::Kind::kStageCommitFailure;
-  fault.stage = 1;
-  fault.atEdit = 0;
+  FaultInjection fault;
+  fault.kind = FaultInjection::Kind::kStageCommitFailure;
+  fault.applyStage = 1;
+  fault.applyEdit = 0;
 
   ConfigTree tree = base.clone();
   EXPECT_FALSE(executeDeployment(tree, plan, {}, fault));
@@ -486,9 +486,9 @@ TEST(StagedDeploy, ValidationTimeoutRollsBackFirstStage) {
       planStagedRollout(base, merged, figure1GuardPolicies());
   ASSERT_EQ(plan.stages.size(), 2u);
 
-  DeployFaultInjection fault;
-  fault.kind = DeployFaultInjection::Kind::kValidationTimeout;
-  fault.stage = 0;
+  FaultInjection fault;
+  fault.kind = FaultInjection::Kind::kStageValidationTimeout;
+  fault.applyStage = 0;
 
   ConfigTree tree = base.clone();
   EXPECT_FALSE(executeDeployment(tree, plan, {}, fault));
@@ -666,28 +666,28 @@ TEST(StagedDeployProperty, GeneratedScenariosAreSafeAndAtomic) {
     // to the last committed consistent state.
     {
       DeploymentPlan chaosPlan = plan;
-      DeployFaultInjection fault;
+      FaultInjection fault;
       fault.kind = index % 4 == 3
-                       ? DeployFaultInjection::Kind::kValidationTimeout
-                       : DeployFaultInjection::Kind::kStageCommitFailure;
-      fault.stage = static_cast<std::size_t>(index) % plan.stages.size();
-      fault.atEdit = static_cast<std::size_t>(index) %
-                     plan.stages[fault.stage].patch.size();
+                       ? FaultInjection::Kind::kStageValidationTimeout
+                       : FaultInjection::Kind::kStageCommitFailure;
+      fault.applyStage = static_cast<std::size_t>(index) % plan.stages.size();
+      fault.applyEdit = static_cast<std::size_t>(index) %
+                        plan.stages[fault.applyStage].patch.size();
       ++faultsInjected;
 
       ConfigTree tree = base.clone();
       EXPECT_FALSE(executeDeployment(tree, chaosPlan, {}, fault))
           << scenario.name;
       EXPECT_TRUE(chaosPlan.aborted) << scenario.name;
-      EXPECT_EQ(chaosPlan.committedStages, fault.stage) << scenario.name;
+      EXPECT_EQ(chaosPlan.committedStages, fault.applyStage) << scenario.name;
 
       ConfigTree expected = base.clone();
-      for (std::size_t i = 0; i < fault.stage; ++i) {
+      for (std::size_t i = 0; i < fault.applyStage; ++i) {
         chaosPlan.stages[i].patch.apply(expected);
       }
       EXPECT_EQ(printNetworkConfig(tree), printNetworkConfig(expected))
-          << scenario.name << " fault at stage " << fault.stage;
-      for (std::size_t i = fault.stage + 1; i < chaosPlan.stages.size();
+          << scenario.name << " fault at stage " << fault.applyStage;
+      for (std::size_t i = fault.applyStage + 1; i < chaosPlan.stages.size();
            ++i) {
         EXPECT_EQ(chaosPlan.stages[i].status, StageStatus::kSkipped)
             << scenario.name;

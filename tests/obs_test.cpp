@@ -3,7 +3,8 @@
 // within and across ThreadPool workers, Chrome trace-event JSON validity,
 // counter-registry merge semantics, histogram buckets/quantiles/merge,
 // Prometheus and JSON export validity, the flight recorder (ring
-// wraparound, dump-on-failure for every exit class, concurrent writes),
+// wraparound, dump-on-failure for every exit class, concurrent writes, the
+// retired-event cap, one tid per thread shared with the tracer),
 // solver introspection surfaced per subproblem, the disabled-mode
 // zero-allocation guarantee, logger line atomicity under thread stress, and
 // stats attribution on failed and thrown synthesis runs.
@@ -880,10 +881,10 @@ TEST_F(ObsTest, FlightDumpWrittenOnDeployAbort) {
   FlightRecorder::setDumpPath(path);
   DeploymentPlan plan = planStagedRollout(tree, result.patch, policies);
   ASSERT_FALSE(plan.stages.empty());
-  DeployFaultInjection fault;
-  fault.kind = DeployFaultInjection::Kind::kStageCommitFailure;
-  fault.stage = 0;
-  fault.atEdit = 0;
+  FaultInjection fault;
+  fault.kind = FaultInjection::Kind::kStageCommitFailure;
+  fault.applyStage = 0;
+  fault.applyEdit = 0;
   ConfigTree staged = tree.clone();
   ASSERT_FALSE(executeDeployment(staged, plan, {}, fault));
   const std::string dump = consumeDump(path);
@@ -940,6 +941,82 @@ TEST_F(ObsTest, ConcurrentFlightWritesAndCollectsAreRaceFree) {
   const auto events = FlightRecorder::collect();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(std::string_view(events[0].text), "INFO tail");
+}
+
+// The tracer and the flight recorder write one log per thread, so a dump and
+// a trace of the same run can be lined up by thread. The first thread
+// records into the flight ring only, which must not shift the numbering.
+TEST_F(ObsTest, OneThreadHasOneTidInTracesAndFlightDumps) {
+  std::thread([] { FlightRecorder::recordLog("INFO", "flight only"); }).join();
+  Tracer::enable();
+  std::thread([] { Span span("t.tid"); }).join();
+  const auto traced = Tracer::collect();
+  const TraceEvent* span = findByName(traced, "t.tid");
+  ASSERT_NE(span, nullptr);
+  std::optional<std::uint32_t> flightTid;
+  for (const FlightRecorder::Event& event : FlightRecorder::collect()) {
+    if (std::string_view(event.text) == "t.tid") flightTid = event.tid;
+  }
+  ASSERT_TRUE(flightTid.has_value());
+  EXPECT_EQ(*flightTid, span->tid);
+}
+
+// An exiting thread hands its log to the collector: every traced span
+// survives, and the flight events of all exited threads are cut to the
+// newest kRetiredEventCap.
+TEST_F(ObsTest, ExitedThreadsLeaveEverySpanAndTheNewestFlightEvents) {
+  constexpr std::size_t kRing = FlightRecorder::kEventsPerThread;
+  constexpr std::size_t kSpans = kRing + 40;  // overfills each ring
+  constexpr std::size_t kThreads =
+      FlightRecorder::kRetiredEventCap / kRing + 2;  // overfills the cap
+  constexpr std::string_view kPrefix = "t.exit ";
+  const auto detail = [](std::size_t thread, std::size_t i) {
+    return std::to_string(thread) + " " + std::to_string(i);
+  };
+  Tracer::enable();
+  // One thread at a time, so each thread's events follow the previous
+  // thread's in seq order.
+  std::vector<std::string> left;  // each ring at its thread's exit, in order
+  for (std::size_t thread = 0; thread < kThreads; ++thread) {
+    std::thread([thread, detail] {
+      for (std::size_t i = 0; i < kSpans; ++i) {
+        Span span("t.exit", detail(thread, i));
+      }
+    }).join();
+    for (std::size_t i = kSpans - kRing; i < kSpans; ++i) {
+      left.push_back(std::string(kPrefix) + detail(thread, i));
+    }
+  }
+  Tracer::disable();
+
+  std::vector<std::uint32_t> tids(kThreads, 0);
+  std::size_t spans = 0;
+  for (const TraceEvent& event : Tracer::collect()) {
+    if (std::string_view(event.name) != "t.exit") continue;
+    ++spans;
+    std::uint32_t& tid = tids.at(std::stoul(event.detail));
+    if (tid == 0) tid = event.tid;
+    EXPECT_EQ(event.tid, tid) << event.detail;
+  }
+  EXPECT_EQ(spans, kThreads * kSpans);
+  EXPECT_EQ(std::set<std::uint32_t>(tids.begin(), tids.end()).size(),
+            kThreads);
+
+  const std::vector<std::string> expected(
+      left.end() - FlightRecorder::kRetiredEventCap, left.end());
+  std::vector<std::string> kept;
+  std::uint64_t lastSeq = 0;
+  for (const FlightRecorder::Event& event : FlightRecorder::collect()) {
+    const std::string_view eventText(event.text);
+    if (eventText.rfind(kPrefix, 0) != 0) continue;
+    kept.emplace_back(eventText);
+    EXPECT_GT(event.seq, lastSeq);
+    lastSeq = event.seq;
+    const std::size_t thread =
+        std::stoul(std::string(eventText.substr(kPrefix.size())));
+    EXPECT_EQ(event.tid, tids.at(thread)) << eventText;
+  }
+  EXPECT_EQ(kept, expected);
 }
 
 TEST_F(ObsTest, LogLinesReachTheFlightRing) {
