@@ -36,13 +36,7 @@ void prependPacketRule(Node& filter, const TrafficClass& cls,
 std::string boundFilterName(const ConfigTree& tree, const Topology& topo,
                             const std::string& router,
                             const std::string& other, const char* direction) {
-  const auto link = topo.linkBetween(router, other);
-  if (!link) return "";
-  const Node* node = tree.router(router);
-  if (node == nullptr) return "";
-  const std::string ifaceName =
-      link->a == router ? link->ifaceA : link->ifaceB;
-  const Node* iface = node->findChild(NodeKind::kInterface, ifaceName);
+  const Node* iface = topo.interfaceTowards(tree, router, other);
   return iface == nullptr ? "" : iface->attr(direction);
 }
 
@@ -135,8 +129,9 @@ void blockingCandidates(const ConfigTree& tree, const Simulator& sim,
   // filter exists, 3 lines when one must be created).
   for (std::size_t i = 1; i < fwd.path.size(); ++i) {
     const std::string& at = fwd.path[i];
-    const std::string& prev = fwd.path[i - 1];
-    const std::string name = boundFilterName(tree, topo, at, prev, "pfilterIn");
+    const Node* iface = topo.interfaceTowards(tree, at, fwd.path[i - 1]);
+    if (iface == nullptr) continue;
+    const std::string name = iface->attr("pfilterIn");
     if (!name.empty()) {
       out.push_back(Candidate{
           1, "deny rule at " + at + ":" + name,
@@ -146,9 +141,7 @@ void blockingCandidates(const ConfigTree& tree, const Simulator& sim,
             if (filter != nullptr) prependPacketRule(*filter, cls, "deny");
           }});
     } else {
-      const auto link = topo.linkBetween(at, prev);
-      if (!link) continue;
-      const std::string ifaceName = link->a == at ? link->ifaceA : link->ifaceB;
+      const std::string ifaceName = iface->name();
       out.push_back(Candidate{
           3, "new filter at " + at + ":" + ifaceName,
           [at, ifaceName, cls](ConfigTree& t) {

@@ -303,19 +303,13 @@ Encoder::FilterAction Encoder::routeFilterAction(const std::string& router,
 z3::expr Encoder::packetAllow(const std::string& router,
                               const std::string& other, const char* direction,
                               const TrafficClass& cls) {
-  const auto link = topo_.linkBetween(router, other);
-  if (!link) return session_.boolVal(true);
-  const Node* routerNode = tree_.router(router);
-  if (routerNode == nullptr) return session_.boolVal(true);
-  const std::string ifaceName =
-      link->a == router ? link->ifaceA : link->ifaceB;
-  const Node* iface = routerNode->findChild(NodeKind::kInterface, ifaceName);
+  const Node* iface = topo_.interfaceTowards(tree_, router, other);
   if (iface == nullptr) return session_.boolVal(true);
 
   const Node* filter =
       iface->hasAttr(direction)
-          ? routerNode->findChild(NodeKind::kPacketFilter,
-                                  iface->attr(direction))
+          ? iface->parent()->findChild(NodeKind::kPacketFilter,
+                                       iface->attr(direction))
           : nullptr;
 
   z3::expr allow = session_.boolVal(filter == nullptr);
@@ -350,7 +344,7 @@ z3::expr Encoder::packetAllow(const std::string& router,
   } else if (std::string(direction) == "pfilterIn") {
     // Potential brand-new ingress filter on this interface.
     addName = mangle(
-        {"add", router, "pFil", ifaceName, cls.src.str(), cls.dst.str()});
+        {"add", router, "pFil", iface->name(), cls.src.str(), cls.dst.str()});
   }
 
   if (!addName.empty()) {

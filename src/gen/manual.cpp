@@ -51,15 +51,8 @@ int editFilterTemplateWide(ConfigTree& tree, const std::string& router,
 std::string boundFilterName(const ConfigTree& tree, const Topology& topo,
                             const std::string& router,
                             const std::string& other, const char* direction) {
-  const auto link = topo.linkBetween(router, other);
-  if (!link) return "";
-  const Node* node = tree.router(router);
-  if (node == nullptr) return "";
-  const std::string ifaceName =
-      link->a == router ? link->ifaceA : link->ifaceB;
-  const Node* iface = node->findChild(NodeKind::kInterface, ifaceName);
-  if (iface == nullptr) return "";
-  return iface->attr(direction);
+  const Node* iface = topo.interfaceTowards(tree, router, other);
+  return iface == nullptr ? "" : iface->attr(direction);
 }
 
 // Adds static routes for `dst` along the physical shortest path from

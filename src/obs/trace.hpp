@@ -23,8 +23,7 @@
 // contended by a concurrent collect() or clear(), so steady-state recording
 // never blocks on other threads. The always-on flight recorder
 // (obs/flight.hpp) takes every closed span — two clock reads plus a bounded
-// copy into the log's fixed ring — unless explicitly switched off. Compiling
-// with -DAED_DISABLE_TRACING removes the AED_SPAN statements entirely.
+// copy into the log's fixed ring — unless explicitly switched off.
 //
 // One log per thread: a thread's traced spans and its flight ring live in
 // one thread-local log, which takes the thread's index (TraceEvent::tid,
@@ -40,12 +39,6 @@
 #include <vector>
 
 namespace aed {
-
-#if defined(AED_DISABLE_TRACING)
-#define AED_TRACING_COMPILED 0
-#else
-#define AED_TRACING_COMPILED 1
-#endif
 
 /// One closed span. Times are microseconds since the tracer epoch (process
 /// start), monotonic (steady_clock), the time base flight events share.
@@ -139,13 +132,9 @@ class Span {
   bool flight_ = false;       // recorded into the flight ring on close
 };
 
-#if AED_TRACING_COMPILED
 #define AED_SPAN_CAT2(a, b) a##b
 #define AED_SPAN_CAT(a, b) AED_SPAN_CAT2(a, b)
 /// Opens an anonymous span for the rest of the enclosing scope.
 #define AED_SPAN(name) ::aed::Span AED_SPAN_CAT(aedSpan_, __LINE__)(name)
-#else
-#define AED_SPAN(name) ((void)0)
-#endif
 
 }  // namespace aed

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <set>
 
 #include "conftree/node.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "simulate/walk.hpp"
 #include "topology/topology.hpp"
 #include "util/log.hpp"
 #include "util/thread_pool.hpp"
@@ -201,24 +201,15 @@ void SimulationEngine::compile(const ConfigTree& tree) {
 
     // Packet-filter bindings for each interface facing a neighbor.
     for (const std::string& neighbor : topo.neighborsOf(router.name)) {
-      const auto link = topo.linkBetween(router.name, neighbor);
-      if (!link) continue;
-      const auto peerIdx = routerIndex_.find(neighbor);
-      if (peerIdx == routerIndex_.end()) continue;
-      const std::string& ifaceName =
-          link->a == router.name ? link->ifaceA : link->ifaceB;
-      const Node* iface = node->findChild(NodeKind::kInterface, ifaceName);
+      const Node* iface = topo.interfaceTowards(tree, router.name, neighbor);
       if (iface == nullptr) continue;
-      PacketBinding binding;
-      if (iface->hasAttr("pfilterOut")) {
-        binding.out = compilePacketFilter(
-            node->findChild(NodeKind::kPacketFilter, iface->attr("pfilterOut")));
-      }
-      if (iface->hasAttr("pfilterIn")) {
-        binding.in = compilePacketFilter(
-            node->findChild(NodeKind::kPacketFilter, iface->attr("pfilterIn")));
-      }
-      router.bindings[peerIdx->second] = binding;
+      const auto bound = [&](const char* direction) {
+        return iface->hasAttr(direction)
+                   ? compilePacketFilter(node->findChild(
+                         NodeKind::kPacketFilter, iface->attr(direction)))
+                   : -1;
+      };
+      router.bindings[neighbor] = {bound("pfilterOut"), bound("pfilterIn")};
     }
   }
 
@@ -458,8 +449,14 @@ std::vector<std::string> SimulationEngine::sourceRouters(
   return out;
 }
 
-bool SimulationEngine::packetAllowed(int filter,
-                                     const TrafficClass& cls) const {
+bool SimulationEngine::filterAllows(const std::string& router,
+                                    const std::string& other, bool ingress,
+                                    const TrafficClass& cls) const {
+  const std::size_t index = routerIndex(router);
+  if (index == kNoRouter) return true;
+  const auto it = routers_[index].bindings.find(other);
+  if (it == routers_[index].bindings.end()) return true;
+  const int filter = ingress ? it->second.in : it->second.out;
   if (filter < 0) return true;
   for (const CompiledPacketRule& rule : packetFilters_[filter]) {
     if (!rule.srcPrefix || !rule.dstPrefix) continue;
@@ -473,113 +470,11 @@ bool SimulationEngine::packetAllowed(int filter,
 ForwardResult SimulationEngine::forward(const TrafficClass& cls,
                                         const std::string& srcRouter,
                                         const Environment& env) const {
-  ForwardResult result;
-  const auto& routes = computeRoutes(cls.dst, env);
-
-  const auto bindingBetween = [this](std::size_t from,
-                                     std::size_t to) -> PacketBinding {
-    if (from == kNoRouter || to == kNoRouter) return {};
-    const auto it = routers_[from].bindings.find(to);
-    return it == routers_[from].bindings.end() ? PacketBinding{} : it->second;
-  };
-
-  std::string current = srcRouter;
-  std::set<std::string> visited;
-  result.path.push_back(current);
-  while (true) {
-    if (!visited.insert(current).second) {
-      result.dropReason = "forwarding loop at " + current;
-      return result;
-    }
-    if (deliversLocally(current, cls.dst)) {
-      result.delivered = true;
-      return result;
-    }
-    const auto it = routes.find(current);
-    if (it == routes.end() || !it->second.valid ||
-        it->second.viaNeighbor.empty()) {
-      result.dropReason = "no route at " + current;
-      return result;
-    }
-    const std::string& next = it->second.viaNeighbor;
-    if (!env.linkUp(current, next)) {
-      result.dropReason = "link down " + current + "-" + next;
-      return result;
-    }
-    const std::size_t currentIdx = routerIndex(current);
-    const std::size_t nextIdx = routerIndex(next);
-    if (!packetAllowed(bindingBetween(currentIdx, nextIdx).out, cls)) {
-      result.dropReason = "egress filter at " + current;
-      return result;
-    }
-    if (!packetAllowed(bindingBetween(nextIdx, currentIdx).in, cls)) {
-      result.dropReason = "ingress filter at " + next;
-      return result;
-    }
-    current = next;
-    result.path.push_back(current);
-  }
+  return walkForward(*this, cls, srcRouter, env);
 }
 
 bool SimulationEngine::checkPolicy(const Policy& policy) const {
-  const auto sources = sourceRouters(policy.cls);
-  if (const auto quick = structuralPolicyCheck(policy, sources)) return *quick;
-  switch (policy.kind) {
-    case PolicyKind::kReachability: {
-      return std::all_of(sources.begin(), sources.end(),
-                         [this, &policy](const std::string& src) {
-                           return forward(policy.cls, src).delivered;
-                         });
-    }
-    case PolicyKind::kBlocking: {
-      return std::none_of(sources.begin(), sources.end(),
-                          [this, &policy](const std::string& src) {
-                            return forward(policy.cls, src).delivered;
-                          });
-    }
-    case PolicyKind::kWaypoint: {
-      for (const std::string& src : sources) {
-        const ForwardResult fwd = forward(policy.cls, src);
-        if (!fwd.delivered) return false;
-        for (const std::string& waypoint : policy.waypoints) {
-          if (std::find(fwd.path.begin(), fwd.path.end(), waypoint) ==
-              fwd.path.end()) {
-            return false;
-          }
-        }
-      }
-      return true;
-    }
-    case PolicyKind::kPathPreference: {
-      const std::string& start = policy.primaryPath.front();
-      const ForwardResult healthy = forward(policy.cls, start);
-      if (!healthy.delivered || healthy.path != policy.primaryPath) {
-        return false;
-      }
-      const Environment failed = Environment::withDownLink(
-          policy.primaryPath[0], policy.primaryPath[1]);
-      const ForwardResult broken = forward(policy.cls, start, failed);
-      return broken.delivered && broken.path == policy.alternatePath;
-    }
-    case PolicyKind::kIsolation: {
-      const auto edgesOf = [this](const TrafficClass& cls) {
-        std::set<std::pair<std::string, std::string>> edges;
-        for (const std::string& src : sourceRouters(cls)) {
-          const ForwardResult fwd = forward(cls, src);
-          for (std::size_t i = 0; i + 1 < fwd.path.size(); ++i) {
-            edges.insert({fwd.path[i], fwd.path[i + 1]});
-          }
-        }
-        return edges;
-      };
-      const auto a = edgesOf(policy.cls);
-      const auto b = edgesOf(policy.otherCls);
-      return std::none_of(a.begin(), a.end(), [&b](const auto& edge) {
-        return b.count(edge) != 0;
-      });
-    }
-  }
-  return false;
+  return policyHolds(*this, policy);
 }
 
 ThreadPool& SimulationEngine::pool() const {

@@ -1,12 +1,12 @@
 // Memoized, parallel simulation engine.
 //
-// The concrete simulator (simulate/simulator.hpp) is AED's ground-truth
-// oracle: every synthesized patch is validated against it each repair round,
-// and the evaluation harness uses it to mine policies from configurations.
-// The plain Simulator is deliberately simple — it re-derives all per-router
-// structure and re-runs route convergence from scratch for every
-// (policy, source) pair. That cost is linear in the number of policies even
-// when hundreds of them share a handful of destinations.
+// The concrete simulator (simulate/simulator.hpp) is AED's independent
+// oracle: the tests, aed_check and the benchmark check this engine and every
+// synthesized patch against it, and the evaluation harness uses it to mine
+// policies from configurations. The plain Simulator is deliberately simple —
+// it re-derives all per-router structure and re-runs route convergence from
+// scratch for every (policy, source) pair. That cost is linear in the number
+// of policies even when hundreds of them share a handful of destinations.
 //
 // SimulationEngine is the production path. It produces bit-identical
 // verdicts and route tables (asserted by tests/engine_test.cpp) while
@@ -26,6 +26,15 @@
 //     cache is sharded by destination and a task normally owns its shard
 //     exclusively — a per-shard mutex covers the rare cross-shard reads of
 //     isolation policies).
+//
+// What the engine computes on its own is everything above: the compiled
+// structure, and over it the route fixpoint, static-route resolution, local
+// delivery and packet-filter verdicts (filterAllows()), the memoized tables
+// and the parallel violations(). What it shares with the oracle only
+// sequences or compares those results: the forwarding walk and the per-kind
+// policy checks (simulate/walk.hpp), structuralPolicyCheck() and the route
+// comparators. So the engine-vs-oracle checks still compare two independent
+// computations.
 //
 // An engine is bound to the one tree it is built with: it compiles that
 // tree and keeps no reference to it, so the caller's tree may die first.
@@ -93,6 +102,10 @@ class SimulationEngine {
   ForwardResult forward(const TrafficClass& cls, const std::string& srcRouter,
                         const Environment& env = {}) const;
 
+  /// Simulator::filterAllows over the compiled bindings.
+  bool filterAllows(const std::string& router, const std::string& other,
+                    bool ingress, const TrafficClass& cls) const;
+
   std::vector<std::string> sourceRouters(const TrafficClass& cls) const;
 
   bool checkPolicy(const Policy& policy) const;
@@ -147,7 +160,7 @@ class SimulationEngine {
     std::vector<CompiledProc> procs;      // non-static, document order
     std::vector<CompiledStatic> statics;  // document order
     std::vector<Ipv4Prefix> localPrefixes;  // stubs + non-static originations
-    std::map<std::size_t, PacketBinding> bindings;  // by neighbor index
+    std::map<std::string, PacketBinding> bindings;  // by neighbor name
   };
 
   // ---- route-table cache, sharded by destination ----
@@ -164,7 +177,6 @@ class SimulationEngine {
                            const Environment& env) const;
   std::map<std::string, RouteEntry> convergeRoutes(const Ipv4Prefix& dst,
                                                    const Environment& env) const;
-  bool packetAllowed(int filter, const TrafficClass& cls) const;
   DstShard& shardFor(const Ipv4Prefix& dst) const;
   ThreadPool& pool() const;
 

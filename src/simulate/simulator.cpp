@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "simulate/walk.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
@@ -355,141 +356,29 @@ std::vector<std::string> Simulator::sourceRouters(
 ForwardResult Simulator::forward(const TrafficClass& cls,
                                  const std::string& srcRouter,
                                  const Environment& env) const {
-  ForwardResult result;
-  const auto routes = computeRoutes(cls.dst, env);
+  return walkForward(*this, cls, srcRouter, env);
+}
 
-  // Looks up a packet filter by name on a router; nullptr when absent.
-  const auto filterByName = [this](const std::string& router,
-                                   const std::string& name) -> const Node* {
-    const Node* node = tree_.router(router);
-    return node == nullptr
-               ? nullptr
-               : node->findChild(NodeKind::kPacketFilter, name);
-  };
-  // The packet filter bound in `direction` ("pfilterIn"/"pfilterOut") on
-  // `router`'s interface facing `other`.
-  const auto boundFilter = [this, &filterByName](
-                               const std::string& router,
-                               const std::string& other,
-                               const char* direction) -> const Node* {
-    const auto link = topo_.linkBetween(router, other);
-    if (!link) return nullptr;
-    const Node* node = tree_.router(router);
-    if (node == nullptr) return nullptr;
-    const std::string ifaceName = link->a == router ? link->ifaceA : link->ifaceB;
-    const Node* iface = node->findChild(NodeKind::kInterface, ifaceName);
-    if (iface == nullptr || !iface->hasAttr(direction)) return nullptr;
-    return filterByName(router, iface->attr(direction));
-  };
-
-  std::string current = srcRouter;
-  std::set<std::string> visited;
-  result.path.push_back(current);
-  while (true) {
-    if (!visited.insert(current).second) {
-      result.dropReason = "forwarding loop at " + current;
-      return result;
-    }
-    if (deliversLocally(current, cls.dst)) {
-      result.delivered = true;
-      return result;
-    }
-    const auto it = routes.find(current);
-    if (it == routes.end() || !it->second.valid ||
-        it->second.viaNeighbor.empty()) {
-      result.dropReason = "no route at " + current;
-      return result;
-    }
-    const std::string& next = it->second.viaNeighbor;
-    if (!env.linkUp(current, next)) {
-      result.dropReason = "link down " + current + "-" + next;
-      return result;
-    }
-    if (!packetFilterAllows(boundFilter(current, next, "pfilterOut"), cls)) {
-      result.dropReason = "egress filter at " + current;
-      return result;
-    }
-    if (!packetFilterAllows(boundFilter(next, current, "pfilterIn"), cls)) {
-      result.dropReason = "ingress filter at " + next;
-      return result;
-    }
-    current = next;
-    result.path.push_back(current);
-  }
+bool Simulator::filterAllows(const std::string& router,
+                             const std::string& other, bool ingress,
+                             const TrafficClass& cls) const {
+  const Node* iface = topo_.interfaceTowards(tree_, router, other);
+  const char* direction = ingress ? "pfilterIn" : "pfilterOut";
+  if (iface == nullptr || !iface->hasAttr(direction)) return true;
+  return packetFilterAllows(
+      iface->parent()->findChild(NodeKind::kPacketFilter,
+                                 iface->attr(direction)),
+      cls);
 }
 
 bool Simulator::checkPolicy(const Policy& policy) const {
-  const auto sources = sourceRouters(policy.cls);
-  if (const auto quick = structuralPolicyCheck(policy, sources)) return *quick;
-  switch (policy.kind) {
-    case PolicyKind::kReachability: {
-      return std::all_of(sources.begin(), sources.end(),
-                         [this, &policy](const std::string& src) {
-                           return forward(policy.cls, src).delivered;
-                         });
-    }
-    case PolicyKind::kBlocking: {
-      return std::none_of(sources.begin(), sources.end(),
-                          [this, &policy](const std::string& src) {
-                            return forward(policy.cls, src).delivered;
-                          });
-    }
-    case PolicyKind::kWaypoint: {
-      for (const std::string& src : sources) {
-        const ForwardResult fwd = forward(policy.cls, src);
-        if (!fwd.delivered) return false;
-        for (const std::string& waypoint : policy.waypoints) {
-          if (std::find(fwd.path.begin(), fwd.path.end(), waypoint) ==
-              fwd.path.end()) {
-            return false;
-          }
-        }
-      }
-      return true;
-    }
-    case PolicyKind::kPathPreference: {
-      // structuralPolicyCheck guarantees primaryPath.size() >= 2 here, so
-      // indexing [0] and [1] below is in bounds.
-      const std::string& start = policy.primaryPath.front();
-      const ForwardResult healthy = forward(policy.cls, start);
-      if (!healthy.delivered || healthy.path != policy.primaryPath) {
-        return false;
-      }
-      const Environment failed = Environment::withDownLink(
-          policy.primaryPath[0], policy.primaryPath[1]);
-      const ForwardResult broken = forward(policy.cls, start, failed);
-      return broken.delivered && broken.path == policy.alternatePath;
-    }
-    case PolicyKind::kIsolation: {
-      const auto edgesOf = [this](const TrafficClass& cls) {
-        std::set<std::pair<std::string, std::string>> edges;
-        for (const std::string& src : sourceRouters(cls)) {
-          const ForwardResult fwd = forward(cls, src);
-          for (std::size_t i = 0; i + 1 < fwd.path.size(); ++i) {
-            edges.insert({fwd.path[i], fwd.path[i + 1]});
-          }
-        }
-        return edges;
-      };
-      const auto a = edgesOf(policy.cls);
-      const auto b = edgesOf(policy.otherCls);
-      return std::none_of(a.begin(), a.end(), [&b](const auto& edge) {
-        return b.count(edge) != 0;
-      });
-    }
-  }
-  return false;
+  return policyHolds(*this, policy);
 }
 
 PolicySet Simulator::violations(const PolicySet& policies) const {
   PolicySet violated;
   for (const Policy& policy : policies) {
-    // Settle structurally-decidable policies (empty source sets, malformed
-    // path-preference paths) without touching route computation; checkPolicy
-    // applies the identical fast path, so verdicts cannot diverge.
-    const auto quick = structuralPolicyCheck(policy, sourceRouters(policy.cls));
-    const bool satisfied = quick ? *quick : checkPolicy(policy);
-    if (!satisfied) violated.push_back(policy);
+    if (!checkPolicy(policy)) violated.push_back(policy);
   }
   return violated;
 }

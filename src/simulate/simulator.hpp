@@ -9,6 +9,15 @@
 // policies from configurations the way the paper used Minesweeper on its
 // datacenter snapshots.
 //
+// What the oracle computes on its own, from the tree on every call: the
+// route fixpoint, static-route resolution, local delivery and packet-filter
+// verdicts. The memoized SimulationEngine (simulate/engine.hpp) computes the
+// same four from its compiled structure. The two share what only sequences
+// or compares those results — the forwarding walk and the per-kind policy
+// checks (simulate/walk.hpp), structuralPolicyCheck() and the route
+// comparators below — so an engine-vs-oracle comparison tests exactly the
+// code that differs; a comparison of shared code with itself could not fail.
+//
 // Model (matching §2 and Appendix A):
 //  * protocols: connected (ad 0), static (ad 1), eBGP (ad 20), OSPF (ad 110)
 //  * BGP selection: highest local-preference, then lowest path cost, then
@@ -106,6 +115,12 @@ class Simulator {
   /// Walks the forwarding path for `cls` starting at `srcRouter`.
   ForwardResult forward(const TrafficClass& cls, const std::string& srcRouter,
                         const Environment& env = {}) const;
+
+  /// Whether the packet filter `router` binds on its interface towards
+  /// `other` — inbound if `ingress`, else outbound — permits `cls`. A missing
+  /// binding or filter permits everything.
+  bool filterAllows(const std::string& router, const std::string& other,
+                    bool ingress, const TrafficClass& cls) const;
 
   /// Routers attached to the class's source prefix (entry points).
   std::vector<std::string> sourceRouters(const TrafficClass& cls) const;

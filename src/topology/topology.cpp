@@ -96,6 +96,17 @@ std::optional<Link> Topology::linkBetween(const std::string& a,
   return links_[it->second];
 }
 
+const Node* Topology::interfaceTowards(const ConfigTree& tree,
+                                       const std::string& router,
+                                       const std::string& neighbor) const {
+  const auto it = linkIndex_.find({router, neighbor});
+  const Node* node = it == linkIndex_.end() ? nullptr : tree.router(router);
+  if (node == nullptr) return nullptr;
+  const Link& link = links_[it->second];
+  return node->findChild(NodeKind::kInterface,
+                         link.a == router ? link.ifaceA : link.ifaceB);
+}
+
 std::vector<std::string> Topology::attachmentPoints(
     const ConfigTree& tree, const Ipv4Prefix& prefix) const {
   std::vector<std::string> out;

@@ -55,6 +55,11 @@ class Topology {
   /// The link between a and b, if any.
   std::optional<Link> linkBetween(const std::string& a,
                                   const std::string& b) const;
+  /// The interface node of `router` in `tree` (the tree this topology was
+  /// derived from) on its link towards `neighbor`; nullptr if not linked.
+  const Node* interfaceTowards(const ConfigTree& tree,
+                               const std::string& router,
+                               const std::string& neighbor) const;
 
   /// Stub subnets (hosts) attached to each router: subnet -> router name.
   const std::map<Ipv4Prefix, std::string>& stubSubnets() const {

@@ -32,17 +32,28 @@ std::vector<std::string> policyStrings(const PolicySet& policies) {
 }
 
 // Asserts that the engine and a fresh serial simulator agree on route
-// tables (per stub destination), forwarding verdicts and violations — the
-// full oracle surface.
+// tables (per stub destination), forwarding from every stub's router to
+// every stub destination (delivery, path and drop reason), verdicts and
+// violations — the full oracle surface.
 void expectMatchesOracle(const ConfigTree& tree, const SimulationEngine& engine,
                          const PolicySet& policies,
                          const std::vector<Environment>& envs) {
   const Simulator oracle(tree);
-  for (const auto& [subnet, owner] : oracle.topology().stubSubnets()) {
+  const auto& stubs = oracle.topology().stubSubnets();
+  for (const auto& [subnet, owner] : stubs) {
     for (const Environment& env : envs) {
       EXPECT_EQ(oracle.computeRoutes(subnet, env),
                 engine.computeRoutes(subnet, env))
           << "route tables diverge for dst " << subnet.str();
+      for (const auto& [src, srcRouter] : stubs) {
+        const TrafficClass flow{src, subnet};
+        const ForwardResult want = oracle.forward(flow, srcRouter, env);
+        const ForwardResult got = engine.forward(flow, srcRouter, env);
+        const std::string where = flow.str() + " from " + srcRouter;
+        EXPECT_EQ(want.delivered, got.delivered) << where;
+        EXPECT_EQ(want.path, got.path) << where;
+        EXPECT_EQ(want.dropReason, got.dropReason) << where;
+      }
     }
   }
   EXPECT_EQ(policyStrings(oracle.violations(policies)),
