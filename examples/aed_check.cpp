@@ -19,9 +19,9 @@
 //
 // Knobs:
 //   --budget-s          stop starting new seeds after this much wall clock
-//   --expensive-every   run the two second-solve invariants
-//                       (incremental-equiv, resynth-noop) on every Nth seed
-//                       only (default 4; 0 = never)
+//   --expensive-every   run the three further-solve invariants
+//                       (incremental-equiv, resynth-noop, optimum-equal) on
+//                       every Nth seed only (default 4; 0 = never)
 //   --inject            poison every scenario with a deterministic fault
 //                       (repro `fault` grammar, e.g. "stage-commit" or
 //                       "reject-validation rounds=2") — used to prove the
@@ -112,6 +112,9 @@ int replay(const std::vector<std::string>& files,
                 << (outcome.passed() ? "pass" : "FAIL") << " ("
                 << invariantMaskToString(outcome.checked) << " checked"
                 << (outcome.note.empty() ? "" : ", " + outcome.note) << ")\n";
+    }
+    for (const std::string& reason : outcome.skipReasons) {
+      std::cout << file << ": skipped " << reason << "\n";
     }
     printFailures(file, outcome.failures);
     anyFailure |= !outcome.passed();

@@ -31,8 +31,9 @@ struct FaultInjection {
     kNone,     // no injection
     kThrow,    // the subproblem throws AedError(kSubproblemFailed)
     kDelay,    // the subproblem sleeps delayMs before solving
-    kUnknown,  // the full MaxSMT check reports "unknown", forcing the
-               // degradation ladder to run for real
+    kUnknown,  // the search stops where its total-cost step would begin,
+               // as if a check had answered "unknown", so the degraded
+               // rungs run for real
     kRejectValidation,  // the simulator validation of the first rejectRounds
                         // otherwise-passing merged patches is treated as
                         // failed, deterministically forcing that many repair

@@ -49,8 +49,8 @@ void reachabilityCandidates(const ConfigTree& tree, const Simulator& sim,
   if (fwd.delivered) return;
   const TrafficClass cls = policy.cls;
 
-  if (fwd.dropReason.rfind("ingress filter at ", 0) == 0) {
-    const std::string at = fwd.dropReason.substr(18);
+  const std::string& at = fwd.dropAt;
+  if (fwd.drop == DropKind::kIngressFilter) {
     const std::string prev = fwd.path.back();
     const std::string name = boundFilterName(tree, topo, at, prev, "pfilterIn");
     if (!name.empty()) {
@@ -62,8 +62,7 @@ void reachabilityCandidates(const ConfigTree& tree, const Simulator& sim,
             if (filter != nullptr) prependPacketRule(*filter, cls, "permit");
           }});
     }
-  } else if (fwd.dropReason.rfind("egress filter at ", 0) == 0) {
-    const std::string at = fwd.dropReason.substr(17);
+  } else if (fwd.drop == DropKind::kEgressFilter) {
     const auto routes = sim.computeRoutes(cls.dst);
     const std::string next = routes.at(at).viaNeighbor;
     const std::string name =
@@ -77,8 +76,7 @@ void reachabilityCandidates(const ConfigTree& tree, const Simulator& sim,
             if (filter != nullptr) prependPacketRule(*filter, cls, "permit");
           }});
     }
-  } else if (fwd.dropReason.rfind("no route at ", 0) == 0) {
-    const std::string at = fwd.dropReason.substr(12);
+  } else if (fwd.drop == DropKind::kNoRoute) {
     // Static route towards each neighbor that has a route or delivers.
     const auto routes = sim.computeRoutes(cls.dst);
     const Ipv4Prefix dst = cls.dst;

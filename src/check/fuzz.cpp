@@ -98,7 +98,7 @@ FuzzReport runFuzz(const FuzzOptions& options) {
     scenario.fault = options.inject;
 
     InvariantMask selected = options.invariants;
-    // The expensive second-solve invariants run on a deterministic subset
+    // The expensive further-solve invariants run on a deterministic subset
     // of the sweep (every Nth scenario), so a given seed always gets the
     // same treatment within a given sweep shape.
     const bool expensiveTurn =
@@ -114,6 +114,9 @@ FuzzReport runFuzz(const FuzzOptions& options) {
         static_cast<std::size_t>(std::popcount(outcome.skipped));
     if (outcome.synthesized) ++report.synthesized;
     if (outcome.note == "unsat") ++report.unsatScenarios;
+    for (const std::string& reason : outcome.skipReasons) {
+      emit(seed, "skipped " + reason);
+    }
     for (const Invariant inv : allInvariants()) {
       if (outcome.checked & mask(inv)) {
         ++report.checksByInvariant[invariantName(inv)];

@@ -28,9 +28,10 @@ struct FuzzOptions {
   /// (0 = no budget).
   double budgetSeconds = 0.0;
   InvariantMask invariants = kAllInvariants;
-  /// The second-solve invariants (incremental-equiv, resynth-noop) run only
-  /// on every Nth scenario of the sweep (1 = every scenario, 0 = never), so
-  /// smoke sweeps stay within budget while nightly runs still cover them.
+  /// The further-solve invariants (incremental-equiv, resynth-noop,
+  /// optimum-equal) run only on every Nth scenario of the sweep (1 = every
+  /// scenario, 0 = never), so smoke sweeps stay within budget while nightly
+  /// runs still cover them.
   std::uint64_t expensiveEvery = 4;
   ScenarioProfile profile;
   /// Intentional fault injected into every scenario (aed_check --inject):

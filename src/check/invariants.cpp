@@ -11,6 +11,7 @@
 #include "conftree/journal.hpp"
 #include "conftree/printer.hpp"
 #include "core/subsolver.hpp"
+#include "objectives/objective.hpp"
 #include "simulate/engine.hpp"
 #include "simulate/simulator.hpp"
 #include "util/error.hpp"
@@ -34,6 +35,7 @@ constexpr InvariantInfo kInvariantTable[] = {
     {Invariant::kResynthNoOp, "resynth-noop"},
     {Invariant::kPolicyOrder, "policy-order"},
     {Invariant::kRouterOrder, "router-order"},
+    {Invariant::kOptimumEqual, "optimum-equal"},
 };
 
 std::vector<std::string> policyStrings(const PolicySet& policies) {
@@ -84,6 +86,52 @@ void shuffle(std::vector<T>& items, Rng& rng) {
   }
 }
 
+/// The oracle of the optimum-equal invariant: the optimal cost z3::optimize
+/// finds for `problem`, -1 when the hard constraints are unsatisfiable, or
+/// nullopt with `why` when it cannot decide. Z3 4.8.x's default MaxSAT
+/// engine (maxres) can report a bogus unsat on hard constraints that mix
+/// booleans with integer arithmetic, so an unsat is cross-checked by a plain
+/// solver, and on divergence the wmax engine retries.
+std::optional<long long> optimizeCost(const SmtSession::Problem& problem,
+                                      std::string& why) {
+  z3::context& ctx = problem.hard.ctx();
+  z3::optimize optimize(ctx);
+  for (const z3::expr& hard : problem.hard) optimize.add(hard);
+  for (const auto& [soft, weight] : problem.softs) {
+    optimize.add_soft(soft, weight);
+  }
+  z3::check_result status = optimize.check();
+  if (status == z3::unsat) {
+    z3::solver plain(ctx);
+    for (const z3::expr& hard : problem.hard) plain.add(hard);
+    const z3::check_result cross = plain.check();
+    if (cross == z3::unsat) return -1;
+    if (cross != z3::sat) {
+      why = "optimize answered unsat and the plain cross-check unknown";
+      return std::nullopt;
+    }
+    z3::params params(ctx);
+    params.set("maxsat_engine", ctx.str_symbol("wmax"));
+    optimize.set(params);
+    status = optimize.check();
+    if (status != z3::sat) {
+      why = "optimize answered a bogus unsat and the wmax retry did not "
+            "answer sat";
+      return std::nullopt;
+    }
+  }
+  if (status != z3::sat) {
+    why = "optimize answered unknown";
+    return std::nullopt;
+  }
+  const z3::model model = optimize.get_model();
+  long long cost = 0;
+  for (const auto& [soft, weight] : problem.softs) {
+    if (!model.eval(soft, true).is_true()) cost += weight;
+  }
+  return cost;
+}
+
 bool isDeployFault(FaultInjection::Kind kind) {
   return kind == FaultInjection::Kind::kStageCommitFailure ||
          kind == FaultInjection::Kind::kStageValidationTimeout;
@@ -97,6 +145,9 @@ class Checker {
   CheckOutcome run() {
     const auto start = std::chrono::steady_clock::now();
     checkBaseSimulation();
+    if (want(Invariant::kOptimumEqual)) {
+      guarded(Invariant::kOptimumEqual, [&] { checkOptimumEqual(); });
+    }
     obtainPatch();
     checkPatchInvariants();
     out_.seconds =
@@ -207,6 +258,65 @@ class Checker {
                firstDifference(original, permutedByEngine));
         }
       });
+    }
+  }
+
+  /// Solves every destination group of the input on its own
+  /// SubproblemSolver, partitioned and scoped as synthesize() does it, once
+  /// without objectives and once under min-devices, and requires the cost
+  /// the session's search proved optimal to equal z3::optimize's over the
+  /// session's own problem. A group the oracle cannot decide is skipped
+  /// with its reason, and then the invariant does not count as passed.
+  void checkOptimumEqual() {
+    AedOptions options = scenario_.options();
+    const auto groups = groupByDestination(scenario_.policies);
+    if (groups.size() > 1) options.sketch.destinationScoped = true;
+    const Topology topo = Topology::fromConfigs(scenario_.tree);
+    const std::vector<Objective> minDevices = objectivesMinDevices();
+    bool skipped = false;
+    for (const auto& [dst, group] : groups) {
+      for (const bool withObjectives : {false, true}) {
+        const std::string what =
+            "destination " + dst.str() +
+            (withObjectives ? " under min-devices" : " without objectives");
+        SubproblemSolver solver(scenario_.tree, topo, group,
+                                withObjectives ? minDevices
+                                               : std::vector<Objective>{},
+                                options);
+        const SubResult sub = solver.solve({}, Deadline::unlimited());
+        const SmtSession& session = solver.session();
+        const SmtSession::Problem problem = session.problem();
+        std::string why;
+        const std::optional<long long> expected = optimizeCost(problem, why);
+        if (!expected) {
+          out_.skipReasons.push_back("optimum-equal: " + what + ": " + why);
+          skipped = true;
+          continue;
+        }
+        long long found = -1;
+        if (sub.rung == SolveRung::kFull) {
+          found = 0;
+          for (const auto& [soft, weight] : problem.softs) {
+            if (!session.evalBool(soft)) found += weight;
+          }
+        } else if (sub.rung != SolveRung::kUnsat) {
+          fail(Invariant::kOptimumEqual, "not-optimal",
+               what + ": the search ended at rung " +
+                   solveRungName(sub.rung) + ": " + sub.rungReason);
+          return;
+        }
+        if (found != *expected) {
+          fail(Invariant::kOptimumEqual, "cost",
+               what + ": the search proved cost " + std::to_string(found) +
+                   ", z3::optimize finds " + std::to_string(*expected) +
+                   " (-1: unsat; " + sub.rungReason + ")");
+          return;
+        }
+      }
+    }
+    if (skipped) {
+      out_.checked &= ~mask(Invariant::kOptimumEqual);
+      out_.skipped |= mask(Invariant::kOptimumEqual);
     }
   }
 

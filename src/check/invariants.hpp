@@ -22,6 +22,11 @@
 //                    printed network as the one-shot merged apply
 //   incremental-equiv the incremental re-solve result is policy-equivalent
 //                    to a from-scratch fresh solve
+//   optimum-equal    every destination group of the input, solved on its own
+//                    SubproblemSolver with no objectives and with
+//                    min-devices, reaches the optimal cost z3::optimize
+//                    finds over the same hard assertions and weighted softs
+//                    (equal cost, not an equal model)
 //
 // Metamorphic invariants (input transformations that must not change
 // verdicts):
@@ -56,6 +61,7 @@ enum class Invariant : unsigned {
   kResynthNoOp = 1u << 5,
   kPolicyOrder = 1u << 6,
   kRouterOrder = 1u << 7,
+  kOptimumEqual = 1u << 8,
 };
 
 using InvariantMask = unsigned;
@@ -69,14 +75,16 @@ constexpr InvariantMask kAllInvariants =
     mask(Invariant::kSynthSound) | mask(Invariant::kSimDifferential) |
     mask(Invariant::kJournalRollback) | mask(Invariant::kStagedVsOneShot) |
     mask(Invariant::kIncrementalEquiv) | mask(Invariant::kResynthNoOp) |
-    mask(Invariant::kPolicyOrder) | mask(Invariant::kRouterOrder);
+    mask(Invariant::kPolicyOrder) | mask(Invariant::kRouterOrder) |
+    mask(Invariant::kOptimumEqual);
 
-/// Invariants costing at most one synthesis run. kIncrementalEquiv and
-/// kResynthNoOp each pay a second full solve; the fuzz driver runs them on
-/// a deterministic subset of seeds so smoke sweeps stay fast.
+/// Invariants costing at most one synthesis run. kIncrementalEquiv,
+/// kResynthNoOp and kOptimumEqual each pay further solves; the fuzz driver
+/// runs them on a deterministic subset of seeds so smoke sweeps stay fast.
 constexpr InvariantMask kCheapInvariants =
     kAllInvariants &
-    ~(mask(Invariant::kIncrementalEquiv) | mask(Invariant::kResynthNoOp));
+    ~(mask(Invariant::kIncrementalEquiv) | mask(Invariant::kResynthNoOp) |
+      mask(Invariant::kOptimumEqual));
 
 /// Stable kebab-case identifier, e.g. "journal-rollback".
 const char* invariantName(Invariant inv);
@@ -103,6 +111,9 @@ struct CheckOutcome {
   std::size_t patchEdits = 0;
   /// Why patch-dependent invariants were skipped ("unsat", "degraded", ...).
   std::string note;
+  /// Why an invariant was skipped on part of its input, e.g. a destination
+  /// group the optimum-equal oracle could not decide.
+  std::vector<std::string> skipReasons;
   double seconds = 0.0;
 
   bool passed() const { return failures.empty(); }

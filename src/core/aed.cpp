@@ -254,7 +254,7 @@ class SynthesisRun {
   std::vector<double> subSeconds_;         // solve seconds summed across rounds
   std::vector<SolverStats> solverTotals_;  // effort summed across rounds
   // One persistent solver per group: a repair round pushes only the new
-  // blocked-delta clauses into the live z3::optimize instead of re-encoding
+  // blocked-delta clauses into the live z3::solver instead of re-encoding
   // (see core/subsolver.hpp). Each owns its own z3::context. A group the
   // input already satisfies never gets one (checkInput()). With
   // incrementalResolve off, each solve replaces its group's solver (the
@@ -641,6 +641,10 @@ PolicySet SynthesisRun::injectedRejection(int round) const {
 /// repair round is left, on cancellation, when the budget is spent, or when
 /// no group can be blamed.
 bool SynthesisRun::blame(int round, const PolicySet& violated) {
+  Span span("aed.blame");
+  if (span.active()) {
+    span.setDetail("violated=" + std::to_string(violated.size()));
+  }
   ++result_.stats.repairRounds;
   if (round == options_.maxRepairIterations) {
     return fail(ErrorCode::kValidationFailed,
@@ -664,6 +668,19 @@ bool SynthesisRun::blame(int round, const PolicySet& violated) {
   // it owns several violated policies: duplicate blocking clauses would
   // bloat every solver (incremental ones keep them forever).
   std::set<std::size_t> blamedGroups;
+  const std::size_t blockedBefore = blocked_.size();
+  bool fallback = false;
+  const auto describe = [&] {
+    if (!span.active()) return;
+    std::string groups;
+    for (const std::size_t i : blamedGroups) {
+      groups += (groups.empty() ? "" : ",") + std::to_string(i);
+    }
+    span.setDetail("violated=" + std::to_string(violated.size()) +
+                   " groups=" + (groups.empty() ? "-" : groups) +
+                   " fallback=" + (fallback ? "yes" : "no") + " blocked=" +
+                   std::to_string(blocked_.size() - blockedBefore));
+  };
   // Blocks every surviving group with a non-empty delta set that `pick`
   // selects; false when there was none.
   const auto blockWhere = [&](const auto& pick) {
@@ -685,14 +702,19 @@ bool SynthesisRun::blame(int round, const PolicySet& violated) {
     };
     // When the owning subproblem made no changes, another group's deltas
     // broke this policy: block every non-empty surviving group.
-    const bool blamed =
-        blockWhere(owns) || blockWhere([](std::size_t) { return true; });
+    bool blamed = blockWhere(owns);
     if (!blamed) {
+      fallback = true;
+      blamed = blockWhere([](std::size_t) { return true; });
+    }
+    if (!blamed) {
+      describe();
       return fail(ErrorCode::kInternal,
                   "model/simulator divergence with an empty patch for " +
                       policy.str());
     }
   }
+  describe();
   return true;
 }
 
@@ -740,6 +762,8 @@ AedResult SynthesisRun::finish(bool thrown) {
   if (thrown && result_.errorCode == ErrorCode::kNone) {
     result_.errorCode = ErrorCode::kInternal;
   }
+  // The report: per-subproblem records, stats, metrics and the flight dump.
+  AED_SPAN("aed.report");
 
   // subResults_ stays empty when the run threw before partitioning.
   AedStats& stats = result_.stats;

@@ -35,9 +35,10 @@
 // times out, or goes unknown never discards sibling work. A global
 // wall-clock budget (timeBudgetMs) is split across the queued subproblems
 // that build a solver and wired to Z3's timeout. Under pressure each
-// subproblem degrades through an anytime ladder (full MaxSMT → user
-// objectives only → hard constraints only) before being reported as
-// failed. Per-subproblem outcomes are returned in AedResult::subproblems.
+// subproblem's search over cost bounds stops early and answers with what it
+// has (the user-objective optimum, or only a model of the hard constraints)
+// before being reported as failed. Per-subproblem outcomes are returned in
+// AedResult::subproblems.
 #pragma once
 
 #include <array>
@@ -117,7 +118,7 @@ struct AedOptions {
 
 /// Per-subproblem verdict in AedResult::subproblems.
 enum class SubOutcome {
-  kOk = 0,    // solved at the full MaxSMT optimum
+  kOk = 0,    // solved at the proved MaxSMT optimum
   kDegraded,  // solved, but on a lower rung of the degradation ladder
   kTimedOut,  // wall-clock budget expired before any rung produced a model
   kUnsat,     // hard constraints unsatisfiable: the policies conflict
@@ -153,7 +154,7 @@ struct SubproblemReport {
 struct PhaseBreakdown {
   double sketchSeconds = 0.0;    // delta enumeration (buildSketch)
   double encodeSeconds = 0.0;    // constraint building + objective softs
-  double solveSeconds = 0.0;     // SmtSession::check (MaxSMT + ladder)
+  double solveSeconds = 0.0;     // SmtSession::check (the bound search)
   double extractSeconds = 0.0;   // model → patch + active-delta readout
   double simulateSeconds = 0.0;  // simulator validation of the merged patch
   double total() const {
@@ -182,9 +183,9 @@ struct AedStats {
   PhaseBreakdown firstRound;
   PhaseBreakdown repair;
 
-  /// Subproblem re-solves served by the SMT session's warm-start fast path
-  /// (one plain SAT query at the previous optimum instead of a full MaxSMT
-  /// run). Only persistent solvers can warm-start, so this stays 0 with
+  /// Subproblem re-solves answered by the warm start: the search's first
+  /// bound, the previous optimum, was satisfiable, so one check proved the
+  /// optimum. Only persistent solvers can warm-start, so this stays 0 with
   /// incrementalResolve off.
   std::size_t warmStartSolves = 0;
 

@@ -1,5 +1,7 @@
 #include "core/subsolver.hpp"
 
+#include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -13,7 +15,7 @@ namespace {
 /// User objectives are scaled by this factor so they dominate the unit-weight
 /// per-delta minimality pressure. Matches the paper's "equal weight by
 /// default" within the user's objectives.
-constexpr unsigned kObjectiveWeightScale = 1000;
+constexpr std::uint64_t kObjectiveWeightScale = 1000;
 
 }  // namespace
 
@@ -38,6 +40,22 @@ SubproblemSolver::~SubproblemSolver() {
 void SubproblemSolver::ensureEncoded(SubResult& result) {
   if (encoder_ != nullptr) return;
 
+  // Scaled in 64 bits: a weight that does not fit a 32-bit pseudo-boolean
+  // coefficient is refused, never wrapped (the session refuses a group whose
+  // summed soft weight does not fit either).
+  std::vector<Objective> scaled = objectives_;
+  for (Objective& objective : scaled) {
+    const std::uint64_t weight =
+        std::uint64_t{objective.weight} * kObjectiveWeightScale;
+    require(weight <= std::numeric_limits<int>::max(),
+            ErrorCode::kInvalidInput,
+            "objective '" + objective.label + "': WEIGHT " +
+                std::to_string(objective.weight) + " scaled by " +
+                std::to_string(kObjectiveWeightScale) + " exceeds " +
+                std::to_string(std::numeric_limits<int>::max()));
+    objective.weight = static_cast<unsigned>(weight);
+  }
+
   auto phaseStart = Deadline::Clock::now();
   {
     AED_SPAN("subsolver.sketch");
@@ -58,10 +76,6 @@ void SubproblemSolver::ensureEncoded(SubResult& result) {
 
   // User objectives (scaled), then the default minimality pressure. Softs
   // are added once; repair rounds re-optimize the same objective system.
-  std::vector<Objective> scaled = objectives_;
-  for (Objective& objective : scaled) {
-    objective.weight *= kObjectiveWeightScale;
-  }
   addObjectives(*encoder_, scaled);
   if (options_.defaultMinimality) {
     addPerDeltaMinimality(*encoder_);

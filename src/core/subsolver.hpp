@@ -1,8 +1,8 @@
 // Persistent per-subproblem MaxSMT solver (the incremental re-solve engine).
 //
 // One SubproblemSolver owns the Sketch, SmtSession (and therefore the
-// z3::context + z3::optimize instance), and Encoder for one subproblem (the
-// whole problem, or one destination group) until the synthesis run's
+// z3::context and its one plain z3::solver), and Encoder for one subproblem
+// (the whole problem, or one destination group) until the synthesis run's
 // teardown frees it. The first solve() pays the full sketch + encode cost;
 // every repair round after that only pushes the *new* blocked-delta hard
 // clauses into the live solver and re-checks, instead of rebuilding
@@ -14,9 +14,10 @@
 // repair rounds grows monotonically — a delta combination that failed
 // simulator validation once is invalid forever (the simulator is
 // deterministic over a fixed tree+policy set), so its blocking clause is a
-// permanent hard constraint, never retracted. Adding hard clauses to a live
-// z3::optimize and re-running check() is exactly Z3's incremental mode; the
-// solver keeps its learned clauses and the unchanged encoding across rounds.
+// permanent hard constraint, never retracted. Adding hard clauses to the
+// live solver and re-running the session's search is Z3's incremental mode:
+// the solver keeps its learned clauses and the unchanged encoding across
+// rounds, and the previous optimum is the first cost bound tried.
 //
 // Thread-safety: a SubproblemSolver owns its own z3::context, so distinct
 // solvers are safe to drive, and to destroy, from distinct threads
@@ -53,8 +54,8 @@ struct SubResult {
   /// re-solves (nothing is rebuilt).
   PhaseBreakdown phases;
   /// Introspection (§12): which ladder rung answered this solve and why
-  /// (SolveRung::kWarmStart: the session's incremental fast path, one SAT
-  /// query at the previous optimum), plus Z3 effort counters and encoding
+  /// (SolveRung::kWarmStart: the first cost bound, the previous optimum,
+  /// was satisfiable), plus Z3 effort counters and encoding
   /// sizes for the call. Totals across the rounds of one subproblem
   /// accumulate in SubproblemReport.
   SolveRung rung = SolveRung::kNone;
@@ -80,14 +81,23 @@ class SubproblemSolver {
   /// delta combinations that failed simulator validation, shared across
   /// rounds; only the suffix not yet asserted is pushed into the solver.
   /// The deadline is re-applied on every call, so each round gets its own
-  /// budget share. `injectUnknown` forces the next full MaxSMT verdict to
-  /// "unknown" (deterministic fault injection).
+  /// budget share. `injectUnknown` stops the search where its total-cost
+  /// step would begin (deterministic fault injection). Throws kInvalidInput
+  /// when an objective's scaled weight, or the summed soft weight, does not
+  /// fit in an int.
   SubResult solve(
       const std::vector<std::vector<std::string>>& blockedDeltaSets,
       const Deadline& deadline, bool injectUnknown = false);
 
   /// Completed solve() calls; 0 means the next call pays sketch + encode.
   int rounds() const { return rounds_; }
+
+  /// The live session, read-only: what it minimizes and its last model
+  /// (the optimum-equal invariant's oracle reads both). Valid after solve().
+  const SmtSession& session() const {
+    require(session_ != nullptr, "SubproblemSolver::session() before solve");
+    return *session_;
+  }
 
  private:
   /// Builds the sketch, session, encoding, and objective softs (first call).

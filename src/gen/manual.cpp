@@ -154,8 +154,8 @@ ManualUpdateResult manualUpdate(const ConfigTree& tree,
       for (const std::string& src : sim.sourceRouters(policy.cls)) {
         const ForwardResult fwd = sim.forward(policy.cls, src);
         if (fwd.delivered) continue;
-        if (fwd.dropReason.rfind("ingress filter at ", 0) == 0) {
-          const std::string at = fwd.dropReason.substr(18);
+        const std::string& at = fwd.dropAt;
+        if (fwd.drop == DropKind::kIngressFilter) {
           const std::string& prev = fwd.path.back();
           const std::string name =
               boundFilterName(result.updated, topo, at, prev, "pfilterIn");
@@ -164,8 +164,7 @@ ManualUpdateResult manualUpdate(const ConfigTree& tree,
                   0) {
             progress = true;
           }
-        } else if (fwd.dropReason.rfind("egress filter at ", 0) == 0) {
-          const std::string at = fwd.dropReason.substr(17);
+        } else if (fwd.drop == DropKind::kEgressFilter) {
           const auto routes = sim.computeRoutes(policy.cls.dst);
           const std::string next = routes.at(at).viaNeighbor;
           const std::string name =
@@ -175,8 +174,7 @@ ManualUpdateResult manualUpdate(const ConfigTree& tree,
                   0) {
             progress = true;
           }
-        } else if (fwd.dropReason.rfind("no route at ", 0) == 0) {
-          const std::string at = fwd.dropReason.substr(12);
+        } else if (fwd.drop == DropKind::kNoRoute) {
           if (addStaticPath(result.updated, topo, sim, at, policy.cls.dst)) {
             progress = true;
           }

@@ -89,10 +89,24 @@ struct Environment {
   }
 };
 
+/// Why a forwarding walk stopped short of delivery.
+enum class DropKind {
+  kNone,  // delivered
+  kLoop,
+  kNoRoute,
+  kLinkDown,
+  kEgressFilter,
+  kIngressFilter,
+};
+
 struct ForwardResult {
   bool delivered = false;
   std::vector<std::string> path;  // routers visited, starting at the source
-  std::string dropReason;         // "" when delivered
+  DropKind drop = DropKind::kNone;
+  /// The router the drop names: where the loop closed or the route is
+  /// missing, the near end of the down link, or the dropping filter's router.
+  std::string dropAt;
+  std::string dropReason;  // "" when delivered
 };
 
 class Simulator {

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "simulate/simulator.hpp"
 
@@ -26,13 +27,19 @@ ForwardResult walkForward(const Sim& sim, const TrafficClass& cls,
                           const Environment& env) {
   const auto& routes = sim.computeRoutes(cls.dst, env);
   ForwardResult result;
+  const auto drop = [&result](DropKind kind, const std::string& at,
+                              std::string reason) {
+    result.drop = kind;
+    result.dropAt = at;
+    result.dropReason = std::move(reason);
+    return std::move(result);
+  };
   std::string current = srcRouter;
   std::set<std::string> visited;
   result.path.push_back(current);
   while (true) {
     if (!visited.insert(current).second) {
-      result.dropReason = "forwarding loop at " + current;
-      return result;
+      return drop(DropKind::kLoop, current, "forwarding loop at " + current);
     }
     if (sim.deliversLocally(current, cls.dst)) {
       result.delivered = true;
@@ -41,21 +48,19 @@ ForwardResult walkForward(const Sim& sim, const TrafficClass& cls,
     const auto it = routes.find(current);
     if (it == routes.end() || !it->second.valid ||
         it->second.viaNeighbor.empty()) {
-      result.dropReason = "no route at " + current;
-      return result;
+      return drop(DropKind::kNoRoute, current, "no route at " + current);
     }
     const std::string& next = it->second.viaNeighbor;
     if (!env.linkUp(current, next)) {
-      result.dropReason = "link down " + current + "-" + next;
-      return result;
+      return drop(DropKind::kLinkDown, current,
+                  "link down " + current + "-" + next);
     }
     if (!sim.filterAllows(current, next, /*ingress=*/false, cls)) {
-      result.dropReason = "egress filter at " + current;
-      return result;
+      return drop(DropKind::kEgressFilter, current,
+                  "egress filter at " + current);
     }
     if (!sim.filterAllows(next, current, /*ingress=*/true, cls)) {
-      result.dropReason = "ingress filter at " + next;
-      return result;
+      return drop(DropKind::kIngressFilter, next, "ingress filter at " + next);
     }
     current = next;
     result.path.push_back(current);

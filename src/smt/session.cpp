@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "obs/trace.hpp"
 #include "util/log.hpp"
@@ -10,10 +11,8 @@ namespace aed {
 
 namespace {
 
-/// Accumulates a z3::stats block into SolverStats by key substring — Z3's
-/// stat names vary across engines and versions ("conflicts",
-/// "sat conflicts", "restarts", ...), so exact-name matching
-/// would silently capture nothing on half of them.
+/// Accumulates a z3::stats block into SolverStats by key substring: Z3's
+/// stat names vary across engines and versions ("conflicts", "sat ...").
 void accumulateZ3Stats(SolverStats& out, const z3::stats& zstats) {
   try {
     for (unsigned i = 0; i < zstats.size(); ++i) {
@@ -34,16 +33,37 @@ void accumulateZ3Stats(SolverStats& out, const z3::stats& zstats) {
   }
 }
 
-template <typename Solver>
-void captureCheck(SolverStats& out, Solver& solver) {
-  ++out.checks;
-  try {
-    accumulateZ3Stats(out, solver.statistics());
-  } catch (const z3::exception&) {
-  }
-}
-
 }  // namespace
+
+/// One cost the search bounds: the summed weights of the violated softs,
+/// over the user softs only or over all of them.
+struct SmtSession::Cost {
+  explicit Cost(z3::context& ctx) : softs(ctx) {}
+
+  z3::expr_vector softs;
+  std::vector<int> weights;
+  unsigned long long total = 0;  // every soft violated
+  unsigned long long unit = 1;   // the weights' gcd: every cost is a multiple
+  unsigned long long step = 1;   // the smallest weight: the first coarse step
+
+  unsigned long long of(const z3::model& model) const {
+    unsigned long long cost = 0;
+    for (unsigned i = 0; i < softs.size(); ++i) {
+      if (!model.eval(softs[i], true).is_true()) cost += weights[i];
+    }
+    return cost;
+  }
+};
+
+/// The state of one check()'s search.
+struct SmtSession::Search {
+  explicit Search(Result& out) : result(out) {}
+
+  Result& result;
+  std::optional<z3::model> model;        // the last, hence best, model
+  std::optional<z3::model> userOptimal;  // once the user optimum is proved
+  std::string why;  // why it stopped, or what certified unsatisfiability
+};
 
 z3::expr SmtSession::boolVar(const std::string& name) {
   const auto it = vars_.find(name);
@@ -77,28 +97,40 @@ z3::expr SmtSession::freshBool(const std::string& stem) {
 
 std::size_t SmtSession::addSoft(const z3::expr& constraint, unsigned weight,
                                 const std::string& label, SoftKind kind) {
-  opt_.add_soft(constraint, weight);
-  softExprs_.push_back(constraint);
-  softInfos_.push_back(SoftInfo{label, weight, kind});
-  lastOptimalCost_.reset();
-  return softInfos_.size() - 1;
+  const int limit = std::numeric_limits<int>::max();
+  unsigned long long total = weight;
+  for (const Soft& soft : softs_) total += soft.weight;
+  require(total <= limit, ErrorCode::kInvalidInput,
+          "soft constraint '" + label + "': the summed soft weight " +
+              std::to_string(total) + " exceeds " + std::to_string(limit));
+  softs_.push_back(Soft{constraint, label, weight, kind});
+  optimum_.reset();  // a new soft changes the cost function
+  userOptimum_.reset();
+  return softs_.size() - 1;
 }
 
 void SmtSession::randomizePhase(unsigned seed) {
   try {
+    // A plain solver takes the smt and sat modules' names unqualified.
     z3::params params(ctx_);
-    params.set("smt.phase_selection", 5u);  // random phase
-    params.set("smt.random_seed", seed);
-    params.set("sat.phase", ctx_.str_symbol("random"));
-    params.set("sat.random_seed", seed);
-    opt_.set(params);
+    params.set("phase_selection", 5u);  // smt: random phase
+    params.set("phase", ctx_.str_symbol("random"));  // sat
+    params.set("random_seed", seed);
+    solver_.set(params);
   } catch (const z3::exception&) {
     // Parameter names vary across Z3 versions; best effort only.
   }
 }
 
-template <typename Solver>
-bool SmtSession::applyBudget(Solver& solver) {
+SmtSession::Problem SmtSession::problem() const {
+  Problem problem{hard_, {}};
+  for (const Soft& soft : softs_) {
+    problem.softs.emplace_back(soft.expr, soft.weight);
+  }
+  return problem;
+}
+
+bool SmtSession::applyBudget() {
   if (deadline_.isUnlimited()) return true;
   const std::uint64_t remaining = deadline_.remainingMillis();
   if (remaining == 0) return false;
@@ -107,246 +139,213 @@ bool SmtSession::applyBudget(Solver& solver) {
   try {
     z3::params params(ctx_);
     params.set("timeout", ms);
-    solver.set(params);
+    solver_.set(params);
   } catch (const z3::exception&) {
-    // If the timeout parameter is rejected, the deadline is still enforced
-    // between ladder rungs; the individual query just cannot be interrupted.
+    // Rejected: the deadline still holds between bounds.
   }
   return true;
 }
 
 void SmtSession::reportObjectives(Result& result) const {
-  for (std::size_t i = 0; i < softExprs_.size(); ++i) {
-    if (model_->eval(softExprs_[i], true).is_true()) {
-      result.satisfiedObjectives.push_back(softInfos_[i].label);
-    } else {
-      result.violatedObjectives.push_back(softInfos_[i].label);
-    }
+  for (const Soft& soft : softs_) {
+    (model_->eval(soft.expr, true).is_true() ? result.satisfiedObjectives
+                                             : result.violatedObjectives)
+        .push_back(soft.label);
   }
 }
 
-bool SmtSession::tryWarmCheck(Result& result) {
-  constexpr unsigned long long kIntMax =
-      static_cast<unsigned long long>(std::numeric_limits<int>::max());
-  try {
-    // cost(model) = sum of weights of violated softs. The bound
-    // cost <= lastOptimalCost_ is expressed as the pseudo-boolean
-    //   sum(weight_i * soft_i) >= totalWeight - lastOptimalCost_.
-    unsigned long long totalWeight = 0;
-    z3::expr_vector literals(ctx_);
-    std::vector<int> coefficients;
-    coefficients.reserve(softExprs_.size());
-    for (std::size_t i = 0; i < softExprs_.size(); ++i) {
-      const unsigned weight = softInfos_[i].weight;
-      if (weight > kIntMax) return false;
-      totalWeight += weight;
-      literals.push_back(softExprs_[i]);
-      coefficients.push_back(static_cast<int>(weight));
-    }
-    if (totalWeight > kIntMax || *lastOptimalCost_ > totalWeight) return false;
-    const int bound = static_cast<int>(totalWeight - *lastOptimalCost_);
-
-    // The bound is activated through a fresh assumption indicator so it is
-    // never permanently asserted in the persistent probe solver (the next
-    // round's bound may differ); stale indicators are simply left unasserted.
-    const z3::expr indicator = freshBool("warm");
-    probe_.add(z3::implies(indicator, z3::pbge(literals, coefficients.data(),
-                                               bound)));
-    z3::expr_vector assumptions(ctx_);
-    assumptions.push_back(indicator);
-    if (!applyBudget(probe_)) return false;
-    const z3::check_result probeStatus = probe_.check(assumptions);
-    captureCheck(result.stats, probe_);
-    if (probeStatus != z3::sat) {
-      return false;  // optimum grew (or unknown)
-    }
-
-    // The model's cost is <= the previous optimum, and adding constraints
-    // cannot lower the optimum below it, so this model IS a MaxSMT optimum.
-    model_ = probe_.get_model();
-    result.rung = SolveRung::kWarmStart;
-    result.rungReason = "plain-SAT probe found a model at the previous "
-                        "optimal cost " +
-                        std::to_string(*lastOptimalCost_) +
-                        " (provably still optimal)";
-    reportObjectives(result);
-    return true;
-  } catch (const z3::exception&) {
-    return false;  // pbge unsupported or probe failure: run the full engine
+SmtSession::Bound SmtSession::tryBound(Search& search, const Cost& cost,
+                                       unsigned long long bound) {
+  if (!applyBudget()) {
+    search.why = "deadline expired";
+    return Bound::kStopped;
   }
+  z3::expr_vector assumptions(ctx_);
+  const bool plain = bound >= cost.total;
+  if (!plain) {
+    // cost <= bound  <=>  sum(weight_i * soft_i) >= total - bound. A fresh
+    // literal that no variable registry knows guards it, so the bound never
+    // holds outside this check and the encoding's statistics ignore it.
+    const Z3_ast fresh = Z3_mk_fresh_const(ctx_, "bound", ctx_.bool_sort());
+    ctx_.check_error();
+    const z3::expr literal(ctx_, fresh);
+    solver_.add(z3::implies(
+        literal, z3::pbge(cost.softs, cost.weights.data(),
+                          static_cast<int>(cost.total - bound))));
+    assumptions.push_back(literal);
+  }
+  ++search.result.stats.checks;
+  const z3::check_result status = solver_.check(assumptions);
+  if (status == z3::sat) {
+    search.model = solver_.get_model();
+    return Bound::kSat;
+  }
+  if (status == z3::unsat) {
+    if (!plain && !solver_.unsat_core().empty()) return Bound::kUnsat;
+    search.why = plain ? "a check without assumptions"
+                       : "an unsat core without the cost bound";
+    return Bound::kHardUnsat;
+  }
+  search.why = deadline_.expired() ? std::string("timed out")
+                                   : "unknown: " + solver_.reason_unknown();
+  return Bound::kStopped;
+}
+
+SmtSession::Bound SmtSession::minimize(Search& search, const Cost& cost,
+                                       unsigned long long lo) {
+  lo = (lo + cost.unit - 1) / cost.unit * cost.unit;
+  std::optional<unsigned long long> hi;
+  if (search.model) hi = cost.of(*search.model);
+  // The first bound is the lower bound itself; without a model the bounds
+  // then rise by doubling steps, and with one they halve the gap to it.
+  unsigned long long bound = lo;
+  unsigned long long step = cost.step;
+  while (!hi || lo < *hi) {
+    const Bound verdict = tryBound(search, cost, bound);
+    if (verdict == Bound::kSat) {
+      hi = cost.of(*search.model);
+    } else if (verdict == Bound::kUnsat) {
+      lo = bound + cost.unit;
+    } else {
+      return verdict;
+    }
+    if (hi) {
+      bound = lo + ((*hi - lo) / cost.unit - 1) / 2 * cost.unit;
+    } else {
+      bound += step;
+      step *= 2;
+    }
+  }
+  return Bound::kSat;
 }
 
 SmtSession::Result SmtSession::check() {
   Span span("smt.check");
   Result result;
   // Encoding sizes describe what this check is being asked to solve; effort
-  // counters accumulate as the rungs below actually run the solver.
+  // counters accumulate as the search below runs the solver.
   result.stats.vars = vars_.size();
+  result.stats.assertions = hard_.size() + softs_.size();
+
+  Cost user(ctx_);
+  Cost all(ctx_);
+  for (const Soft& soft : softs_) {
+    const unsigned long long weight = soft.weight;
+    if (weight == 0) continue;  // never changes a cost
+    for (Cost* cost : {&user, &all}) {
+      if (cost == &user && soft.kind != SoftKind::kUser) continue;
+      const bool first = cost->softs.empty();
+      cost->step = first ? weight : std::min(cost->step, weight);
+      cost->unit = std::gcd(first ? 0 : cost->unit, weight);
+      cost->softs.push_back(soft.expr);
+      cost->weights.push_back(static_cast<int>(weight));
+      cost->total += weight;
+    }
+  }
+  // Step 1 is the whole search when there is no minimality pressure.
+  const bool twoSteps =
+      !user.softs.empty() && user.softs.size() < all.softs.size();
+
+  const bool injected = injectUnknown_ > 0;
+  if (injected) {
+    --injectUnknown_;
+    logWarn() << "fault injection: stopping the search before the total cost";
+  }
+
+  Search search(result);
+  Bound verdict = Bound::kUnsat;
+  bool warm = false;
   try {
-    result.stats.assertions = opt_.assertions().size() + softExprs_.size();
+    unsigned long long totalLo = 0;
+    // The warm start: the previous optimum is the first bound tried.
+    if (optimum_ && !injected) {
+      verdict = tryBound(search, all, *optimum_);
+      warm = verdict == Bound::kSat;
+      totalLo = *optimum_ + 1;
+    }
+    // Step 1: the user objectives alone.
+    if (verdict == Bound::kUnsat && twoSteps) {
+      verdict = minimize(search, user, userOptimum_.value_or(0));
+      if (verdict == Bound::kSat) {
+        userOptimum_ = user.of(*search.model);
+        search.userOptimal = search.model;
+      }
+    }
+    // Step 2: the total cost, from the proved user optimum.
+    if (verdict == Bound::kUnsat || (verdict == Bound::kSat && !warm)) {
+      if (injected) {
+        search.why = "fault injection";
+        verdict = Bound::kStopped;
+      } else {
+        verdict = minimize(search, all,
+                           std::max(totalLo, userOptimum_.value_or(0)));
+      }
+    }
+    // Stopped without a model: one plain check, if time is left.
+    if (verdict == Bound::kStopped && !search.model && !deadline_.expired() &&
+        tryBound(search, all, all.total) == Bound::kHardUnsat) {
+      verdict = Bound::kHardUnsat;
+    }
+  } catch (const z3::exception& e) {
+    search.why = "Z3 error: " + std::string(e.msg());
+    verdict = Bound::kStopped;
+  }
+
+  // Z3's counters add up over the solver's life: report the difference,
+  // never below 0 (an assumption-free check may run another engine).
+  SolverStats effort;
+  try {
+    accumulateZ3Stats(effort, solver_.statistics());
   } catch (const z3::exception&) {
   }
+  const auto since = [](std::uint64_t now, std::uint64_t before) {
+    return now > before ? now - before : 0;
+  };
+  result.stats.conflicts = since(effort.conflicts, effort_.conflicts);
+  result.stats.decisions = since(effort.decisions, effort_.decisions);
+  result.stats.restarts = since(effort.restarts, effort_.restarts);
+  effort_ = effort;
 
-  // ---- rung 0: incremental warm start -------------------------------------
-  // On a re-check after addHard() calls (the repair-round path), first ask a
-  // plain SAT query for a model at the previous optimal cost; see the file
-  // header for why such a model is already optimal. Skipped under fault
-  // injection so forced-degradation tests still exercise the ladder.
-  if (lastOptimalCost_.has_value() && injectUnknown_ == 0 &&
-      !softExprs_.empty() && tryWarmCheck(result)) {
-    return result;
-  }
-
-  // ---- rung 1: full MaxSMT ------------------------------------------------
-  z3::check_result status = z3::unknown;
-  const bool budgetLeft = applyBudget(opt_);
-  if (injectUnknown_ > 0) {
-    --injectUnknown_;
-    logWarn() << "fault injection: forcing an unknown MaxSMT verdict";
-  } else if (budgetLeft) {
-    status = opt_.check();
-    captureCheck(result.stats, opt_);
-  }
-
-  // Z3 4.8.x's default MaxSAT engine (maxres) can report bogus UNSAT on
-  // hard constraints that mix booleans with integer arithmetic (observed on
-  // this code base's routing encodings; a plain solver accepts the same
-  // assertions). Defend against it: cross-check any UNSAT with a plain
-  // solver over the hard assertions; on divergence retry with the wmax
-  // engine, and as a last resort accept the plain solver's model (hard
-  // constraints satisfied, soft constraints unoptimized).
-  if (status == z3::unsat) {
-    // The persistent probe solver mirrors exactly the hard assertions (its
-    // indicator-guarded cost bounds are inert without assumptions), so the
-    // cross-check needs no rebuild.
-    applyBudget(probe_);
-    const z3::check_result crossCheck = probe_.check();
-    captureCheck(result.stats, probe_);
-    if (crossCheck == z3::sat) {
-      logWarn() << "optimize reported unsat but the hard constraints are "
-                   "satisfiable; retrying with the wmax engine";
-      try {
-        z3::params params(ctx_);
-        params.set("maxsat_engine", ctx_.str_symbol("wmax"));
-        opt_.set(params);
-        applyBudget(opt_);
-        status = opt_.check();
-        captureCheck(result.stats, opt_);
-      } catch (const z3::exception&) {
-        status = z3::unknown;
-      }
-      if (status != z3::sat) {
-        logWarn() << "wmax retry failed too; using the unoptimized model";
-        model_ = probe_.get_model();
-        result.rung = SolveRung::kHardOnly;
-        result.rungReason =
-            "MaxSMT engine reported a bogus unsat (hard constraints are "
-            "satisfiable) and the wmax retry failed; kept the plain-SAT "
-            "model, soft objectives unoptimized";
-        reportObjectives(result);
-        return result;
-      }
-    }
-  }
-
-  if (status == z3::sat) {
-    result.rung = SolveRung::kFull;
-    result.rungReason = "full MaxSMT optimum over user + minimality softs";
-    model_ = opt_.get_model();
-    // Remember the optimum for the next incremental re-check's warm start.
-    unsigned long long cost = 0;
-    for (std::size_t i = 0; i < softExprs_.size(); ++i) {
-      if (!model_->eval(softExprs_[i], true).is_true()) {
-        cost += softInfos_[i].weight;
-      }
-    }
-    lastOptimalCost_ = cost;
-    reportObjectives(result);
-    return result;
-  }
-  if (status == z3::unsat) {
+  const std::string checks = " (" + std::to_string(result.stats.checks) +
+                             " checks)";
+  if (verdict == Bound::kHardUnsat) {
     result.rung = SolveRung::kUnsat;
-    result.rungReason = "hard constraints unsatisfiable (cross-checked "
-                        "against the plain-SAT mirror)";
+    result.rungReason = "hard constraints unsatisfiable, certified by " +
+                        search.why + checks;
     return result;
   }
-
-  // ---- rung 2: drop the minimality softs, keep user objectives ------------
-  const bool hasMinimality =
-      std::any_of(softInfos_.begin(), softInfos_.end(), [](const SoftInfo& s) {
-        return s.kind == SoftKind::kMinimality;
-      });
-  const bool hasUser =
-      std::any_of(softInfos_.begin(), softInfos_.end(), [](const SoftInfo& s) {
-        return s.kind == SoftKind::kUser;
-      });
-  if (hasMinimality && hasUser && !deadline_.expired()) {
-    logWarn() << "MaxSMT timed out/unknown; retrying without minimality softs";
-    try {
-      z3::optimize reduced(ctx_);
-      for (const z3::expr& assertion : opt_.assertions()) {
-        reduced.add(assertion);
-      }
-      for (std::size_t i = 0; i < softExprs_.size(); ++i) {
-        if (softInfos_[i].kind == SoftKind::kUser) {
-          reduced.add_soft(softExprs_[i], softInfos_[i].weight);
-        }
-      }
-      if (applyBudget(reduced)) {
-        const z3::check_result reducedStatus = reduced.check();
-        captureCheck(result.stats, reduced);
-        if (reducedStatus == z3::sat) {
-          result.rung = SolveRung::kNoMinimality;
-          result.rungReason =
-              "full MaxSMT timed out/unknown; re-solved with minimality "
-              "softs dropped (user objectives kept)";
-          model_ = reduced.get_model();
-          reportObjectives(result);
-          return result;
-        }
-      }
-    } catch (const z3::exception& e) {
-      logWarn() << "reduced MaxSMT retry failed: " << e.msg();
-    }
+  if (verdict == Bound::kSat) {
+    model_ = search.model;
+    optimum_ = all.of(*model_);
+    result.rung = warm ? SolveRung::kWarmStart : SolveRung::kFull;
+    result.rungReason =
+        (warm ? "the first bound, the previous optimum " +
+                    std::to_string(*optimum_) + ", was satisfiable"
+              : "optimum cost " + std::to_string(*optimum_) +
+                    " proved: every lower bound unsatisfiable") +
+        checks;
+  } else if (search.model) {
+    model_ = search.userOptimal ? search.userOptimal : search.model;
+    result.rung = search.userOptimal ? SolveRung::kNoMinimality
+                                     : SolveRung::kHardOnly;
+    result.rungReason =
+        "search stopped (" + search.why + ") " +
+        (search.userOptimal ? "after proving the user-objective optimum " +
+                                  std::to_string(*userOptimum_) +
+                                  "; minimality softs not minimized"
+                            : "with only a model of the hard constraints "
+                              "(policy-compliant, nothing proved optimal)");
+  } else {
+    const bool expired = deadline_.expired();
+    result.rung = SolveRung::kGaveUp;
+    result.code = expired ? ErrorCode::kTimeout : ErrorCode::kSolverUnknown;
+    result.rungReason =
+        expired ? "wall-clock deadline expired before the search found a model"
+                : "the search and the plain check answered unknown (" +
+                      search.why + ")";
+    return result;
   }
-
-  // ---- rung 3: hard constraints only (plain SAT) --------------------------
-  if (!deadline_.expired()) {
-    logWarn() << "falling back to hard-constraints-only SAT";
-    try {
-      // The persistent probe solver already holds exactly the hard
-      // assertions, so this rung is an incremental query, not a rebuild.
-      if (applyBudget(probe_)) {
-        const z3::check_result plainStatus = probe_.check();
-        captureCheck(result.stats, probe_);
-        if (plainStatus == z3::sat) {
-          result.rung = SolveRung::kHardOnly;
-          result.rungReason =
-              "both MaxSMT rungs timed out/unknown; plain SAT over the hard "
-              "constraints only (policy-compliant, nothing optimized)";
-          model_ = probe_.get_model();
-          reportObjectives(result);
-          return result;
-        }
-        if (plainStatus == z3::unsat) {
-          result.rung = SolveRung::kUnsat;
-          result.rungReason =
-              "hard constraints unsatisfiable (found at the plain-SAT rung)";
-          return result;
-        }
-      }
-    } catch (const z3::exception& e) {
-      logWarn() << "hard-constraints-only fallback failed: " << e.msg();
-    }
-  }
-
-  // ---- rung 4: give up -----------------------------------------------------
-  const bool expired = deadline_.expired();
-  result.rung = SolveRung::kGaveUp;
-  result.code = expired ? ErrorCode::kTimeout : ErrorCode::kSolverUnknown;
-  result.rungReason =
-      expired ? "wall-clock deadline expired before any ladder rung answered"
-              : "every ladder rung returned unknown";
+  reportObjectives(result);
   return result;
 }
 

@@ -1,36 +1,34 @@
 // Thin wrapper over the Z3 C++ API.
 //
-// One SmtSession owns one z3::context and one z3::optimize (MaxSMT) solver.
-// Z3 contexts are not thread-safe, so the parallel per-destination engine
-// (§8) creates one session per task. The session also keeps a registry of
-// named variables so that the sketch encoder and the objective translator
-// can refer to the same delta variables by name, and a registry of soft
-// constraints so callers can report which management objectives were
+// One SmtSession owns one z3::context and one plain z3::solver. Z3 contexts
+// are not thread-safe, so the parallel per-destination engine (§8) creates
+// one session per task. The session also keeps a registry of named
+// variables so that the sketch encoder and the objective translator can
+// refer to the same delta variables by name, and a registry of weighted
+// soft constraints so callers can report which management objectives were
 // satisfied by the chosen model.
+//
+// check() answers the MaxSMT query (the model of the hard constraints whose
+// violated softs weigh least) with the plain solver alone: it checks
+// pseudo-boolean bounds `cost <= B` from below, each behind a fresh
+// assumption literal; a model whose cost meets a proved lower bound is the
+// optimum. It bounds the user-objective cost alone, then the total with the
+// unit minimality softs from the proved user optimum. Bounds rise by
+// doubling steps from the smallest weight until one is satisfiable; a
+// binary search then closes the gap to the best model's cost. An unsat core
+// without the bound's literal, or a bound at or above the summed weight (a
+// check without assumptions), certifies hard unsatisfiability. The rung
+// says how far the search got (solver_stats.hpp): it stops when a check
+// times out or answers unknown, or under fault injection where the
+// total-cost step would begin, and without a model makes one plain check.
 //
 // Sessions are incremental: constraints may be added and check() re-run any
 // number of times (the persistent SubproblemSolver keeps one session alive
-// across repair rounds and only pushes new blocked-delta clauses).
-//
-// Incremental re-checks use a warm-start fast path. addHard() and addSoft()
-// are the only ways to change a session, so its constraints only grow: the
-// feasible set shrinks and the optimal soft-violation cost cannot decrease.
-// check() therefore first asks a plain SAT query whether a model at the
-// previous optimal cost still exists (a pseudo-boolean bound over the soft
-// constraints); if yes, that model is provably optimal and the full MaxSMT
-// engine is skipped entirely. Only addSoft() resets the remembered optimum
-// (a new soft changes the cost function).
-//
-// Resilience: a session can be given a wall-clock Deadline (wired to Z3's
-// `timeout` parameter), and check() falls back through a degradation ladder
-// when the full MaxSMT query times out or goes unknown:
-//   1. full MaxSMT (user objectives + minimality softs)     → SolveRung::kFull
-//   2. MaxSMT with the minimality softs dropped             → kNoMinimality
-//   3. plain SAT over the hard constraints only             → kHardOnly
-//   4. give up: timed out (deadline expired) or unknown     → kGaveUp
-// Every rung still satisfies the hard policy constraints, so a
-// policy-compliant (if less manageable) patch is returned whenever Z3 can
-// decide satisfiability at all within the budget.
+// across repair rounds and only pushes new blocked-delta clauses), and the
+// solver keeps what it learned. addHard() only shrinks the feasible set, so
+// the previous optimum stays a lower bound: a re-check first tries exactly
+// that bound, and when it is satisfiable the model is optimal at once (the
+// warm start). Only addSoft() forgets it (a new soft changes the cost).
 //
 // Expression slots are overwritten through reassign(), never with
 // `slot = <temporary>`. The z3++ 4.8.12 move assignment (`ast::operator=
@@ -50,6 +48,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "smt/solver_stats.hpp"
@@ -60,7 +59,7 @@ namespace aed {
 
 class SmtSession {
  public:
-  SmtSession() : opt_(ctx_), probe_(ctx_) {}
+  SmtSession() : solver_(ctx_), hard_(ctx_) {}
 
   SmtSession(const SmtSession&) = delete;
   SmtSession& operator=(const SmtSession&) = delete;
@@ -97,23 +96,20 @@ class SmtSession {
   /// Adds a hard constraint. Legal at any time, including between check()
   /// calls: the persistent subproblem solver relies on this to push new
   /// blocked-delta clauses into the live solver on every repair round
-  /// instead of re-encoding from scratch. The constraint is mirrored into
-  /// the persistent plain-SAT probe solver backing the warm-start fast
-  /// path, so warm re-checks are true incremental SAT calls (learned
-  /// lemmas survive across repair rounds).
+  /// instead of re-encoding from scratch.
   void addHard(const z3::expr& constraint) {
-    opt_.add(constraint);
-    probe_.add(constraint);
+    solver_.add(constraint);
+    hard_.push_back(constraint);
   }
 
-  /// Classification of a soft constraint for the degradation ladder: user
-  /// objectives survive one rung longer than the internal per-delta
-  /// minimality pressure.
+  /// The search proves the user objectives' optimum before it minimizes the
+  /// internal per-delta minimality pressure.
   enum class SoftKind { kUser, kMinimality };
 
-  /// Adds a weighted soft constraint labeled with an objective name.
-  /// Returns the index of the registered soft constraint. Invalidates the
-  /// warm-start optimum (new softs change the cost function).
+  /// Adds a weighted soft constraint labeled with an objective name and
+  /// returns its index. Throws kInvalidInput, naming `label`, when the
+  /// summed soft weight would exceed INT_MAX (cost bounds are 32-bit
+  /// pseudo-boolean sums).
   std::size_t addSoft(const z3::expr& constraint, unsigned weight,
                       const std::string& label,
                       SoftKind kind = SoftKind::kUser);
@@ -125,26 +121,31 @@ class SmtSession {
   /// artificially incremental.
   void randomizePhase(unsigned seed);
 
+  /// What check() minimizes, for an independent oracle: the hard
+  /// constraints as added (no cost bounds) and every soft with its weight.
+  struct Problem {
+    z3::expr_vector hard;
+    std::vector<std::pair<z3::expr, unsigned>> softs;
+  };
+  Problem problem() const;
+
   // ---- resilience ----------------------------------------------------------
 
   /// Caps all subsequent check() work at this wall-clock deadline (the
   /// remaining budget is passed to Z3 as its `timeout` parameter, re-read
-  /// before each ladder rung). Unlimited by default.
+  /// before each bound). Unlimited by default.
   void setDeadline(const Deadline& deadline) { deadline_ = deadline; }
 
-  /// Deterministic fault injection for tests: the next `count` full MaxSMT
-  /// checks report "unknown" without calling Z3, forcing check() down the
-  /// degradation ladder (which still runs for real).
+  /// Deterministic fault injection for tests: the next `count` checks stop
+  /// their search where the total-cost step would begin, as if a check had
+  /// answered "unknown".
   void injectUnknown(int count) { injectUnknown_ = count; }
 
   // ---- solving --------------------------------------------------------------
 
   struct Result {
-    /// Introspection (§12) and the answer itself: the ladder rung that
-    /// answered and why. kWarmStart and kFull are the MaxSMT optimum (the
-    /// warm start proves the previous optimum still attainable with one SAT
-    /// query), kNoMinimality and kHardOnly are degraded models, kUnsat proves
-    /// the hard constraints unsatisfiable, and kGaveUp means no rung decided.
+    /// Introspection (§12) and the answer itself: how far the search got,
+    /// and why.
     SolveRung rung = SolveRung::kNone;
     std::string rungReason;
     /// On kGaveUp: kTimeout when the wall-clock deadline expired, otherwise
@@ -154,8 +155,7 @@ class SmtSession {
     /// Labels of soft constraints satisfied / violated by the model.
     std::vector<std::string> satisfiedObjectives;
     std::vector<std::string> violatedObjectives;
-    /// Z3 effort counters summed across the rung attempts of this check()
-    /// call.
+    /// Z3 effort counters summed across the checks of this check() call.
     SolverStats stats;
 
     /// True when a rung produced a model (retained for eval calls).
@@ -165,12 +165,9 @@ class SmtSession {
     }
   };
 
-  /// Runs the MaxSMT query, falling down the degradation ladder if needed.
-  /// On sat, the model is retained for eval calls. Re-entrant: check() may
-  /// be called again after adding further constraints (incremental
-  /// re-solve); each call replaces the retained model and re-reads the
-  /// deadline, so a persistent session can be re-checked once per repair
-  /// round under a fresh budget.
+  /// Runs the search; on sat, the model is retained for eval calls. May be
+  /// called again after adding constraints (incremental re-solve): each call
+  /// replaces the model and re-reads the deadline.
   Result check();
 
   /// Evaluates a boolean expression in the last model (model completion on).
@@ -178,46 +175,48 @@ class SmtSession {
   /// Evaluates an integer expression in the last model.
   int evalInt(const z3::expr& expr) const;
 
-  /// Statistics of the last check (for benches).
+  /// Named variables created so far (for logging).
   std::size_t numVars() const { return vars_.size(); }
 
  private:
+  struct Cost;
+  struct Search;
+  enum class Bound { kSat, kUnsat, kHardUnsat, kStopped };
+
+  /// Checks `cost <= bound` behind a fresh assumption literal; a bound at or
+  /// above the cost's summed weight is one check without assumptions.
+  Bound tryBound(Search& search, const Cost& cost, unsigned long long bound);
+  /// Minimizes `cost` from `lo`, a proved lower bound: kSat when the
+  /// search's model is optimal for it.
+  Bound minimize(Search& search, const Cost& cost, unsigned long long lo);
   /// Applies the remaining budget as a Z3 timeout; false if already expired.
-  template <typename Solver>
-  bool applyBudget(Solver& solver);
+  bool applyBudget();
   /// Fills satisfied/violated objective labels from the current model.
   void reportObjectives(Result& result) const;
-  /// Incremental fast path: one plain SAT query asking for a model whose
-  /// soft-violation cost is at most the last recorded optimum. Fills
-  /// `result` and returns true on success; false falls through to the full
-  /// MaxSMT rung (optimum grew, weights overflow, or the probe went
-  /// unknown).
-  bool tryWarmCheck(Result& result);
 
-  struct SoftInfo {
+  struct Soft {
+    z3::expr expr;
     std::string label;
-    unsigned weight = 1;
-    SoftKind kind = SoftKind::kUser;
+    unsigned weight;
+    SoftKind kind;
   };
 
   z3::context ctx_;
-  z3::optimize opt_;
-  /// Plain-SAT mirror of the hard constraints (soft constraints are not
-  /// asserted here). Persistent so warm-start re-checks solve incrementally
-  /// instead of rebuilding; cost bounds are activated per check through
-  /// assumption indicators, never asserted permanently.
-  z3::solver probe_;
+  z3::solver solver_;
+  /// The hard constraints as added: the solver also holds the cost bounds'
+  /// implications, which are not part of the encoding.
+  z3::expr_vector hard_;
   std::map<std::string, z3::expr> vars_;
-  std::vector<z3::expr> softExprs_;
+  std::vector<Soft> softs_;
   /// Values replaced by reassign(). Declared after ctx_, so released before
   /// the context is deleted.
   std::vector<z3::expr> retired_;
-  std::vector<SoftInfo> softInfos_;
   std::optional<z3::model> model_;
-  /// Optimal soft-violation cost of the last non-degraded check. Still a
-  /// valid lower bound after further addHard() calls (the feasible set only
-  /// shrinks); cleared by addSoft(), which changes the cost function.
-  std::optional<unsigned long long> lastOptimalCost_;
+  /// Optima of the last check that proved them: still lower bounds after
+  /// further addHard() calls; cleared by addSoft().
+  std::optional<unsigned long long> optimum_;
+  std::optional<unsigned long long> userOptimum_;
+  SolverStats effort_;  // Z3's counters so far (they add up over checks)
   Deadline deadline_;
   int injectUnknown_ = 0;
   int freshCounter_ = 0;

@@ -13,20 +13,21 @@
 
 namespace aed {
 
-/// Which rung of the solve ladder produced the answer for a subproblem
-/// (DESIGN.md §5/§6): the warm-start plain-SAT probe, the full MaxSMT
-/// optimum, or one of the anytime degradation rungs.
+/// How far a subproblem's search over cost bounds got (DESIGN.md §5/§6):
+/// the optimum at the first bound, the proved optimum, or one of the
+/// anytime degradation rungs.
 enum class SolveRung {
   kNone,          // no check ran: the subproblem threw or was cancelled
                   // first, or the input already satisfies its policies and
                   // the empty patch was given without a solver
                   // (core/aed.hpp)
-  kWarmStart,     // plain-SAT probe at the previous optimum's cost bound
-  kFull,          // full MaxSMT over user + minimality objectives
-  kNoMinimality,  // degraded: user objectives only
-  kHardOnly,      // degraded: plain SAT over hard constraints
+  kWarmStart,     // the first bound, the previous optimum, was satisfiable
+  kFull,          // the optimum over user + minimality softs was proved
+  kNoMinimality,  // degraded: stopped after the user-objective optimum
+  kHardOnly,      // degraded: stopped with only a model of the hard
+                  // constraints
   kUnsat,         // hard constraints unsatisfiable (no rung can help)
-  kGaveUp,        // every rung timed out / returned unknown
+  kGaveUp,        // nothing decided: timed out / returned unknown
 };
 
 inline const char* solveRungName(SolveRung rung) {
@@ -43,16 +44,17 @@ inline const char* solveRungName(SolveRung rung) {
 }
 
 /// Z3 effort counters and encoding sizes for the check(s) behind one
-/// subproblem answer. Counters are summed across the ladder attempts of a
+/// subproblem answer. Counters are summed across the bound checks of a
 /// single SmtSession::check() call; sizes describe the encoding that
-/// produced the final answer.
+/// produced the final answer (cost-bound literals and constraints are not
+/// part of it).
 struct SolverStats {
   std::uint64_t conflicts = 0;
   std::uint64_t decisions = 0;
   std::uint64_t restarts = 0;
   std::uint64_t vars = 0;        // boolean choice variables in the sketch
   std::uint64_t assertions = 0;  // hard + soft assertions encoded
-  std::uint64_t checks = 0;      // solver check() invocations (ladder tries)
+  std::uint64_t checks = 0;      // solver check() invocations (bound checks)
 
   /// Element-wise accumulate (for totals across repair rounds).
   void accumulate(const SolverStats& other) {

@@ -105,6 +105,23 @@ TEST(Aed, ImpossibleObjectiveIsViolatedNotFatal) {
             std::string::npos);
 }
 
+// A WEIGHT that fits an int but not after the x1000 objective scale is
+// refused with kInvalidInput naming the objective; wrapped in 32 bits,
+// 4294968 would weigh 704, less than WEIGHT 1.
+TEST(Aed, ObjectiveWeightThatOverflowsItsScaleIsInvalidInput) {
+  const ConfigTree tree = parseNetworkConfig(figure1ConfigText());
+  const auto objectives =
+      parseObjectives("NOMODIFY //Router[name=\"B\"] WEIGHT 4294968");
+  try {
+    synthesize(tree, figure1AllPolicies(), objectives);
+    FAIL() << "expected kInvalidInput";
+  } catch (const AedError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidInput) << e.what();
+    EXPECT_NE(std::string(e.what()).find("WEIGHT 4294968"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Aed, PreserveTemplatesKeepsClonesInSync) {
   DcParams params;
   params.racks = 4;
@@ -366,6 +383,26 @@ TEST(Aed, TopLevelSpansCoverTheWholeCall) {
   EXPECT_TRUE(teardown);
   EXPECT_GE(static_cast<double>(coveredUs),
             0.95 * static_cast<double>(root->durUs));
+}
+
+// Each repair round blames once: the two forced rejections of the dc8
+// repair scenario open exactly two aed.blame spans, each naming what it
+// blocked.
+TEST(Aed, EachRepairRoundOpensOneBlameSpan) {
+  const auto [result, events] =
+      tracedSynthesize(withdrawnRacks(), rejectTwice());
+  ASSERT_TRUE(result.success) << result.error;
+  ASSERT_EQ(result.stats.repairRounds, 2u);
+  std::size_t blames = 0;
+  for (const TraceEvent& event : events) {
+    if (std::string("aed.blame") != event.name) continue;
+    ++blames;
+    EXPECT_NE(event.detail.find("violated="), std::string::npos);
+    EXPECT_NE(event.detail.find(" groups="), std::string::npos);
+    EXPECT_NE(event.detail.find(" fallback="), std::string::npos);
+    EXPECT_NE(event.detail.find(" blocked="), std::string::npos);
+  }
+  EXPECT_EQ(blames, result.stats.repairRounds);
 }
 
 /// Spans named `name` per parent span name.

@@ -53,6 +53,8 @@ void expectMatchesOracle(const ConfigTree& tree, const SimulationEngine& engine,
         EXPECT_EQ(want.delivered, got.delivered) << where;
         EXPECT_EQ(want.path, got.path) << where;
         EXPECT_EQ(want.dropReason, got.dropReason) << where;
+        EXPECT_EQ(want.drop, got.drop) << where;
+        EXPECT_EQ(want.dropAt, got.dropAt) << where;
       }
     }
   }

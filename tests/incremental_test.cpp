@@ -247,7 +247,7 @@ TEST(Incremental, WarmStartReusesOptimumAfterAddHard) {
 
   const SmtSession::Result first = session.check();
   ASSERT_TRUE(first.sat());
-  // No prior optimum to warm-start from: the full MaxSMT rung answers.
+  // No prior optimum to warm-start from: the search proves the optimum.
   EXPECT_EQ(first.rung, SolveRung::kFull);
   EXPECT_EQ(first.violatedObjectives.size(), 1u);
 
@@ -274,8 +274,8 @@ TEST(Incremental, WarmStartDeclinesWhenOptimumGrows) {
   ASSERT_TRUE(first.sat());
   EXPECT_EQ(first.violatedObjectives.size(), 1u);
 
-  // Force both variables: the optimum grows from 1 to 2. The warm probe has
-  // to fail and the full MaxSMT engine must re-run and re-optimize.
+  // Force both variables: the optimum grows from 1 to 2. The warm start's
+  // first bound has to fail and the search must go on to the new optimum.
   session.addHard(a);
   session.addHard(b);
   const SmtSession::Result second = session.check();

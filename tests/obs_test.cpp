@@ -1078,8 +1078,8 @@ TEST_F(ObsTest, DegradationLadderReportsTheAnsweringRungAndWhy) {
   const AedResult result =
       synthesize(parseNetworkConfig(figure1ConfigText()),
                  figure1AllPolicies(), {}, options);
-  // The poisoned subproblem's full MaxSMT check answers unknown, so a lower
-  // rung must have answered — and the reason string explains it.
+  // The poisoned subproblem's search stops before its total-cost step, so a
+  // lower rung must have answered — and the reason string explains it.
   bool sawDegradedRung = false;
   for (const SubproblemReport& report : result.subproblems) {
     if (report.rung == SolveRung::kNoMinimality ||

@@ -163,9 +163,10 @@ TEST(Resilience, UnknownVerdictFallsDownDegradationLadder) {
   options.faultInjection.subproblem = 0;
   const AedResult result = synthesize(tree, policies, {}, options);
 
-  // The poisoned subproblem's full MaxSMT check reports unknown; the ladder
-  // (drop minimality, then hard-only SAT) still produces a valid model, so
-  // the subproblem lands on "degraded" rather than failing.
+  // The poisoned subproblem's search stops before its total-cost step; the
+  // lower rungs (the user optimum's model, else one plain check) still
+  // produce a valid model, so the subproblem lands on "degraded" rather
+  // than failing.
   ASSERT_TRUE(result.success) << result.error;
   EXPECT_TRUE(result.degraded);
   const SubproblemReport* degraded = findOutcome(result, SubOutcome::kDegraded);
@@ -289,8 +290,8 @@ TEST(Resilience, CancellationMidRunIsCooperative) {
 
 TEST(Resilience, LadderPrefersUserObjectivesOverMinimality) {
   // Force an unknown on the monolithic problem (one subproblem) with user
-  // objectives present: the ladder's second rung keeps the user objectives,
-  // so the degraded result must still report them.
+  // objectives present: the search has proved the user-objective optimum
+  // before it stops, so the degraded result must still report them.
   const ConfigTree tree = parseNetworkConfig(figure1ConfigText());
   const PolicySet policies = {aed::testing::figure1P3()};
   const auto objectives = parseObjectives("NOMODIFY //Router[name=\"A\"]");
@@ -304,8 +305,8 @@ TEST(Resilience, LadderPrefersUserObjectivesOverMinimality) {
   EXPECT_TRUE(result.degraded);
   ASSERT_EQ(result.subproblems.size(), 1u);
   EXPECT_EQ(result.subproblems[0].outcome, SubOutcome::kDegraded);
-  // Rung 2 (minimality dropped, user objectives kept) must have been tried
-  // before rung 3: with objectives present the detail names the softer rung.
+  // The no-minimality rung (user optimum kept) answers before hard-only:
+  // with objectives present the detail names the softer rung.
   EXPECT_NE(result.subproblems[0].detail.find("minimality softs dropped"),
             std::string::npos)
       << result.subproblems[0].detail;
@@ -314,8 +315,8 @@ TEST(Resilience, LadderPrefersUserObjectivesOverMinimality) {
 }
 
 TEST(Resilience, LadderFallsToHardOnlyWithoutUserObjectives) {
-  // No user objectives: rung 2 is skipped (nothing to keep) and the ladder
-  // lands on hard-constraints-only SAT.
+  // No user objectives: there is no user optimum to keep, so the search
+  // answers with one plain check over the hard constraints.
   const ConfigTree tree = parseNetworkConfig(figure1ConfigText());
   const PolicySet policies = {aed::testing::figure1P3()};
   AedOptions options;

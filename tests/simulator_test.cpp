@@ -66,6 +66,8 @@ TEST_F(Figure1Sim, ForwardDelivers) {
   const ForwardResult fwd = sim_.forward(cls("2.0.0.0/16", "1.0.0.0/16"), "B");
   EXPECT_TRUE(fwd.delivered);
   EXPECT_EQ(fwd.path, (std::vector<std::string>{"B", "C", "A"}));
+  EXPECT_EQ(fwd.drop, DropKind::kNone);
+  EXPECT_TRUE(fwd.dropAt.empty());
 }
 
 TEST_F(Figure1Sim, ForwardBlockedByPacketFilter) {
@@ -73,6 +75,8 @@ TEST_F(Figure1Sim, ForwardBlockedByPacketFilter) {
   const ForwardResult fwd = sim_.forward(cls("3.0.0.0/16", "2.0.0.0/16"), "D");
   EXPECT_FALSE(fwd.delivered);
   EXPECT_NE(fwd.dropReason.find("ingress filter at B"), std::string::npos);
+  EXPECT_EQ(fwd.drop, DropKind::kIngressFilter);
+  EXPECT_EQ(fwd.dropAt, "B");
 }
 
 TEST_F(Figure1Sim, SourceRouters) {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "smt/session.hpp"
+#include "util/rng.hpp"
 
 namespace aed {
 namespace {
@@ -86,6 +90,127 @@ TEST(SmtSession, ModelCompletionDefaultsUnconstrainedVars) {
   ASSERT_TRUE(session.check().sat());
   // "unused" never occurs in any constraint; completion yields a value.
   EXPECT_NO_THROW(session.evalBool(session.boolVar("unused")));
+}
+
+// ---- the bounded search against z3::optimize -------------------------------
+
+/// The optimal cost z3::optimize finds for the session's problem, or -1 when
+/// it answers unsat. Built in the session's context, freed before it.
+long long optimizeCost(const SmtSession& session) {
+  const SmtSession::Problem problem = session.problem();
+  z3::optimize optimize(problem.hard.ctx());
+  for (const z3::expr& hard : problem.hard) optimize.add(hard);
+  for (const auto& [soft, weight] : problem.softs) {
+    optimize.add_soft(soft, weight);
+  }
+  if (optimize.check() != z3::sat) return -1;
+  const z3::model model = optimize.get_model();
+  long long cost = 0;
+  for (const auto& [soft, weight] : problem.softs) {
+    if (!model.eval(soft, true).is_true()) cost += weight;
+  }
+  return cost;
+}
+
+/// The cost of the session's last model, or -1 when its check was not sat.
+long long sessionCost(const SmtSession& session,
+                      const SmtSession::Result& result) {
+  if (!result.sat()) return -1;
+  long long cost = 0;
+  for (const auto& [soft, weight] : session.problem().softs) {
+    if (!session.evalBool(soft)) cost += weight;
+  }
+  return cost;
+}
+
+/// A random clause of 1-3 literals over `vars`.
+z3::expr randomClause(const std::vector<z3::expr>& vars, Rng& rng) {
+  z3::expr_vector literals(vars[0].ctx());
+  const std::size_t width = 1 + rng.index(3);
+  for (std::size_t i = 0; i < width; ++i) {
+    const z3::expr& var = vars[rng.index(vars.size())];
+    literals.push_back(rng.chance(0.5) ? var : !var);
+  }
+  return z3::mk_or(literals);
+}
+
+/// A seeded random weighted instance shaped like a subproblem: a few hard
+/// clauses, user softs weighing 1000-3000 (scaled objective weights) and one
+/// unit minimality soft per variable preferring it false.
+void buildRandomInstance(SmtSession& session, std::vector<z3::expr>& vars,
+                         Rng& rng) {
+  const std::size_t count = 4 + rng.index(8);
+  for (std::size_t i = 0; i < count; ++i) {
+    vars.push_back(session.boolVar("x" + std::to_string(i)));
+  }
+  const std::size_t hard = 1 + rng.index(5);
+  for (std::size_t i = 0; i < hard; ++i) {
+    session.addHard(randomClause(vars, rng));
+  }
+  const std::size_t user = rng.index(4);
+  for (std::size_t i = 0; i < user; ++i) {
+    session.addSoft(randomClause(vars, rng),
+                    1000 * static_cast<unsigned>(1 + rng.index(3)),
+                    "user" + std::to_string(i));
+  }
+  for (std::size_t i = 0; i < vars.size(); ++i) {
+    session.addSoft(!vars[i], 1, "min-change:x" + std::to_string(i),
+                    SmtSession::SoftKind::kMinimality);
+  }
+}
+
+TEST(SmtSession, RandomWeightedInstancesMatchOptimize) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SmtSession session;
+    std::vector<z3::expr> vars;
+    Rng rng(seed);
+    buildRandomInstance(session, vars, rng);
+    const SmtSession::Result first = session.check();
+    EXPECT_EQ(sessionCost(session, first), optimizeCost(session))
+        << "seed " << seed << ": " << first.rungReason;
+    if (!first.sat()) continue;
+
+    // A re-check after addHard(): the optimum can only grow, and the warm
+    // start must not hide it.
+    session.addHard(randomClause(vars, rng));
+    const SmtSession::Result second = session.check();
+    EXPECT_EQ(sessionCost(session, second), optimizeCost(session))
+        << "seed " << seed << " after addHard: " << second.rungReason;
+    if (second.sat()) {
+      EXPECT_TRUE(second.rung == SolveRung::kWarmStart ||
+                  second.rung == SolveRung::kFull)
+          << solveRungName(second.rung);
+    }
+  }
+}
+
+TEST(SmtSession, UnsatInstanceMatchesOptimize) {
+  SmtSession session;
+  std::vector<z3::expr> vars;
+  Rng rng(7);
+  buildRandomInstance(session, vars, rng);
+  session.addHard(vars[0] || vars[1]);
+  session.addHard(!vars[0]);
+  session.addHard(!vars[1]);
+  const SmtSession::Result result = session.check();
+  EXPECT_EQ(result.rung, SolveRung::kUnsat) << result.rungReason;
+  EXPECT_EQ(optimizeCost(session), -1);
+}
+
+// Weights above INT_MAX in sum cannot be 32-bit pseudo-boolean coefficients:
+// the session refuses them, naming the soft.
+TEST(SmtSession, SummedSoftWeightAboveIntMaxIsInvalidInput) {
+  SmtSession session;
+  const z3::expr a = session.boolVar("a");
+  session.addSoft(a, 2000000000u, "heavy");
+  try {
+    session.addSoft(!a, 2000000000u, "heavier");
+    FAIL() << "expected kInvalidInput";
+  } catch (const AedError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
+    EXPECT_NE(std::string(e.what()).find("heavier"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Mangle, JoinsAndSanitizes) {

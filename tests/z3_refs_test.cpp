@@ -323,7 +323,8 @@ TEST(Z3Refs, SynthesizeReleasesEveryReference) {
         "unequal clones", tree, policies,
         parseObjectives("EQUATE //PacketFilter GROUPBY name"), options);
   }
-  // An unknown MaxSMT verdict: the degradation ladder's rungs run for real.
+  // An injected unknown: the search stops early and the degraded rungs run
+  // for real.
   {
     const ConfigTree tree = parseNetworkConfig(testing::figure1ConfigText());
     const PolicySet policies = {testing::figure1P1(), testing::figure1P2(),
