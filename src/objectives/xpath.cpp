@@ -1,6 +1,7 @@
 #include "objectives/xpath.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "conftree/node.hpp"
 #include "util/error.hpp"
@@ -32,33 +33,30 @@ PathSegment parseSegment(std::string_view text) {
   return segment;
 }
 
-std::string renderSegment(const PathSegment& segment) {
-  if (segment.attrs.empty()) return segment.kind;
-  std::string out = segment.kind + "[";
-  bool first = true;
-  for (const auto& [key, value] : segment.attrs) {
-    if (!first) out += ',';
-    first = false;
-    out += key + "=" + value;
-  }
-  return out + "]";
-}
-
-}  // namespace
-
-std::vector<PathSegment> parsePathString(std::string_view path) {
-  std::vector<PathSegment> segments;
+/// [begin, end) of each non-empty segment of `path`, split at the '/'
+/// outside brackets.
+std::vector<std::pair<std::size_t, std::size_t>> segmentSpans(
+    std::string_view path) {
+  std::vector<std::pair<std::size_t, std::size_t>> spans;
   std::size_t start = 0;
   int depth = 0;
   for (std::size_t i = 0; i <= path.size(); ++i) {
     if (i < path.size() && path[i] == '[') ++depth;
     if (i < path.size() && path[i] == ']') --depth;
     if (i == path.size() || (path[i] == '/' && depth == 0)) {
-      if (i > start) {
-        segments.push_back(parseSegment(path.substr(start, i - start)));
-      }
+      if (i > start) spans.emplace_back(start, i);
       start = i + 1;
     }
+  }
+  return spans;
+}
+
+}  // namespace
+
+std::vector<PathSegment> parsePathString(std::string_view path) {
+  std::vector<PathSegment> segments;
+  for (const auto& [begin, end] : segmentSpans(path)) {
+    segments.push_back(parseSegment(path.substr(begin, end - begin)));
   }
   return segments;
 }
@@ -183,15 +181,14 @@ bool XPath::selects(std::string_view path) const {
 }
 
 std::optional<std::string> XPath::rootOf(std::string_view path) const {
-  const auto segments = parsePathString(path);
-  const auto prefixes = matchPrefixes(segments);
+  const auto prefixes = matchPrefixes(parsePathString(path));
   if (prefixes.empty()) return std::nullopt;
-  std::string out;
-  for (std::size_t i = 0; i < prefixes.front(); ++i) {
-    if (i > 0) out += '/';
-    out += renderSegment(segments[i]);
-  }
-  return out;
+  // Cut `path` as written: re-rendering the segments would reorder their
+  // attributes, and DeltaVar::relativeKey() strips the root as a prefix.
+  const auto spans = segmentSpans(path);
+  const std::size_t begin = spans.front().first;
+  const std::size_t end = spans[prefixes.front() - 1].second;
+  return std::string(path.substr(begin, end - begin));
 }
 
 std::string XPath::rootAttr(std::string_view rootPath,

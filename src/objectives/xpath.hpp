@@ -51,8 +51,8 @@ class XPath {
   /// is inside a selected subtree).
   bool selects(std::string_view path) const;
 
-  /// The shortest matching prefix of `path`, rendered back as a path string;
-  /// nullopt if no prefix matches. This identifies the subtree root a node
+  /// The shortest matching prefix of `path`, as written there (a segment
+  /// keeps its attribute order); nullopt if no prefix matches. This identifies the subtree root a node
   /// belongs to (used for GROUPBY and EQUATE alignment).
   std::optional<std::string> rootOf(std::string_view path) const;
 

@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
+#include "conftree/parser.hpp"
+#include "fixtures.hpp"
 #include "objectives/objective.hpp"
 #include "objectives/xpath.hpp"
+#include "sketch/sketch.hpp"
+#include "topology/topology.hpp"
 #include "util/error.hpp"
 
 namespace aed {
@@ -89,6 +97,24 @@ TEST(XPath, MultiplePredicateGroups) {
       "Router[name=B]/RoutingProcess[type=bgp,name=65001]"));
 }
 
+// Node paths keep the attribute order their node prints with
+// (`RoutingProcess[type=bgp,name=...]`). The root must keep it too, or
+// DeltaVar::relativeKey() cannot strip it as a prefix.
+TEST(XPath, RootOfKeepsAttributeOrderAsWritten) {
+  const std::string rule =
+      "Router[name=B]/RoutingProcess[type=bgp,name=65002]/"
+      "RouteFilter[name=rf_a]/RouteFilterRule[seq=10]";
+  const auto root = XPath::parse("//RoutingProcess").rootOf(rule);
+  ASSERT_TRUE(root.has_value());
+  EXPECT_EQ(*root, "Router[name=B]/RoutingProcess[type=bgp,name=65002]");
+
+  DeltaVar delta;
+  delta.kind = DeltaKind::kRemoveRouteFilterRule;
+  delta.nodePath = rule;
+  EXPECT_EQ(delta.relativeKey(*root),
+            "rm-rfilter-rule@RouteFilter[name=rf_a]/RouteFilterRule[seq=10]");
+}
+
 TEST(XPath, RejectsMalformed) {
   EXPECT_THROW(XPath::parse(""), AedError);
   EXPECT_THROW(XPath::parse("Router"), AedError);
@@ -154,6 +180,58 @@ TEST(ObjectiveLibrary, Table2Encodings) {
             Restriction::kEliminate);
   EXPECT_EQ(objectivesAvoidRedistribution()[0].label,
             "ELIMINATE //Redistribution GROUPBY from");
+}
+
+// EQUATE aligns clones by each delta's key relative to its subtree root.
+// Two routers carrying the same import filter under their BGP process are
+// clones: every route-filter delta needs a non-empty key, and both clones
+// must offer the same keys.
+TEST(ObjectiveLibrary, PreserveTemplatesAlignsRouteFilterClones) {
+  const ConfigTree tree = parseNetworkConfig(
+      "hostname A\n"
+      "interface hosts\n"
+      " ip address 1.0.0.1/16\n"
+      "interface toB\n"
+      " ip address 10.0.1.1/30\n"
+      "router bgp 65001\n"
+      " neighbor 10.0.1.2 remote-router B filter-in rf_in\n"
+      " network 1.0.0.0/16\n"
+      " route-filter rf_in seq 10 deny 9.0.0.0/16\n"
+      " route-filter rf_in seq 20 permit any\n"
+      "!\n"
+      "hostname B\n"
+      "interface hosts\n"
+      " ip address 2.0.0.1/16\n"
+      "interface toA\n"
+      " ip address 10.0.1.2/30\n"
+      "router bgp 65002\n"
+      " neighbor 10.0.1.1 remote-router A filter-in rf_in\n"
+      " network 2.0.0.0/16\n"
+      " route-filter rf_in seq 10 deny 9.0.0.0/16\n"
+      " route-filter rf_in seq 20 permit any\n");
+  const PolicySet policies = {
+      Policy::reachability(testing::cls("1.0.0.0/16", "2.0.0.0/16")),
+      Policy::reachability(testing::cls("2.0.0.0/16", "1.0.0.0/16"))};
+  const Sketch sketch =
+      buildSketch(tree, Topology::fromConfigs(tree), policies);
+
+  const auto templates = objectivesPreserveTemplates();
+  const auto routeFilters =
+      std::find_if(templates.begin(), templates.end(), [](const Objective& o) {
+        return o.xpath.str().find("RouteFilter") != std::string::npos;
+      });
+  ASSERT_NE(routeFilters, templates.end());
+  std::map<std::string, std::set<std::string>> keysByRoot;
+  for (const DeltaVar& delta : sketch.deltas()) {
+    const auto root = routeFilters->xpath.rootOf(delta.virtualPath());
+    if (!root) continue;
+    const std::string key = delta.relativeKey(*root);
+    EXPECT_FALSE(key.empty()) << delta.virtualPath() << " under " << *root;
+    keysByRoot[*root].insert(key);
+  }
+  ASSERT_EQ(keysByRoot.size(), 2u);
+  EXPECT_FALSE(keysByRoot.begin()->second.empty());
+  EXPECT_EQ(keysByRoot.begin()->second, keysByRoot.rbegin()->second);
 }
 
 TEST(ObjectiveLibrary, WeightsPropagate) {
