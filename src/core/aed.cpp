@@ -168,7 +168,6 @@ class SynthesisRun {
         policies_(policies),
         objectives_(objectives),
         options_(options),
-        effective_(options),
         deadline_(options.timeBudgetMs != 0
                       ? Deadline::after(options.timeBudgetMs)
                       : Deadline::unlimited()),
@@ -190,11 +189,30 @@ class SynthesisRun {
   AedResult finish(bool thrown);
 
  private:
+  /// One destination group (subproblem) and all the run keeps for it. A
+  /// pool worker writes only its own group's `latest` and `solver`.
+  struct Group {
+    PolicySet policies;
+    SubResult latest;  // the group's latest solve
+    // Kept across rounds, so a repair round only pushes the group's new
+    // blocked sets into the live solver (core/subsolver.hpp). None for a
+    // group the input satisfies (checkInput()); with incrementalResolve off
+    // each solve replaces it. finish() frees the ones still alive.
+    std::unique_ptr<SubproblemSolver> solver;
+    // blame()'s sets for this group, one per round it was blamed.
+    std::vector<std::vector<std::string>> blocked;
+    bool inputSatisfied = false;  // checkInput(), before round 0
+    bool needsSolve = true;       // coordinating thread only
+    // For finish(): the latest verdict, with seconds and Z3 effort summed
+    // across rounds; an error until the group's first solve lands.
+    SubproblemReport report;
+  };
+
   void partition();
   void checkInput();
   void solveRound(int round, const std::vector<std::size_t>& pending);
   void solveOne(std::size_t i, std::uint64_t perSubproblemMs);
-  SubResult unchangedResult(std::size_t i) const;
+  SubResult unchangedResult(const Group& group) const;
   bool checkOutcomes();
   PolicySet mergeAndValidate(int round);
   PolicySet injectedRejection(int round) const;
@@ -222,7 +240,7 @@ class SynthesisRun {
   /// solveOne() answers the group with unchangedResult(), building no
   /// solver; a poisoned group keeps its solver so the fault runs for real.
   bool answeredUnchanged(std::size_t i) const {
-    return inputSatisfied_[i] && !poisoned(i);
+    return groups_[i].inputSatisfied && !poisoned(i);
   }
   /// Phase timing, split by round kind: round 0 is where every subproblem
   /// pays sketch + encode; with incrementalResolve the repair bucket's
@@ -240,33 +258,12 @@ class SynthesisRun {
   const ConfigTree& tree_;
   const PolicySet& policies_;
   const std::vector<Objective>& objectives_;
-  const AedOptions& options_;
-  AedOptions effective_;  // plus destination-scoped sketches when decomposed
+  AedOptions options_;  // plus destination-scoped sketches (partition())
   const Deadline deadline_;
   const std::size_t workers_;
   Topology topo_;
 
-  // One slot per destination group (subproblem), in destination order. A
-  // pool worker writes only its own group's subResults_ and solvers_ slots.
-  std::vector<PolicySet> groups_;
-  std::vector<std::string> destinations_;
-  std::vector<SubResult> subResults_;      // the group's latest solve
-  std::vector<double> subSeconds_;         // solve seconds summed across rounds
-  std::vector<SolverStats> solverTotals_;  // effort summed across rounds
-  // One persistent solver per group: a repair round pushes only the new
-  // blocked-delta clauses into the live z3::solver instead of re-encoding
-  // (see core/subsolver.hpp). Each owns its own z3::context. A group the
-  // input already satisfies never gets one (checkInput()). With
-  // incrementalResolve off, each solve replaces its group's solver (the
-  // fresh-per-round baseline bench_incremental compares against). finish()
-  // frees the solvers still alive.
-  std::vector<std::unique_ptr<SubproblemSolver>> solvers_;
-  std::vector<bool> needsSolve_;  // coordinating thread only
-  // Groups whose policies the input tree already meets, where that alone
-  // fixes the MaxSMT answer (checkInput()). Written before round 0.
-  std::vector<bool> inputSatisfied_;
-  std::vector<std::vector<std::string>> blocked_;  // grows across rounds
-
+  std::vector<Group> groups_;  // in destination order
   AedResult result_;
 };
 
@@ -280,7 +277,7 @@ void SynthesisRun::execute() {
   for (int round = 0; round <= options_.maxRepairIterations; ++round) {
     std::vector<std::size_t> pending;
     for (std::size_t i = 0; i < groups_.size(); ++i) {
-      if (needsSolve_[i]) pending.push_back(i);
+      if (groups_[i].needsSolve) pending.push_back(i);
     }
     if (pending.empty()) break;
 
@@ -308,25 +305,25 @@ void SynthesisRun::execute() {
 
 void SynthesisRun::partition() {
   AED_SPAN("aed.partition");
+  const auto add = [this](std::string destination, PolicySet policies) {
+    Group& group = groups_.emplace_back();
+    group.report.index = groups_.size() - 1;
+    group.report.destination = std::move(destination);
+    group.report.policyCount = policies.size();
+    group.report.outcome = group.latest.outcome;
+    group.policies = std::move(policies);
+  };
   if (options_.perDestination) {
     for (auto& [dst, set] : groupByDestination(policies_)) {
-      groups_.push_back(std::move(set));
-      destinations_.push_back(dst.str());
+      add(dst.str(), std::move(set));
     }
     // Confine each subproblem to destination-local changes so parallel
     // solutions cannot conflict (§8; see SketchOptions::destinationScoped).
-    if (groups_.size() > 1) effective_.sketch.destinationScoped = true;
+    if (groups_.size() > 1) options_.sketch.destinationScoped = true;
   } else if (!policies_.empty()) {
-    groups_.push_back(policies_);
-    destinations_.push_back("*");
+    add("*", policies_);
   }
   result_.stats.subproblems = groups_.size();
-  subResults_.resize(groups_.size());
-  subSeconds_.resize(groups_.size());
-  solverTotals_.resize(groups_.size());
-  solvers_.resize(groups_.size());
-  needsSolve_.assign(groups_.size(), true);
-  inputSatisfied_.assign(groups_.size(), false);
 }
 
 /// Marks the groups whose policies the unchanged network already meets,
@@ -347,8 +344,8 @@ void SynthesisRun::checkInput() {
   }
   AED_SPAN("aed.input_check");
   const SimulationEngine engine(tree_, workers_);
-  for (std::size_t i = 0; i < groups_.size(); ++i) {
-    inputSatisfied_[i] = engine.violations(groups_[i]).empty();
+  for (Group& group : groups_) {
+    group.inputSatisfied = engine.violations(group.policies).empty();
   }
 }
 
@@ -397,16 +394,15 @@ void SynthesisRun::solveRound(int round,
         solves[k].get();
       } catch (const AedError& e) {
         if (!fatal) fatal = std::current_exception();
-        subResults_[i] =
+        groups_[i].latest =
             failedSubResult(SubOutcome::kError, e.code(), e.what());
       } catch (const std::exception& e) {
         if (!fatal) fatal = std::current_exception();
-        subResults_[i] = failedSubResult(SubOutcome::kError,
-                                         ErrorCode::kInternal, e.what());
+        groups_[i].latest = failedSubResult(SubOutcome::kError,
+                                            ErrorCode::kInternal, e.what());
       }
     }
   }
-  for (const std::size_t i : pending) needsSolve_[i] = false;
 
   // Merged before the fatal rethrow below, so the work the siblings
   // completed this round stays attributable when the run unwinds.
@@ -414,12 +410,20 @@ void SynthesisRun::solveRound(int round,
   PhaseBreakdown& bucket = phaseBucket(round);
   const EngineHistograms& hist = histograms();
   for (const std::size_t i : pending) {
-    const SubResult& sub = subResults_[i];
+    Group& group = groups_[i];
+    group.needsSolve = false;
+    const SubResult& sub = group.latest;
+    SubproblemReport& report = group.report;
+    report.outcome = sub.outcome;
+    report.code = sub.code;
+    report.detail = sub.detail;
+    report.rung = sub.rung;
+    report.rungReason = sub.rungReason;
+    report.seconds += sub.seconds;
     bucket.sketchSeconds += sub.phases.sketchSeconds;
     bucket.encodeSeconds += sub.phases.encodeSeconds;
     bucket.solveSeconds += sub.phases.solveSeconds;
     bucket.extractSeconds += sub.phases.extractSeconds;
-    subSeconds_[i] += sub.seconds;
     stats.sumSubproblemSeconds += sub.seconds;
     stats.maxSubproblemSeconds =
         std::max(stats.maxSubproblemSeconds, sub.seconds);
@@ -432,18 +436,19 @@ void SynthesisRun::solveRound(int round,
       hist.conflicts.record(static_cast<double>(sub.solverStats.conflicts));
       hist.decisions.record(static_cast<double>(sub.solverStats.decisions));
       ++stats.rungCounts[static_cast<std::size_t>(sub.rung)];
-      solverTotals_[i].accumulate(sub.solverStats);
+      report.solverStats.accumulate(sub.solverStats);
     }
   }
   if (fatal) std::rethrow_exception(fatal);
 }
 
 void SynthesisRun::solveOne(std::size_t i, std::uint64_t perSubproblemMs) {
+  Group& group = groups_[i];
   // On a pool worker the submitting thread's span context is installed, so
   // this span parents under the round span whichever thread runs it.
   Span span("aed.subproblem");
   if (span.active()) {
-    span.setDetail("dst=" + destinations_[i] +
+    span.setDetail("dst=" + group.report.destination +
                    (answeredUnchanged(i) ? " input_satisfied" : ""));
   }
   try {
@@ -458,13 +463,13 @@ void SynthesisRun::solveOne(std::size_t i, std::uint64_t perSubproblemMs) {
       std::this_thread::sleep_for(std::chrono::milliseconds(fault.delayMs));
     }
     if (cancelled()) {
-      subResults_[i] = failedSubResult(SubOutcome::kCancelled,
-                                       ErrorCode::kCancelled,
-                                       "cancelled before solving");
+      group.latest = failedSubResult(SubOutcome::kCancelled,
+                                     ErrorCode::kCancelled,
+                                     "cancelled before solving");
       return;
     }
     if (answeredUnchanged(i)) {
-      subResults_[i] = unchangedResult(i);
+      group.latest = unchangedResult(group);
     } else {
       const Deadline deadline =
           deadline_.isUnlimited()
@@ -472,12 +477,12 @@ void SynthesisRun::solveOne(std::size_t i, std::uint64_t perSubproblemMs) {
               : Deadline::after(perSubproblemMs).min(deadline_);
       // Without incrementalResolve every solve starts from a fresh solver;
       // replacing the group's previous one frees it.
-      if (solvers_[i] == nullptr || !effective_.incrementalResolve) {
-        solvers_[i] = std::make_unique<SubproblemSolver>(
-            tree_, topo_, groups_[i], objectives_, effective_);
+      if (group.solver == nullptr || !options_.incrementalResolve) {
+        group.solver = std::make_unique<SubproblemSolver>(
+            tree_, topo_, group.policies, objectives_, options_);
       }
-      subResults_[i] = solvers_[i]->solve(
-          blocked_, deadline,
+      group.latest = group.solver->solve(
+          group.blocked, deadline,
           injected && fault.kind == FaultInjection::Kind::kUnknown);
     }
   } catch (const AedError& e) {
@@ -487,11 +492,11 @@ void SynthesisRun::solveOne(std::size_t i, std::uint64_t perSubproblemMs) {
                                : e.code() == ErrorCode::kCancelled
                                    ? SubOutcome::kCancelled
                                    : SubOutcome::kError;
-    subResults_[i] = failedSubResult(outcome, e.code(), e.what());
+    group.latest = failedSubResult(outcome, e.code(), e.what());
   } catch (const std::exception& e) {
     // Covers z3::exception: solver infrastructure trouble, isolated.
-    subResults_[i] = failedSubResult(
-        SubOutcome::kError, ErrorCode::kSubproblemFailed, e.what());
+    group.latest = failedSubResult(SubOutcome::kError,
+                                   ErrorCode::kSubproblemFailed, e.what());
   }
   Progress::incrDone();
 }
@@ -499,13 +504,13 @@ void SynthesisRun::solveOne(std::size_t i, std::uint64_t perSubproblemMs) {
 /// The answer for a group the input already satisfies (checkInput()): the
 /// empty patch, no active deltas, every objective met. Only the sketch is
 /// built, for the group's delta count and objective labels.
-SubResult SynthesisRun::unchangedResult(std::size_t i) const {
+SubResult SynthesisRun::unchangedResult(const Group& group) const {
   const auto start = Deadline::Clock::now();
   SubResult result;
   result.outcome = SubOutcome::kOk;
   result.sat = true;
   const Sketch sketch =
-      buildSketch(tree_, topo_, groups_[i], effective_.sketch);
+      buildSketch(tree_, topo_, group.policies, options_.sketch);
   result.phases.sketchSeconds = secondsSince(start);
   result.deltaCount = sketch.deltas().size();
   result.satisfied = objectiveLabels(sketch, objectives_);
@@ -522,13 +527,13 @@ bool SynthesisRun::checkOutcomes() {
   // Unsat is fatal for the whole run: the policies conflict (§11 "SMT
   // output for special cases"), and a partial patch would silently drop a
   // policy the operator asked for.
-  for (std::size_t i = 0; i < groups_.size(); ++i) {
-    if (subResults_[i].outcome == SubOutcome::kUnsat) {
+  for (const Group& group : groups_) {
+    if (group.latest.outcome == SubOutcome::kUnsat) {
       return fail(ErrorCode::kUnsat,
                   "unsatisfiable: the policies cannot all be implemented "
                   "(subproblem " +
-                      std::to_string(i) + ", " +
-                      std::to_string(groups_[i].size()) + " policies)");
+                      std::to_string(group.report.index) + ", " +
+                      std::to_string(group.policies.size()) + " policies)");
     }
   }
 
@@ -536,10 +541,11 @@ bool SynthesisRun::checkOutcomes() {
   // unknown, cancellation) are reported per subproblem; the survivors'
   // patches are still merged. Only when nothing survived is the whole run
   // a failure.
-  if (std::none_of(subResults_.begin(), subResults_.end(), usable)) {
+  if (std::none_of(groups_.begin(), groups_.end(),
+                   [](const Group& group) { return usable(group.latest); })) {
     const auto firstWith = [this](SubOutcome outcome) -> const SubResult* {
-      for (const SubResult& sub : subResults_) {
-        if (sub.outcome == outcome) return &sub;
+      for (const Group& group : groups_) {
+        if (group.latest.outcome == outcome) return &group.latest;
       }
       return nullptr;
     };
@@ -557,13 +563,13 @@ bool SynthesisRun::checkOutcomes() {
                          ? " (first: " + errored->detail + ")"
                          : std::string()));
   }
-  for (std::size_t i = 0; i < groups_.size(); ++i) {
-    if (!usable(subResults_[i])) {
-      logWarn() << "subproblem " << i << " (" << destinations_[i]
-                << ") failed: " << subOutcomeName(subResults_[i].outcome)
-                << (subResults_[i].detail.empty()
-                        ? ""
-                        : " — " + subResults_[i].detail);
+  for (const Group& group : groups_) {
+    const SubResult& sub = group.latest;
+    if (!usable(sub)) {
+      logWarn() << "subproblem " << group.report.index << " ("
+                << group.report.destination
+                << ") failed: " << subOutcomeName(sub.outcome)
+                << (sub.detail.empty() ? "" : " — " + sub.detail);
     }
   }
   return true;
@@ -576,11 +582,11 @@ bool SynthesisRun::checkOutcomes() {
 PolicySet SynthesisRun::mergeAndValidate(int round) {
   std::vector<Patch> patches;
   PolicySet survivingPolicies;
-  for (std::size_t i = 0; i < groups_.size(); ++i) {
-    if (!usable(subResults_[i])) continue;
-    patches.push_back(subResults_[i].patch);
-    survivingPolicies.insert(survivingPolicies.end(), groups_[i].begin(),
-                             groups_[i].end());
+  for (const Group& group : groups_) {
+    if (!usable(group.latest)) continue;
+    patches.push_back(group.latest.patch);
+    survivingPolicies.insert(survivingPolicies.end(), group.policies.begin(),
+                             group.policies.end());
   }
   Patch merged;
   ConfigTree updated;
@@ -623,11 +629,10 @@ PolicySet SynthesisRun::injectedRejection(int round) const {
     return {};
   }
   PolicySet rejectable;
-  for (std::size_t i = 0; i < groups_.size(); ++i) {
-    if (!usable(subResults_[i]) || subResults_[i].activeDeltas.empty()) {
-      continue;
-    }
-    rejectable.insert(rejectable.end(), groups_[i].begin(), groups_[i].end());
+  for (const Group& group : groups_) {
+    if (!usable(group.latest) || group.latest.activeDeltas.empty()) continue;
+    rejectable.insert(rejectable.end(), group.policies.begin(),
+                      group.policies.end());
   }
   if (!rejectable.empty()) {
     logWarn() << "fault injection: rejecting the round-" << round
@@ -636,10 +641,10 @@ PolicySet SynthesisRun::injectedRejection(int round) const {
   return rejectable;
 }
 
-/// Counts a repair round and blocks the active delta sets of the groups
-/// blamed for `violated`, marking them for re-solve. Fails the run when no
-/// repair round is left, on cancellation, when the budget is spent, or when
-/// no group can be blamed.
+/// Counts a repair round and blocks, in each group blamed for `violated`,
+/// that group's active delta set, marking it for re-solve. Fails the run
+/// when no repair round is left, on cancellation, when the budget is spent,
+/// or when no group can be blamed.
 bool SynthesisRun::blame(int round, const PolicySet& violated) {
   Span span("aed.blame");
   if (span.active()) {
@@ -664,40 +669,42 @@ bool SynthesisRun::blame(int round, const PolicySet& violated) {
   }
   logWarn() << "patch failed simulation for " << violated.size()
             << " policies; blocking and re-solving";
-  // A group's active delta set is pushed at most once per round, even when
-  // it owns several violated policies: duplicate blocking clauses would
-  // bloat every solver (incremental ones keep them forever).
-  std::set<std::size_t> blamedGroups;
-  const std::size_t blockedBefore = blocked_.size();
+  // solveRound() left every group's needsSolve clear, so a set flag marks
+  // a group blamed this round. Its active delta set is blocked once per
+  // round, even when it owns several violated policies: a duplicate clause
+  // would bloat its solver, which keeps every clause.
   bool fallback = false;
   const auto describe = [&] {
     if (!span.active()) return;
-    std::string groups;
-    for (const std::size_t i : blamedGroups) {
-      groups += (groups.empty() ? "" : ",") + std::to_string(i);
+    std::string blamed;
+    std::size_t count = 0;
+    for (const Group& group : groups_) {
+      if (!group.needsSolve) continue;
+      if (count++ > 0) blamed += ',';
+      blamed += std::to_string(group.report.index);
     }
     span.setDetail("violated=" + std::to_string(violated.size()) +
-                   " groups=" + (groups.empty() ? "-" : groups) +
-                   " fallback=" + (fallback ? "yes" : "no") + " blocked=" +
-                   std::to_string(blocked_.size() - blockedBefore));
+                   " groups=" + (blamed.empty() ? "-" : blamed) +
+                   " fallback=" + (fallback ? "yes" : "no") +
+                   " blocked=" + std::to_string(count));
   };
-  // Blocks every surviving group with a non-empty delta set that `pick`
-  // selects; false when there was none.
+  // Blocks, in its own list, the active delta set of every surviving group
+  // with a non-empty set that `pick` selects; false when there was none.
   const auto blockWhere = [&](const auto& pick) {
     bool any = false;
-    for (std::size_t i = 0; i < groups_.size(); ++i) {
-      const SubResult& sub = subResults_[i];
-      if (!usable(sub) || sub.activeDeltas.empty() || !pick(i)) continue;
-      needsSolve_[i] = true;
-      if (blamedGroups.insert(i).second) blocked_.push_back(sub.activeDeltas);
+    for (Group& group : groups_) {
+      const SubResult& sub = group.latest;
+      if (!usable(sub) || sub.activeDeltas.empty() || !pick(group)) continue;
+      if (!group.needsSolve) group.blocked.push_back(sub.activeDeltas);
+      group.needsSolve = true;
       any = true;
     }
     return any;
   };
   for (const Policy& policy : violated) {
-    const auto owns = [&](std::size_t i) {
+    const auto owns = [&policy](const Group& group) {
       return std::any_of(
-          groups_[i].begin(), groups_[i].end(),
+          group.policies.begin(), group.policies.end(),
           [&policy](const Policy& p) { return p.cls.dst == policy.cls.dst; });
     };
     // When the owning subproblem made no changes, another group's deltas
@@ -705,7 +712,7 @@ bool SynthesisRun::blame(int round, const PolicySet& violated) {
     bool blamed = blockWhere(owns);
     if (!blamed) {
       fallback = true;
-      blamed = blockWhere([](std::size_t) { return true; });
+      blamed = blockWhere([](const Group&) { return true; });
     }
     if (!blamed) {
       describe();
@@ -749,8 +756,10 @@ AedResult SynthesisRun::finish(bool thrown) {
     // contexts, each freed in a few milliseconds: free them side by side,
     // on one thread each up to workers_.
     std::vector<std::function<void()>> frees;
-    for (std::unique_ptr<SubproblemSolver>& solver : solvers_) {
-      if (solver != nullptr) frees.emplace_back([&solver] { solver.reset(); });
+    for (Group& group : groups_) {
+      if (group.solver != nullptr) {
+        frees.emplace_back([&group] { group.solver.reset(); });
+      }
     }
     const std::size_t lanes = std::min(workers_, frees.size());
     if (lanes > 1) {
@@ -765,22 +774,11 @@ AedResult SynthesisRun::finish(bool thrown) {
   // The report: per-subproblem records, stats, metrics and the flight dump.
   AED_SPAN("aed.report");
 
-  // subResults_ stays empty when the run threw before partitioning.
+  // groups_ stays empty when the run threw before partitioning.
   AedStats& stats = result_.stats;
   std::set<std::string> violatedLabels;
-  for (std::size_t i = 0; i < subResults_.size(); ++i) {
-    const SubResult& sub = subResults_[i];
-    result_.subproblems.push_back({.index = i,
-                                   .destination = destinations_[i],
-                                   .policyCount = groups_[i].size(),
-                                   .outcome = sub.outcome,
-                                   .code = sub.code,
-                                   .detail = sub.detail,
-                                   .seconds = subSeconds_[i],
-                                   .rung = sub.rung,
-                                   .rungReason = sub.rungReason,
-                                   .solverStats = solverTotals_[i]});
-
+  for (Group& group : groups_) {
+    const SubResult& sub = group.latest;
     if (sub.outcome == SubOutcome::kDegraded) {
       ++stats.degradedSubproblems;
     } else if (sub.outcome != SubOutcome::kOk) {
@@ -789,10 +787,11 @@ AedResult SynthesisRun::finish(bool thrown) {
     if (sub.outcome != SubOutcome::kOk) result_.degraded = true;
     violatedLabels.insert(sub.violated.begin(), sub.violated.end());
     stats.deltaCount += sub.deltaCount;
+    result_.subproblems.push_back(std::move(group.report));
   }
   std::set<std::string> satisfiedLabels;
-  for (const SubResult& sub : subResults_) {
-    for (const std::string& label : sub.satisfied) {
+  for (const Group& group : groups_) {
+    for (const std::string& label : group.latest.satisfied) {
       if (violatedLabels.count(label) == 0) satisfiedLabels.insert(label);
     }
   }

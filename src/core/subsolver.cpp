@@ -97,21 +97,18 @@ SubResult SubproblemSolver::solve(
   session_->setDeadline(deadline);
   if (injectUnknown) session_->injectUnknown(1);
 
-  // Push only the blocked-delta clauses the live solver has not seen yet.
-  // The shared list grows monotonically across repair rounds, so earlier
+  // Push only the blocked sets the live solver has not seen yet. The
+  // group's list grows monotonically across repair rounds, so earlier
   // clauses are already asserted (and permanent — see the header).
   for (; blockedApplied_ < blockedDeltaSets.size(); ++blockedApplied_) {
-    const std::vector<std::string>& blockedSet =
-        blockedDeltaSets[blockedApplied_];
     z3::expr all = session_->boolVal(true);
-    bool any = false;
-    for (const std::string& name : blockedSet) {
+    for (const std::string& name : blockedDeltaSets[blockedApplied_]) {
       const DeltaVar* delta = sketch_->findByName(name);
-      if (delta == nullptr) continue;  // another subproblem's delta
+      require(delta != nullptr,
+              "blocked delta '" + name + "' is not in this subproblem");
       session_->reassign(all, all && encoder_->deltaActive(*delta));
-      any = true;
     }
-    if (any) session_->addHard(!all);
+    session_->addHard(!all);
   }
 
   auto phaseStart = Deadline::Clock::now();

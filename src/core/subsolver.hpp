@@ -10,9 +10,9 @@
 // "subsolver.free" span; the session releases every reference it holds
 // first (smt/session.hpp), so Z3 has no leaked nodes to sweep.
 //
-// Why incremental blocking is sound: the blocked-delta list shared across
-// repair rounds grows monotonically — a delta combination that failed
-// simulator validation once is invalid forever (the simulator is
+// Why incremental blocking is sound: a subproblem's own blocked-delta list
+// grows monotonically across repair rounds — a delta combination that
+// failed simulator validation once is invalid forever (the simulator is
 // deterministic over a fixed tree+policy set), so its blocking clause is a
 // permanent hard constraint, never retracted. Adding hard clauses to the
 // live solver and re-running the session's search is Z3's incremental mode:
@@ -77,9 +77,9 @@ class SubproblemSolver {
   SubproblemSolver& operator=(const SubproblemSolver&) = delete;
 
   /// Solves (round 0) or incrementally re-solves (repair rounds) the
-  /// subproblem. `blockedDeltaSets` is the monotonically growing list of
-  /// delta combinations that failed simulator validation, shared across
-  /// rounds; only the suffix not yet asserted is pushed into the solver.
+  /// subproblem. `blockedDeltaSets` is its own growing list of delta
+  /// combinations that failed simulator validation, each name a delta of its
+  /// sketch; only the suffix not yet asserted is pushed into the solver.
   /// The deadline is re-applied on every call, so each round gets its own
   /// budget share. `injectUnknown` stops the search where its total-cost
   /// step would begin (deterministic fault injection). Throws kInvalidInput
@@ -115,8 +115,8 @@ class SubproblemSolver {
   std::optional<Sketch> sketch_;
   std::unique_ptr<Encoder> encoder_;
 
-  /// Prefix of the shared blocked-delta list already asserted as hard
-  /// clauses in the live solver.
+  /// Prefix of the blocked-set list already asserted as hard clauses in the
+  /// live solver.
   std::size_t blockedApplied_ = 0;
   int rounds_ = 0;
 };

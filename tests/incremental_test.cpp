@@ -223,6 +223,46 @@ TEST(Incremental, FreshSolversAreFreedInsideTheirSubproblem) {
   EXPECT_GT(solved, solvingGroups);
 }
 
+// A blocked set constrains only the group it was blocked for. With rack0 and
+// rack1 withdrawn two groups build a solver, and the forced rejection blames
+// both in each of its 2 rounds, so each solver holds its round-0 encoding
+// plus one clause per round. A sibling's set would add more wherever its
+// delta names are known, as every destination-scoped sketch knows the
+// add-redistribution deltas.
+TEST(Incremental, BlockedSetsConstrainOnlyTheirOwnGroup) {
+  DcParams params;
+  params.racks = 3;
+  params.aggs = 1;
+  params.spines = 0;
+  params.blockedPairFraction = 0.0;
+  params.seed = 29;
+  GeneratedNetwork net = generateDatacenter(params);
+  const PolicySet policies = makeWithdrawnSubnetUpdate(net, "rack0");
+  makeWithdrawnSubnetUpdate(net, "rack1");
+
+  AedOptions plain;
+  plain.workers = 2;
+  AedOptions repaired = repairHeavyOptions(true);
+  repaired.workers = 2;
+  const AedResult once = synthesize(net.tree, policies, {}, plain);
+  const AedResult blocked = synthesize(net.tree, policies, {}, repaired);
+  ASSERT_TRUE(once.success) << once.error;
+  ASSERT_TRUE(blocked.success) << blocked.error;
+  ASSERT_EQ(blocked.stats.repairRounds, 2u);
+  ASSERT_EQ(once.subproblems.size(), blocked.subproblems.size());
+
+  std::size_t solving = 0;
+  for (std::size_t i = 0; i < once.subproblems.size(); ++i) {
+    const SubproblemReport& before = once.subproblems[i];
+    if (before.rung == SolveRung::kNone) continue;  // built no solver
+    ++solving;
+    EXPECT_EQ(blocked.subproblems[i].solverStats.assertions,
+              before.solverStats.assertions + 2)
+        << before.destination;
+  }
+  EXPECT_EQ(solving, 2u);
+}
+
 TEST(Incremental, FaultInjectionRejectCountsRepairRounds) {
   const RepairFixture fixture = dcRepairFixture();
   AedOptions options = repairHeavyOptions(true);
