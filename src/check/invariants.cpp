@@ -132,11 +132,6 @@ std::optional<long long> optimizeCost(const SmtSession::Problem& problem,
   return cost;
 }
 
-bool isDeployFault(FaultInjection::Kind kind) {
-  return kind == FaultInjection::Kind::kStageCommitFailure ||
-         kind == FaultInjection::Kind::kStageValidationTimeout;
-}
-
 class Checker {
  public:
   Checker(const Scenario& scenario, InvariantMask selected)
@@ -346,12 +341,19 @@ class Checker {
       return;
     }
 
-    AedOptions options = scenario_.options();
-    if (scenario_.fault.kind != FaultInjection::Kind::kNone &&
-        !isDeployFault(scenario_.fault.kind)) {
-      options.faultInjection = scenario_.fault;
+    AedResult result;
+    try {
+      result = synthesize(scenario_.tree, scenario_.policies, {},
+                          scenario_.options());
+    } catch (const std::exception& e) {
+      // As guarded() treats an invariant body that throws.
+      out_.note = "synthesis threw: " + std::string(e.what());
+      if (want(Invariant::kSynthSound)) {
+        out_.checked |= mask(Invariant::kSynthSound);
+        fail(Invariant::kSynthSound, "exception", e.what());
+      }
+      return;
     }
-    AedResult result = synthesize(scenario_.tree, scenario_.policies, {}, options);
     if (result.success && !result.degraded) {
       patch_ = std::move(result.patch);
       updated_ = std::move(result.updated);

@@ -53,6 +53,11 @@ AedOptions Scenario::options() const {
   options.workers = 2;
   options.validateWithSimulator = true;
   options.incrementalResolve = true;
+  // A deployment fault is injected by the staged-deployment check alone.
+  if (fault.kind != FaultInjection::Kind::kStageCommitFailure &&
+      fault.kind != FaultInjection::Kind::kStageValidationTimeout) {
+    options.faultInjection = fault;
+  }
   return options;
 }
 

@@ -82,7 +82,8 @@ struct Scenario {
   Scenario clone() const;
 
   /// Engine options every invariant run uses: simulator validation on,
-  /// bounded repair, deterministic two-worker parallelism.
+  /// bounded repair, deterministic two-worker parallelism, and the fault
+  /// when it strikes synthesis.
   AedOptions options() const;
 };
 

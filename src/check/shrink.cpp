@@ -1,6 +1,7 @@
 #include "check/shrink.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -60,8 +61,12 @@ class Shrinker {
   /// (delta debugging's "unresolved" outcome).
   bool reproduces(const Scenario& candidate, InvariantFailure* out = nullptr) {
     ++stats_.attempts;
-    const CheckOutcome outcome =
-        checkScenario(candidate, mask(target_.invariant));
+    CheckOutcome outcome;
+    try {
+      outcome = checkScenario(candidate, mask(target_.invariant));
+    } catch (const std::exception&) {
+      return false;
+    }
     for (const InvariantFailure& failure : outcome.failures) {
       if (failure.invariant == target_.invariant &&
           failure.category == target_.category) {

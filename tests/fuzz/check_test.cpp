@@ -10,6 +10,7 @@
 #include "check/invariants.hpp"
 #include "check/repro.hpp"
 #include "check/scenario.hpp"
+#include "check/shrink.hpp"
 #include "conftree/parser.hpp"
 #include "conftree/printer.hpp"
 #include "core/aed.hpp"
@@ -180,6 +181,33 @@ TEST(CheckScenarioTest, UnsatAgreesWithFreshSolve) {
       checkScenario(scenario, mask(Invariant::kIncrementalEquiv));
   EXPECT_TRUE(outcome.passed())
       << (outcome.failures.empty() ? "" : outcome.failures[0].detail);
+}
+
+// A policy whose source is attached nowhere makes synthesize() throw. The
+// checker reports the throw as a synth-sound failure instead of passing it
+// on, and the shrinker, whose reduced candidates can throw too, finishes.
+TEST(CheckScenarioTest, ThrowingSynthesisIsAFailureTheShrinkerFinishes) {
+  Scenario scenario;
+  scenario.label = "figure1 plus an unattached source";
+  scenario.tree = parseNetworkConfig(aed::testing::figure1ConfigText());
+  scenario.policies = {
+      aed::testing::figure1P1(), aed::testing::figure1P2(),
+      aed::testing::figure1P3(),
+      Policy::reachability(aed::testing::cls("99.0.0.0/16", "2.0.0.0/16"))};
+  CheckOutcome outcome;
+  ASSERT_NO_THROW(outcome = checkScenario(scenario, kCheapInvariants));
+  ASSERT_EQ(outcome.failures.size(), 1u);
+  const InvariantFailure& failure = outcome.failures[0];
+  EXPECT_EQ(failure.invariant, Invariant::kSynthSound);
+  EXPECT_EQ(failure.category, "exception");
+  EXPECT_NE(failure.detail.find("no source attachment"), std::string::npos)
+      << failure.detail;
+  EXPECT_FALSE(outcome.synthesized);
+
+  ShrinkResult shrunk;
+  ASSERT_NO_THROW(shrunk = shrinkScenario(scenario, failure));
+  EXPECT_EQ(shrunk.failure.category, "exception");
+  EXPECT_LT(shrunk.stats.policiesAfter, shrunk.stats.policiesBefore);
 }
 
 // Edge case: journal rollback restores the bit-identical tree when the
