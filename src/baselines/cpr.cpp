@@ -6,6 +6,7 @@
 #include <functional>
 #include <map>
 
+#include "simulate/repair_edits.hpp"
 #include "simulate/simulator.hpp"
 #include "util/log.hpp"
 
@@ -19,26 +20,6 @@ struct Candidate {
   std::string what;
   std::function<void(ConfigTree&)> apply;
 };
-
-void prependPacketRule(Node& filter, const TrafficClass& cls,
-                       const std::string& action) {
-  int minSeq = 10000;
-  for (const Node* rule : filter.childrenOfKind(NodeKind::kPacketFilterRule)) {
-    minSeq = std::min(minSeq, rule->intAttr("seq"));
-  }
-  Node& rule = filter.addChild(NodeKind::kPacketFilterRule);
-  rule.setAttr("seq", std::to_string(minSeq - 1));
-  rule.setAttr("action", action);
-  rule.setAttr("srcPrefix", cls.src.str());
-  rule.setAttr("dstPrefix", cls.dst.str());
-}
-
-std::string boundFilterName(const ConfigTree& tree, const Topology& topo,
-                            const std::string& router,
-                            const std::string& other, const char* direction) {
-  const Node* iface = topo.interfaceTowards(tree, router, other);
-  return iface == nullptr ? "" : iface->attr(direction);
-}
 
 // Candidates fixing one (policy, source) reachability failure.
 void reachabilityCandidates(const ConfigTree& tree, const Simulator& sim,
@@ -93,18 +74,8 @@ void reachabilityCandidates(const ConfigTree& tree, const Simulator& sim,
       out.push_back(Candidate{
           1, "static route at " + at + " via " + neighbor,
           [at, dst, nexthopStr](ConfigTree& t) {
-            Node* router = t.router(at);
-            Node* proc = nullptr;
-            for (Node* p :
-                 router->childrenOfKind(NodeKind::kRoutingProcess)) {
-              if (p->attr("type") == "static") proc = p;
-            }
-            if (proc == nullptr) {
-              proc = &router->addChild(NodeKind::kRoutingProcess);
-              proc->setAttr("type", "static");
-              proc->setAttr("name", "main");
-            }
-            Node& orig = proc->addChild(NodeKind::kOrigination);
+            Node& orig =
+                staticProcess(*t.router(at)).addChild(NodeKind::kOrigination);
             orig.setAttr("prefix", dst.str());
             orig.setAttr("nexthop", nexthopStr);
           }});
@@ -205,15 +176,13 @@ CprResult cprRepair(const ConfigTree& tree, const PolicySet& policies) {
     // policy's forwarding outcome without regressing anything (repairs can
     // need several steps, e.g. a static route at one hop and a filter
     // permit at the next).
-    const auto forwardSignature = [&policies](const Simulator& sim,
-                                              const Policy& p) {
+    const auto forwardSignature = [](const Simulator& sim, const Policy& p) {
       std::string signature;
       for (const std::string& src : sim.sourceRouters(p.cls)) {
         const ForwardResult fwd = sim.forward(p.cls, src);
         signature += src + ":" + fwd.dropReason + ":" +
                      std::to_string(fwd.path.size()) + ";";
       }
-      (void)policies;
       return signature;
     };
     const std::string beforeSignature =

@@ -4,6 +4,7 @@
 #include <deque>
 #include <map>
 
+#include "simulate/repair_edits.hpp"
 #include "simulate/simulator.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -12,21 +13,6 @@
 namespace aed {
 
 namespace {
-
-// Prepends a (src,dst,action) rule to a packet filter node, in front of all
-// current rules.
-void prependRule(Node& filter, const TrafficClass& cls,
-                 const std::string& action) {
-  int minSeq = 10000;
-  for (const Node* rule : filter.childrenOfKind(NodeKind::kPacketFilterRule)) {
-    minSeq = std::min(minSeq, rule->intAttr("seq"));
-  }
-  Node& rule = filter.addChild(NodeKind::kPacketFilterRule);
-  rule.setAttr("seq", std::to_string(minSeq - 1));
-  rule.setAttr("action", action);
-  rule.setAttr("srcPrefix", cls.src.str());
-  rule.setAttr("dstPrefix", cls.dst.str());
-}
 
 // Adds the same permit rule to the named filter on `router` and on every
 // clone: any router with the same role carrying a same-named filter.
@@ -40,19 +26,10 @@ int editFilterTemplateWide(ConfigTree& tree, const std::string& router,
     if (candidate->attr("role") != role) continue;
     Node* filter = candidate->findChild(NodeKind::kPacketFilter, filterName);
     if (filter == nullptr) continue;
-    prependRule(*filter, cls, "permit");
+    prependPacketRule(*filter, cls, "permit");
     ++edited;
   }
   return edited;
-}
-
-// The packet filter bound in `direction` on `router`'s interface facing
-// `other`; empty string when none.
-std::string boundFilterName(const ConfigTree& tree, const Topology& topo,
-                            const std::string& router,
-                            const std::string& other, const char* direction) {
-  const Node* iface = topo.interfaceTowards(tree, router, other);
-  return iface == nullptr ? "" : iface->attr(direction);
 }
 
 // Adds static routes for `dst` along the physical shortest path from
@@ -83,25 +60,16 @@ bool addStaticPath(ConfigTree& tree, const Topology& topo,
 
   bool added = false;
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    Node* router = tree.router(path[i]);
-    Node* proc = nullptr;
-    for (Node* p : router->childrenOfKind(NodeKind::kRoutingProcess)) {
-      if (p->attr("type") == "static") proc = p;
-    }
-    if (proc == nullptr) {
-      proc = &router->addChild(NodeKind::kRoutingProcess);
-      proc->setAttr("type", "static");
-      proc->setAttr("name", "main");
-    }
+    Node& proc = staticProcess(*tree.router(path[i]));
     const auto nexthop = topo.peerAddress(path[i], path[i + 1]);
     if (!nexthop) continue;
     // Skip duplicates.
     bool exists = false;
-    for (const Node* orig : proc->childrenOfKind(NodeKind::kOrigination)) {
+    for (const Node* orig : proc.childrenOfKind(NodeKind::kOrigination)) {
       if (orig->attr("prefix") == dst.str()) exists = true;
     }
     if (exists) continue;
-    Node& orig = proc->addChild(NodeKind::kOrigination);
+    Node& orig = proc.addChild(NodeKind::kOrigination);
     orig.setAttr("prefix", dst.str());
     orig.setAttr("nexthop", nexthop->str());
     added = true;
@@ -142,7 +110,7 @@ ManualUpdateResult manualUpdate(const ConfigTree& tree,
           Node* filter = result.updated.router(last)->findChild(
               NodeKind::kPacketFilter, name);
           if (filter == nullptr) continue;
-          prependRule(*filter, policy.cls, "deny");
+          prependPacketRule(*filter, policy.cls, "deny");
           progress = true;
         }
         continue;
