@@ -4,8 +4,6 @@
 //  * default per-delta minimality — without it the solver returns arbitrary
 //    policy-compliant assignments (this is most of what separates AED from
 //    the clean-slate baseline);
-//  * simulator validation + repair loop — the safety net for model/solver
-//    divergence; measures its overhead on the happy path;
 //  * destination-scoped decomposition — per-destination solving without the
 //    scoping restriction would be unsound (see DESIGN.md), so the ablation
 //    contrasts scoped-parallel vs monolithic *churn* (optimality cost of
@@ -52,20 +50,6 @@ void minimalityAblation(benchmark::State& state, int routers, bool on) {
   }
 }
 
-void validationAblation(benchmark::State& state, int routers, bool on) {
-  const Workload w = makeWorkload(routers);
-  AedOptions options;
-  options.validateWithSimulator = on;
-  for (auto _ : state) {
-    const AedResult r = synthesize(w.net.tree, w.all, {}, options);
-    if (!r.success) return state.SkipWithError(r.error.c_str());
-    requireCorrect(r.updated, w.all, state);
-    state.counters["toolSeconds"] = r.stats.totalSeconds;
-    state.counters["repairRounds"] =
-        static_cast<double>(r.stats.repairRounds);
-  }
-}
-
 void scopingAblation(benchmark::State& state, int routers, bool scoped) {
   const Workload w = makeWorkload(routers);
   AedOptions options;
@@ -91,13 +75,6 @@ void aedbench::registerCases() {
         (std::string("Ablation/minimality/") + (on ? "on" : "off")).c_str(),
         [routers, on](benchmark::State& s) {
           minimalityAblation(s, routers, on);
-        })
-        ->Unit(benchmark::kSecond)
-        ->Iterations(1);
-    benchmark::RegisterBenchmark(
-        (std::string("Ablation/validation/") + (on ? "on" : "off")).c_str(),
-        [routers, on](benchmark::State& s) {
-          validationAblation(s, routers, on);
         })
         ->Unit(benchmark::kSecond)
         ->Iterations(1);

@@ -4,7 +4,7 @@
 // re-runs route convergence for every (policy, source) forwarding walk, so a
 // policy-heavy validation pays the convergence cost hundreds of times for a
 // handful of distinct destinations. The SimulationEngine converges once per
-// (destination, environment) and shards the checks across a thread pool.
+// (destination, environment), on the calling thread.
 // Verdicts are bit-identical (asserted here and in tests/engine_test.cpp);
 // this bench measures what that buys.
 //

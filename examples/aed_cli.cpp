@@ -2,7 +2,7 @@
 //
 // Usage:
 //   aed_cli --configs <file> --policies <file> [--objectives <file>]
-//           [--out <file>] [--sequential] [--no-validate] [--verbose]
+//           [--out <file>] [--sequential] [--verbose]
 //           [--budget-ms <n>] [--staged-apply]
 //           [--trace <file>] [--metrics] [--metrics-out <file>]
 //           [--solver-stats] [--progress]
@@ -31,9 +31,9 @@
 // update), executes it transactionally, and prints the plan.
 //
 // --trace <file> records the run's hierarchical span tree (synthesize →
-// round → subproblem → smt.check / validate → sim shards → deploy stages)
-// and writes Chrome trace-event JSON loadable by chrome://tracing or
-// Perfetto. --metrics prints the unified counter registry after the run —
+// round → subproblem → smt.check / validate → sim.violations → deploy
+// stages) and writes Chrome trace-event JSON loadable by chrome://tracing
+// or Perfetto. --metrics prints the unified counter registry after the run —
 // including on failure, so degraded and thrown runs stay attributable.
 //
 // --metrics-out <file> exports the registry snapshot on every exit path:
@@ -81,7 +81,7 @@ std::string readFile(const std::string& path) {
 int usage() {
   std::cerr << "usage: aed_cli --configs <file> --policies <file>\n"
                "               [--objectives <file>] [--out <file>]\n"
-               "               [--sequential] [--no-validate] [--verbose]\n"
+               "               [--sequential] [--verbose]\n"
                "               [--budget-ms <n>] [--staged-apply]\n"
                "               [--trace <file>] [--metrics]\n"
                "               [--metrics-out <file>] [--solver-stats]\n"
@@ -168,7 +168,6 @@ int main(int argc, char** argv) {
       else if (arg == "--objectives") objectivesPath = value();
       else if (arg == "--out") outPath = value();
       else if (arg == "--sequential") options.perDestination = false;
-      else if (arg == "--no-validate") options.validateWithSimulator = false;
       else if (arg == "--budget-ms") {
         options.timeBudgetMs = parseU64(value(), arg);
       }
@@ -285,10 +284,7 @@ int main(int argc, char** argv) {
     if (sim.routeHits + sim.routeMisses > 0) {
       std::cout << "simulate cache: " << sim.routeHits << " hits / "
                 << sim.routeMisses << " misses ("
-                << static_cast<int>(sim.hitRate() * 100.0)
-                << "% hit rate), " << sim.parallelTasks
-                << " parallel tasks in " << sim.parallelBatches
-                << " batches\n";
+                << static_cast<int>(sim.hitRate() * 100.0) << "% hit rate)\n";
     }
     if (options.stagedDeployment && !result.deployment.empty()) {
       std::cout << "\n" << result.deployment.describe();

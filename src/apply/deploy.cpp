@@ -45,7 +45,7 @@ std::string stagesJson(const DeploymentPlan& plan) {
 }  // namespace
 
 bool executeDeployment(ConfigTree& tree, DeploymentPlan& plan,
-                       const DeployOptions& options,
+                       const DeployOptions&,
                        const FaultInjection& fault) {
   Span span("deploy.execute");
   if (span.active()) {
@@ -121,8 +121,7 @@ bool executeDeployment(ConfigTree& tree, DeploymentPlan& plan,
       abort(stage, ErrorCode::kTimeout, "injected validation timeout");
       continue;
     }
-    const PolicySet violated =
-        SimulationEngine(tree, options.workers).violations(plan.guard);
+    const PolicySet violated = SimulationEngine(tree).violations(plan.guard);
     stage.validateSeconds = secondsSince(validateStart);
     histStageValidateSeconds().record(stage.validateSeconds);
     if (!violated.empty()) {

@@ -65,9 +65,10 @@ struct FaultInjection {
 /// stage (and stays at the last committed state on abort), `plan` receives
 /// per-stage statuses/timings and the execution summary. Returns true when
 /// every stage committed. Re-validates each intermediate state against
-/// plan.guard even for stages the planner could not pre-validate.
+/// plan.guard even for stages the planner could not pre-validate. The
+/// DeployOptions are ignored.
 bool executeDeployment(ConfigTree& tree, DeploymentPlan& plan,
-                       const DeployOptions& options = {},
+                       const DeployOptions& = {},
                        const FaultInjection& fault = {});
 
 }  // namespace aed

@@ -168,37 +168,33 @@ const char* stageStatusName(StageStatus status) {
 }
 
 PolicySet regressionGuard(const ConfigTree& base, const ConfigTree& updated,
-                          const PolicySet& policies,
-                          const DeployOptions& options) {
-  const PolicySet heldBefore = minus(
-      policies, SimulationEngine(base, options.workers).violations(policies));
-  return minus(heldBefore, SimulationEngine(updated, options.workers)
-                               .violations(heldBefore));
+                          const PolicySet& policies) {
+  const PolicySet heldBefore =
+      minus(policies, SimulationEngine(base).violations(policies));
+  return minus(heldBefore, SimulationEngine(updated).violations(heldBefore));
 }
 
 DeploymentPlan planStagedRollout(const ConfigTree& base, const Patch& merged,
                                  const PolicySet& policies,
-                                 const DeployOptions& options) {
+                                 const DeployOptions&) {
   AED_SPAN("deploy.plan");
   const auto start = Deadline::Clock::now();
   DeploymentPlan plan;
   if (merged.empty()) {
-    plan.guard = regressionGuard(base, base, policies, options);
+    plan.guard = regressionGuard(base, base, policies);
     plan.planSeconds = secondsSince(start);
     return plan;
   }
 
   const ConfigTree final_ = merged.applied(base);
-  plan.guard = regressionGuard(base, final_, policies, options);
+  plan.guard = regressionGuard(base, final_, policies);
 
   std::vector<Unit> units = partitionUnits(merged, base);
 
   // Greedy commit loop with simulation-checked reordering: each candidate
   // state is checked by an engine built for it.
-  const auto holdsGuard = [&plan, &options](const ConfigTree& candidate) {
-    return SimulationEngine(candidate, options.workers)
-        .violations(plan.guard)
-        .empty();
+  const auto holdsGuard = [&plan](const ConfigTree& candidate) {
+    return SimulationEngine(candidate).violations(plan.guard).empty();
   };
   ConfigTree current = base.clone();
 

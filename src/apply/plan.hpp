@@ -40,8 +40,9 @@
 
 namespace aed {
 
+/// Ignored: every stage and candidate is checked on the calling thread.
+/// Kept, with its field, so the benchmark harness's calls still compile.
 struct DeployOptions {
-  /// Worker threads for the validation engine (0 = hardware concurrency).
   std::size_t workers = 0;
 };
 
@@ -102,14 +103,14 @@ struct DeploymentPlan {
 /// intermediate state, and one broken after it is already reported by
 /// synthesis).
 PolicySet regressionGuard(const ConfigTree& base, const ConfigTree& updated,
-                          const PolicySet& policies,
-                          const DeployOptions& options = {});
+                          const PolicySet& policies);
 
 /// Plans a staged rollout of `merged` over `base`. `policies` is the full
 /// post-update policy set (the guard is derived from it). Never throws on
-/// unorderable inputs — it degrades to the one-shot fallback.
+/// unorderable inputs — it degrades to the one-shot fallback. The
+/// DeployOptions are ignored.
 DeploymentPlan planStagedRollout(const ConfigTree& base, const Patch& merged,
                                  const PolicySet& policies,
-                                 const DeployOptions& options = {});
+                                 const DeployOptions& = {});
 
 }  // namespace aed

@@ -183,7 +183,7 @@ class Checker {
 
     if (want(Invariant::kSimDifferential)) {
       guarded(Invariant::kSimDifferential, [&] {
-        SimulationEngine engine(scenario_.tree, 2);
+        SimulationEngine engine(scenario_.tree);
         const auto serialViolations =
             policyStrings(serial.violations(scenario_.policies));
         const auto engineViolations =
@@ -209,7 +209,7 @@ class Checker {
                firstDifference(original, reordered));
           return;
         }
-        SimulationEngine engine(scenario_.tree, 2);
+        SimulationEngine engine(scenario_.tree);
         const auto engineReordered =
             sortedPolicyStrings(engine.violations(permuted));
         if (original != engineReordered) {
@@ -245,7 +245,7 @@ class Checker {
                firstDifference(original, permuted));
           return;
         }
-        SimulationEngine permutedEngine(permutedTree, 2);
+        SimulationEngine permutedEngine(permutedTree);
         const auto permutedByEngine =
             policyStrings(permutedEngine.violations(scenario_.policies));
         if (original != permutedByEngine) {
@@ -437,7 +437,7 @@ class Checker {
     if (want(Invariant::kSimDifferential)) {
       guarded(Invariant::kSimDifferential, [&] {
         const Simulator serial(updated);
-        SimulationEngine engine(updated, 2);
+        SimulationEngine engine(updated);
         const auto serialViolations =
             policyStrings(serial.violations(scenario_.policies));
         const auto engineViolations =
@@ -575,15 +575,12 @@ class Checker {
   }
 
   void checkStagedDeployment(const Patch& patch) {
-    DeployOptions options;
-    options.workers = 2;
     const ConfigTree merged = patch.applied(scenario_.tree);
     DeploymentPlan plan =
-        planStagedRollout(scenario_.tree, patch, scenario_.policies, options);
+        planStagedRollout(scenario_.tree, patch, scenario_.policies);
 
     ConfigTree work = scenario_.tree.clone();
-    const bool committed =
-        executeDeployment(work, plan, options, scenario_.fault);
+    const bool committed = executeDeployment(work, plan, {}, scenario_.fault);
     if (!committed) {
       std::ostringstream detail;
       detail << "staged deployment aborted after " << plan.committedStages

@@ -47,11 +47,10 @@ Scenario Scenario::clone() const {
 
 AedOptions Scenario::options() const {
   AedOptions options;
-  // Two workers: enough to exercise the parallel decomposition and the
-  // sharded simulation engine, small enough that hundreds of scenarios per
-  // minute do not oversubscribe a CI runner.
+  // Two workers: enough to exercise the parallel per-destination solves,
+  // small enough that hundreds of scenarios per minute do not oversubscribe
+  // a CI runner.
   options.workers = 2;
-  options.validateWithSimulator = true;
   options.incrementalResolve = true;
   // A deployment fault is injected by the staged-deployment check alone.
   if (fault.kind != FaultInjection::Kind::kStageCommitFailure &&

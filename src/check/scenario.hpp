@@ -81,9 +81,8 @@ struct Scenario {
 
   Scenario clone() const;
 
-  /// Engine options every invariant run uses: simulator validation on,
-  /// bounded repair, deterministic two-worker parallelism, and the fault
-  /// when it strikes synthesis.
+  /// Engine options every invariant run uses: bounded repair, two-worker
+  /// parallel solves, and the fault when it strikes synthesis.
   AedOptions options() const;
 };
 

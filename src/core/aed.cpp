@@ -137,9 +137,6 @@ void publishStats(const AedResult& result) {
   const SimCacheStats& sim = stats.simulate;
   metrics.add("sim.route_hits", static_cast<double>(sim.routeHits));
   metrics.add("sim.route_misses", static_cast<double>(sim.routeMisses));
-  metrics.add("sim.parallel_batches",
-              static_cast<double>(sim.parallelBatches));
-  metrics.add("sim.parallel_tasks", static_cast<double>(sim.parallelTasks));
 
   // Ladder-rung outcome counters (§12), e.g. smt.rung.warm_start, registered
   // even at zero so the snapshot is complete (a missing known stat fails
@@ -184,9 +181,9 @@ class SynthesisRun {
 
   /// The run's single exit: frees the solvers, then fills the
   /// per-subproblem report and the stats, stamps totalSeconds, publishes the
-  /// metrics and writes the flight dump of a bad exit. `thrown` says
-  /// execute() left by exception.
-  AedResult finish(bool thrown);
+  /// metrics and writes the flight dump of a bad exit. `thrown` is the
+  /// exception execute() left by, if any: it becomes the run's error.
+  AedResult finish(const std::exception_ptr& thrown);
 
  private:
   /// One destination group (subproblem) and all the run keeps for it. A
@@ -343,7 +340,7 @@ void SynthesisRun::checkInput() {
     return;
   }
   AED_SPAN("aed.input_check");
-  const SimulationEngine engine(tree_, workers_);
+  const SimulationEngine engine(tree_);
   for (Group& group : groups_) {
     group.inputSatisfied = engine.violations(group.policies).empty();
   }
@@ -597,18 +594,16 @@ PolicySet SynthesisRun::mergeAndValidate(int round) {
   }
 
   PolicySet violated;
-  if (options_.validateWithSimulator) {
-    const auto simulateStart = Deadline::Clock::now();
-    {
-      AED_SPAN("aed.validate");
-      Progress::setPhase("validate");
-      const SimulationEngine engine(updated, workers_);
-      violated = engine.violations(survivingPolicies);
-      result_.stats.simulate.accumulate(engine.cacheStats());
-    }
-    phaseBucket(round).simulateSeconds += secondsSince(simulateStart);
-    if (violated.empty()) violated = injectedRejection(round);
+  const auto simulateStart = Deadline::Clock::now();
+  {
+    AED_SPAN("aed.validate");
+    Progress::setPhase("validate");
+    const SimulationEngine engine(updated);
+    violated = engine.violations(survivingPolicies);
+    result_.stats.simulate.accumulate(engine.cacheStats());
   }
+  phaseBucket(round).simulateSeconds += secondsSince(simulateStart);
+  if (violated.empty()) violated = injectedRejection(round);
   if (violated.empty()) {
     result_.patch = std::move(merged);
     result_.updated = std::move(updated);
@@ -734,12 +729,9 @@ void SynthesisRun::deploy() {
   if (!options_.stagedDeployment || result_.patch.empty()) return;
   AED_SPAN("aed.deploy");
   Progress::setPhase("deploy");
-  DeployOptions deployOptions = options_.deploy;
-  if (deployOptions.workers == 0) deployOptions.workers = options_.workers;
-  result_.deployment =
-      planStagedRollout(tree_, result_.patch, policies_, deployOptions);
+  result_.deployment = planStagedRollout(tree_, result_.patch, policies_);
   ConfigTree staged = tree_.clone();
-  if (!executeDeployment(staged, result_.deployment, deployOptions,
+  if (!executeDeployment(staged, result_.deployment, {},
                          options_.faultInjection)) {
     result_.degraded = true;
     logWarn() << "staged deployment aborted ["
@@ -748,7 +740,7 @@ void SynthesisRun::deploy() {
   }
 }
 
-AedResult SynthesisRun::finish(bool thrown) {
+AedResult SynthesisRun::finish(const std::exception_ptr& thrown) {
   {
     AED_SPAN("aed.teardown");
     // The only place a solver is freed, apart from a fresh-mode solve
@@ -768,8 +760,16 @@ AedResult SynthesisRun::finish(bool thrown) {
       for (const std::function<void()>& task : frees) task();
     }
   }
-  if (thrown && result_.errorCode == ErrorCode::kNone) {
-    result_.errorCode = ErrorCode::kInternal;
+  if (thrown) {
+    try {
+      std::rethrow_exception(thrown);
+    } catch (const AedError& e) {
+      fail(e.code(), e.what());
+    } catch (const std::exception& e) {
+      fail(ErrorCode::kInternal, e.what());
+    } catch (...) {
+      fail(ErrorCode::kInternal, "unknown exception");
+    }
   }
   // The report: per-subproblem records, stats, metrics and the flight dump.
   AED_SPAN("aed.report");
@@ -898,7 +898,7 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
   } catch (...) {
     thrown = std::current_exception();
   }
-  AedResult result = run.finish(thrown != nullptr);
+  AedResult result = run.finish(thrown);
   if (thrown) std::rethrow_exception(thrown);
   return result;
 }

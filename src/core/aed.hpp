@@ -75,10 +75,9 @@ struct AedOptions {
   /// as the min-lines objective; keeps patches free of gratuitous edits).
   bool defaultMinimality = true;
 
-  /// Validate candidate patches with the simulator and re-solve with the
-  /// failing delta set blocked, up to this many rounds per subproblem. Each
-  /// round validates with a SimulationEngine built for its candidate tree.
-  bool validateWithSimulator = true;
+  /// Every candidate patch is validated with a SimulationEngine built for
+  /// its tree; a rejected one is re-solved with the failing delta set
+  /// blocked, up to this many rounds per subproblem.
   int maxRepairIterations = 3;
 
   /// After a successful synthesis, plan a policy-safe staged rollout of the
@@ -87,8 +86,8 @@ struct AedOptions {
   /// summary are returned in AedResult::deployment; a deployment abort marks
   /// the result degraded but does not fail it.
   bool stagedDeployment = false;
-  /// Planner/executor knobs for stagedDeployment. workers inherits the
-  /// outer options when left 0.
+  /// Ignored: synthesis plans and executes with default DeployOptions. Kept
+  /// so the benchmark harness, which reads it, still compiles.
   DeployOptions deploy;
 
   /// Incremental re-solve (the paper's headline lever, applied to the repair

@@ -1,42 +1,18 @@
 #include "simulate/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <functional>
 
 #include "conftree/node.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "simulate/walk.hpp"
 #include "topology/topology.hpp"
 #include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace aed {
 
 namespace {
 
 constexpr std::size_t kNoRouter = static_cast<std::size_t>(-1);
-
-/// Per-shard wall-clock distribution (§12). The handle is cached once; the
-/// record itself is a few relaxed atomic adds, so calling it from pool
-/// workers inside the fan-out lambdas is TSan-clean by construction.
-MetricsRegistry::Histogram& histShardSeconds() {
-  static MetricsRegistry::Histogram h =
-      MetricsRegistry::global().histogram("sim.shard_seconds");
-  return h;
-}
-
-/// RAII: records the enclosing scope's duration into sim.shard_seconds.
-struct ShardTimer {
-  std::chrono::steady_clock::time_point start =
-      std::chrono::steady_clock::now();
-  ~ShardTimer() {
-    histShardSeconds().record(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count());
-  }
-};
 
 }  // namespace
 
@@ -47,15 +23,9 @@ bool SimulationEngine::CompiledProc::originates(const Ipv4Prefix& dst) const {
   return false;
 }
 
-SimulationEngine::SimulationEngine(const ConfigTree& tree, std::size_t workers)
-    : workers_(resolveWorkers(workers)) {
-  // Touch the shard-latency histogram so it appears in every snapshot that
-  // involves an engine, even before the first fan-out records into it.
-  histShardSeconds();
+SimulationEngine::SimulationEngine(const ConfigTree& tree, std::size_t) {
   compile(tree);
 }
-
-SimulationEngine::~SimulationEngine() = default;
 
 void SimulationEngine::compile(const ConfigTree& tree) {
   const Topology topo = Topology::fromConfigs(tree);
@@ -406,35 +376,26 @@ std::map<std::string, RouteEntry> SimulationEngine::convergeRoutes(
   return result;
 }
 
-SimulationEngine::DstShard& SimulationEngine::shardFor(
-    const Ipv4Prefix& dst) const {
-  const std::lock_guard<std::mutex> lock(shardsMutex_);
-  auto& slot = shards_[dst];
-  if (slot == nullptr) slot = std::make_unique<DstShard>();
-  return *slot;
-}
-
 const std::map<std::string, RouteEntry>& SimulationEngine::computeRoutes(
     const Ipv4Prefix& dst, const Environment& env) const {
-  DstShard& shard = shardFor(dst);
   // Canonicalize the link-pair orientation so {A,B} and {B,A} share an
   // entry (linkUp treats them identically).
-  EnvKey key;
-  key.reserve(env.downLinks.size());
+  TableKey key{dst, {}};
+  auto& links = key.second;
+  links.reserve(env.downLinks.size());
   for (const auto& [a, b] : env.downLinks) {
-    key.push_back(a < b ? std::pair(a, b) : std::pair(b, a));
+    links.push_back(a < b ? std::pair(a, b) : std::pair(b, a));
   }
-  std::sort(key.begin(), key.end());
-  key.erase(std::unique(key.begin(), key.end()), key.end());
+  std::sort(links.begin(), links.end());
+  links.erase(std::unique(links.begin(), links.end()), links.end());
 
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.tables.find(key);
-  if (it != shard.tables.end()) {
-    routeHits_.fetch_add(1, std::memory_order_relaxed);
+  const auto it = tables_.find(key);
+  if (it != tables_.end()) {
+    ++stats_.routeHits;
     return it->second;
   }
-  routeMisses_.fetch_add(1, std::memory_order_relaxed);
-  return shard.tables.emplace(std::move(key), convergeRoutes(dst, env))
+  ++stats_.routeMisses;
+  return tables_.emplace(std::move(key), convergeRoutes(dst, env))
       .first->second;
 }
 
@@ -477,70 +438,18 @@ bool SimulationEngine::checkPolicy(const Policy& policy) const {
   return policyHolds(*this, policy);
 }
 
-ThreadPool& SimulationEngine::pool() const {
-  std::call_once(poolOnce_,
-                 [this] { pool_ = std::make_unique<ThreadPool>(workers_); });
-  return *pool_;
-}
-
 PolicySet SimulationEngine::violations(const PolicySet& policies) const {
   Span span("sim.violations");
   if (span.active()) {
     span.setDetail("policies=" + std::to_string(policies.size()));
   }
-  // Verdict slots indexed by input position: tasks write disjoint slots and
-  // the final merge reads them in input order, so the returned violation
-  // order is identical to the serial oracle's regardless of scheduling.
-  std::vector<char> violated(policies.size(), 0);
-  std::map<Ipv4Prefix, std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < policies.size(); ++i) {
-    const auto quick =
-        structuralPolicyCheck(policies[i], sourceRouters(policies[i].cls));
-    if (quick) {
-      violated[i] = !*quick;
-      continue;
-    }
-    groups[policies[i].cls.dst].push_back(i);
+  PolicySet violated;
+  for (const Policy& policy : policies) {
+    if (!checkPolicy(policy)) violated.push_back(policy);
   }
-
-  if (groups.size() > 1 && workers_ > 1) {
-    parallelBatches_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(groups.size());
-    for (auto& [dst, indices] : groups) {
-      const std::vector<std::size_t>* slot = &indices;
-      tasks.push_back([this, &policies, &violated, slot] {
-        AED_SPAN("sim.shard");
-        const ShardTimer shardTimer;
-        for (const std::size_t i : *slot) {
-          violated[i] = !checkPolicy(policies[i]);
-        }
-      });
-    }
-    parallelTasks_.fetch_add(tasks.size(), std::memory_order_relaxed);
-    pool().runAll(std::move(tasks));
-  } else {
-    for (const auto& [dst, indices] : groups) {
-      for (const std::size_t i : indices) {
-        violated[i] = !checkPolicy(policies[i]);
-      }
-    }
-  }
-
-  PolicySet result;
-  for (std::size_t i = 0; i < policies.size(); ++i) {
-    if (violated[i]) result.push_back(policies[i]);
-  }
-  return result;
+  return violated;
 }
 
-SimCacheStats SimulationEngine::cacheStats() const {
-  SimCacheStats stats;
-  stats.routeHits = routeHits_.load(std::memory_order_relaxed);
-  stats.routeMisses = routeMisses_.load(std::memory_order_relaxed);
-  stats.parallelBatches = parallelBatches_.load(std::memory_order_relaxed);
-  stats.parallelTasks = parallelTasks_.load(std::memory_order_relaxed);
-  return stats;
-}
+SimCacheStats SimulationEngine::cacheStats() const { return stats_; }
 
 }  // namespace aed

@@ -1,4 +1,4 @@
-// Memoized, parallel simulation engine.
+// Memoized simulation engine.
 //
 // The concrete simulator (simulate/simulator.hpp) is AED's independent
 // oracle: the tests, aed_check and the benchmark check this engine and every
@@ -10,7 +10,7 @@
 //
 // SimulationEngine is the production path. It produces bit-identical
 // verdicts and route tables (asserted by tests/engine_test.cpp) while
-// attacking the three sources of repeated work:
+// attacking the two sources of repeated work:
 //
 //  1. **Compilation.** All tree-shaped inputs — routing processes,
 //     adjacencies (with the symmetric-peer check pre-resolved), origination
@@ -21,20 +21,20 @@
 //  2. **Memoization.** Converged route tables are cached keyed by
 //     (destination prefix, canonicalized Environment). N policies over the
 //     same destination pay one convergence instead of N×sources.
-//  3. **Parallelism.** violations() shards work across destination classes
-//     on an aed::ThreadPool (per-destination tables are independent, so the
-//     cache is sharded by destination and a task normally owns its shard
-//     exclusively — a per-shard mutex covers the rare cross-shard reads of
-//     isolation policies).
 //
 // What the engine computes on its own is everything above: the compiled
 // structure, and over it the route fixpoint, static-route resolution, local
-// delivery and packet-filter verdicts (filterAllows()), the memoized tables
-// and the parallel violations(). What it shares with the oracle only
-// sequences or compares those results: the forwarding walk and the per-kind
-// policy checks (simulate/walk.hpp), structuralPolicyCheck() and the route
-// comparators. So the engine-vs-oracle checks still compare two independent
+// delivery and packet-filter verdicts (filterAllows()) and the memoized
+// tables. What it shares with the oracle only sequences or compares those
+// results: the forwarding walk and the per-kind policy checks
+// (simulate/walk.hpp), structuralPolicyCheck() and the route comparators.
+// So the engine-vs-oracle checks still compare two independent
 // computations.
+//
+// An engine serves one thread at a time: violations() checks on the calling
+// thread and the cache takes no lock. A check costs about a millisecond on
+// the benchmark's networks, so threads are spent only on the
+// per-destination solves (core/aed.cpp).
 //
 // An engine is bound to the one tree it is built with: it compiles that
 // tree and keeps no reference to it, so the caller's tree may die first.
@@ -42,10 +42,7 @@
 // round in core/aed.cpp, and one per candidate or stage in src/apply.
 #pragma once
 
-#include <atomic>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -57,15 +54,11 @@
 
 namespace aed {
 
-class ThreadPool;
-
 /// Snapshot of the engine's cache behavior, cumulative since construction.
 /// Surfaced through AedStats (summed over a run's engines) and aed_cli.
 struct SimCacheStats {
-  std::size_t routeHits = 0;        // route-table lookups served from cache
-  std::size_t routeMisses = 0;      // lookups that ran a fresh convergence
-  std::size_t parallelBatches = 0;  // violations() calls that fanned out
-  std::size_t parallelTasks = 0;    // destination-shard tasks submitted
+  std::size_t routeHits = 0;    // route-table lookups served from cache
+  std::size_t routeMisses = 0;  // lookups that ran a fresh convergence
 
   double hitRate() const {
     const std::size_t total = routeHits + routeMisses;
@@ -76,18 +69,14 @@ struct SimCacheStats {
   void accumulate(const SimCacheStats& other) {
     routeHits += other.routeHits;
     routeMisses += other.routeMisses;
-    parallelBatches += other.parallelBatches;
-    parallelTasks += other.parallelTasks;
   }
 };
 
 class SimulationEngine {
  public:
-  /// Compiles `tree`. `workers` sizes the internal thread pool (0 = hardware
-  /// concurrency); the pool is created lazily on the first call that fans
-  /// out.
-  explicit SimulationEngine(const ConfigTree& tree, std::size_t workers = 0);
-  ~SimulationEngine();
+  /// Compiles `tree`. The second parameter is ignored: it keeps the
+  /// benchmark harness's (tree, workers) calls compiling.
+  explicit SimulationEngine(const ConfigTree& tree, std::size_t = 0);
 
   SimulationEngine(const SimulationEngine&) = delete;
   SimulationEngine& operator=(const SimulationEngine&) = delete;
@@ -110,8 +99,7 @@ class SimulationEngine {
 
   bool checkPolicy(const Policy& policy) const;
 
-  /// All violated policies, in the input order (deterministic merge of the
-  /// parallel per-destination verdicts).
+  /// All violated policies, in the input order.
   PolicySet violations(const PolicySet& policies) const;
 
   SimCacheStats cacheStats() const;
@@ -163,13 +151,10 @@ class SimulationEngine {
     std::map<std::string, PacketBinding> bindings;  // by neighbor name
   };
 
-  // ---- route-table cache, sharded by destination ----
-  using EnvKey = std::vector<std::pair<std::string, std::string>>;
-  struct DstShard {
-    std::mutex mutex;
-    // Node-based: a cached table never moves once inserted.
-    std::map<EnvKey, std::map<std::string, RouteEntry>> tables;
-  };
+  // Route-table cache key: the destination and the environment's down
+  // links, each link ordered and the list sorted.
+  using TableKey =
+      std::pair<Ipv4Prefix, std::vector<std::pair<std::string, std::string>>>;
 
   void compile(const ConfigTree& tree);
   std::size_t routerIndex(const std::string& name) const;  // npos if absent
@@ -177,10 +162,6 @@ class SimulationEngine {
                            const Environment& env) const;
   std::map<std::string, RouteEntry> convergeRoutes(const Ipv4Prefix& dst,
                                                    const Environment& env) const;
-  DstShard& shardFor(const Ipv4Prefix& dst) const;
-  ThreadPool& pool() const;
-
-  std::size_t workers_;  // resolved: never 0
 
   std::vector<CompiledRouter> routers_;  // sorted by name (oracle iteration order)
   std::map<std::string, std::size_t, std::less<>> routerIndex_;
@@ -188,16 +169,9 @@ class SimulationEngine {
   std::vector<std::vector<CompiledPacketRule>> packetFilters_;
   std::vector<std::pair<Ipv4Prefix, std::string>> stubs_;  // subnet -> owner
 
-  mutable std::mutex shardsMutex_;  // guards the shard map, not the shards
-  mutable std::map<Ipv4Prefix, std::unique_ptr<DstShard>> shards_;
-
-  mutable std::once_flag poolOnce_;
-  mutable std::unique_ptr<ThreadPool> pool_;
-
-  mutable std::atomic<std::size_t> routeHits_{0};
-  mutable std::atomic<std::size_t> routeMisses_{0};
-  mutable std::atomic<std::size_t> parallelBatches_{0};
-  mutable std::atomic<std::size_t> parallelTasks_{0};
+  // Node-based: a cached table never moves once inserted.
+  mutable std::map<TableKey, std::map<std::string, RouteEntry>> tables_;
+  mutable SimCacheStats stats_;
 };
 
 }  // namespace aed

@@ -1,4 +1,6 @@
-// Fixed-size thread pool used by the per-destination parallel solver (§8).
+// Fixed-size thread pool. core/aed.cpp runs the per-destination solves
+// (§8) on it and frees their solvers on it at teardown; the simulation
+// engine checks on its caller's thread.
 //
 // Z3 contexts are not thread-safe, so the AED engine creates one context per
 // submitted task; the pool only provides the workers. Tasks are independent
@@ -63,9 +65,8 @@ class ThreadPool {
 
   /// Submits every task and blocks until all have finished. Every future is
   /// collected before the first exception (if any) is rethrown, so a
-  /// throwing task never abandons in-flight siblings. The simulation engine
-  /// fans out through this, on a pool it creates on its first fan-out and
-  /// keeps for its lifetime.
+  /// throwing task never abandons in-flight siblings. The teardown frees
+  /// run through this.
   void runAll(std::vector<std::function<void()>> tasks);
 
  private:

@@ -279,12 +279,11 @@ TEST_F(Figure1Engine, RepairRoundRebindUsesSymmetricDifference) {
 
 TEST(EngineSerial, SingleWorkerMatchesOracle) {
   const ConfigTree tree = parseNetworkConfig(figure1ConfigText());
-  const SimulationEngine engine(tree, 1);  // never fans out
+  const SimulationEngine engine(tree);
   const Simulator oracle(tree);
   const PolicySet policies = oracle.inferReachabilityPolicies();
   EXPECT_EQ(policyStrings(oracle.violations(policies)),
             policyStrings(engine.violations(policies)));
-  EXPECT_EQ(engine.cacheStats().parallelBatches, 0u);
 }
 
 // Property test: generated networks, mixed policy sets, random down-link
@@ -381,9 +380,8 @@ TEST(EngineProperty, RandomPatchesMatchOracleAfterRebind) {
   }
 }
 
-// The violation order must equal the input policy order even when the
-// verdicts are computed in parallel across destination shards. Workers are
-// forced to 4 so the parallel path runs even on single-CPU hosts.
+// The violation order must equal the input policy order, here a shuffle
+// that interleaves destinations.
 TEST(EngineProperty, ViolationOrderMatchesInputOrder) {
   DcParams dc;
   dc.racks = 4;
@@ -396,12 +394,10 @@ TEST(EngineProperty, ViolationOrderMatchesInputOrder) {
   std::mt19937_64 rng(11);
   std::shuffle(policies.begin(), policies.end(), rng);
 
-  const SimulationEngine engine(net.tree, 4);
+  const SimulationEngine engine(net.tree);
   const PolicySet violated = engine.violations(policies);
   EXPECT_EQ(policyStrings(oracle.violations(policies)),
             policyStrings(violated));
-  // Sanity: the parallel path actually ran.
-  EXPECT_GT(engine.cacheStats().parallelBatches, 0u);
 }
 
 }  // namespace

@@ -180,19 +180,5 @@ TEST(Failure, ManualUpdaterReportsStuckCleanly) {
   EXPECT_FALSE(result.error.empty());
 }
 
-// The validation loop refuses patches the simulator rejects; with repair
-// disabled entirely the engine must still return *some* policy-compliant
-// answer or a clean error, never a silently broken tree.
-TEST(Failure, ValidationDisabledStillProducesPatch) {
-  const ConfigTree tree = parseNetworkConfig(figure1ConfigText());
-  const PolicySet policies = {aed::testing::figure1P3()};
-  AedOptions options;
-  options.validateWithSimulator = false;
-  const AedResult result = synthesize(tree, policies, {}, options);
-  ASSERT_TRUE(result.success) << result.error;
-  Simulator sim(result.updated);
-  EXPECT_TRUE(sim.violations(policies).empty());
-}
-
 }  // namespace
 }  // namespace aed

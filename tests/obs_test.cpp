@@ -824,6 +824,10 @@ TEST_F(ObsTest, FlightDumpWrittenOnThrownRun) {
   EXPECT_TRUE(checker.valid()) << dump;
   EXPECT_NE(dump.find("\"reason\": \"synthesize-failed\""),
             std::string::npos);
+  // The dump names the exception the run threw, not a generic failure.
+  EXPECT_NE(dump.find("\"error_code\": \"parse-error\""), std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("invalid integer 'bogus'"), std::string::npos) << dump;
 }
 
 TEST_F(ObsTest, FlightDumpWrittenOnDegradedRun) {
@@ -1121,7 +1125,7 @@ TEST_F(ObsTest, SnapshotContainsEveryKnownStatFamily) {
            "deploy.executions", "deploy.stages_committed",
            // latency histograms (§12)
            "smt.check_seconds", "aed.subproblem_seconds", "aed.round_seconds",
-           "sim.shard_seconds", "deploy.stage_validate_seconds",
+           "deploy.stage_validate_seconds",
            // solver-effort histograms
            "smt.conflicts", "smt.decisions",
        }) {
@@ -1139,6 +1143,7 @@ TEST_F(ObsTest, SynthesizeEmitsANestedSpanTreeCoveringTheRun) {
   Tracer::enable();
   AedOptions options;
   options.workers = 2;  // force the ThreadPool path even on 1-core hosts
+  options.stagedDeployment = true;
   const AedResult result = synthesize(tree, policies, {}, options);
   Tracer::disable();
   ASSERT_TRUE(result.success) << result.error;
@@ -1176,6 +1181,16 @@ TEST_F(ObsTest, SynthesizeEmitsANestedSpanTreeCoveringTheRun) {
     if (std::string("smt.check") != event.name) continue;
     EXPECT_TRUE(hasAncestor(index, event.id, root->id));
   }
+  // Every simulator check — input check, validation, planner candidates and
+  // deployment stages — runs on the calling thread.
+  EXPECT_EQ(findByName(events, "sim.shard"), nullptr);
+  std::size_t checks = 0;
+  for (const TraceEvent& event : events) {
+    if (std::string("sim.violations") != event.name) continue;
+    ++checks;
+    EXPECT_EQ(event.tid, root->tid) << event.detail;
+  }
+  EXPECT_GT(checks, 0u);
 }
 
 TEST_F(ObsTest, FailedRunsStillPopulateStatsAndMetrics) {
