@@ -11,8 +11,10 @@
 //       are capped).
 //
 // Counters report both wall-clock seconds and, for AED, the critical-path
-// seconds a multi-core machine would see (this host is single-core, so the
-// per-destination subproblems run back to back).
+// seconds: the slowest single subproblem, which is the wall clock a machine
+// with at least one core per subproblem would see. The reference machine
+// (EXPERIMENTS.md) has 4 cores, so once a call has more solving groups than
+// cores its wall clock exceeds the critical path.
 //
 // Run: ./build/bench/bench_fig11_perf
 

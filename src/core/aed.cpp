@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
-#include <functional>
-#include <future>
 #include <memory>
-#include <optional>
 #include <set>
 #include <thread>
 
@@ -21,7 +18,7 @@
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel.hpp"
 
 namespace aed {
 
@@ -111,9 +108,9 @@ void publishPhase(MetricsRegistry& metrics, const std::string& prefix,
 /// Mirrors the finished run's AedStats (and the absorbed SimCacheStats) into
 /// the registry. Called once per synthesize() call — success, failed,
 /// cancelled, or thrown — from SynthesisRun::finish() on the coordinating
-/// thread, after every worker has been joined: workers only ever report
-/// through their own SubResult slot, so the merge here cannot race (see
-/// DESIGN.md §10).
+/// thread, after every lane has been joined: a solve only ever reports
+/// through its own group's SubResult slot, so the merge here cannot race
+/// (see DESIGN.md §10).
 void publishStats(const AedResult& result) {
   MetricsRegistry& metrics = MetricsRegistry::global();
   const AedStats& stats = result.stats;
@@ -171,7 +168,7 @@ class SynthesisRun {
         workers_(resolveWorkers(options.workers)) {
     result_.updated = tree.clone();
   }
-  // Pool tasks hold `this`.
+  // runParallel() tasks hold `this`.
   SynthesisRun(const SynthesisRun&) = delete;
   SynthesisRun& operator=(const SynthesisRun&) = delete;
 
@@ -187,7 +184,7 @@ class SynthesisRun {
 
  private:
   /// One destination group (subproblem) and all the run keeps for it. A
-  /// pool worker writes only its own group's `latest` and `solver`.
+  /// solve writes only its own group's `latest` and `solver`.
   struct Group {
     PolicySet policies;
     SubResult latest;  // the group's latest solve
@@ -367,38 +364,26 @@ void SynthesisRun::solveRound(int round,
   }
 
   // solveOne() isolates expected failures itself, so anything escaping it
-  // is fatal to the run. It is rethrown only after every sibling has been
-  // collected: a throwing solve must not abandon in-flight siblings or
-  // skip their results. Without a pool, deferred futures run each solve
-  // on this thread as it is collected.
+  // is fatal to the run. runParallel() runs every sibling before it
+  // rethrows the first such failure in pending order, so a throwing solve
+  // neither abandons in-flight siblings nor skips their results.
   std::exception_ptr fatal;
-  {
-    std::optional<ThreadPool> pool;
-    if (options_.perDestination && pending.size() > 1 && workers_ > 1) {
-      pool.emplace(std::min(workers_, pending.size()));
-    }
-    std::vector<std::future<void>> solves;
-    for (const std::size_t i : pending) {
-      const auto task = [this, i, perSubproblemMs] {
-        solveOne(i, perSubproblemMs);
-      };
-      solves.push_back(pool ? pool->submit(task)
-                            : std::async(std::launch::deferred, task));
-    }
-    for (std::size_t k = 0; k < pending.size(); ++k) {
-      const std::size_t i = pending[k];
+  try {
+    runParallel(pending.size(), workers_, [&](std::size_t k) {
+      Group& group = groups_[pending[k]];
       try {
-        solves[k].get();
+        solveOne(pending[k], perSubproblemMs);
       } catch (const AedError& e) {
-        if (!fatal) fatal = std::current_exception();
-        groups_[i].latest =
-            failedSubResult(SubOutcome::kError, e.code(), e.what());
+        group.latest = failedSubResult(SubOutcome::kError, e.code(), e.what());
+        throw;
       } catch (const std::exception& e) {
-        if (!fatal) fatal = std::current_exception();
-        groups_[i].latest = failedSubResult(SubOutcome::kError,
-                                            ErrorCode::kInternal, e.what());
+        group.latest = failedSubResult(SubOutcome::kError,
+                                       ErrorCode::kInternal, e.what());
+        throw;
       }
-    }
+    });
+  } catch (...) {
+    fatal = std::current_exception();
   }
 
   // Merged before the fatal rethrow below, so the work the siblings
@@ -441,8 +426,8 @@ void SynthesisRun::solveRound(int round,
 
 void SynthesisRun::solveOne(std::size_t i, std::uint64_t perSubproblemMs) {
   Group& group = groups_[i];
-  // On a pool worker the submitting thread's span context is installed, so
-  // this span parents under the round span whichever thread runs it.
+  // runParallel() installs the round's span context on every lane, so this
+  // span parents under the round span whichever thread runs it.
   Span span("aed.subproblem");
   if (span.active()) {
     span.setDetail("dst=" + group.report.destination +
@@ -746,19 +731,13 @@ AedResult SynthesisRun::finish(const std::exception_ptr& thrown) {
     // The only place a solver is freed, apart from a fresh-mode solve
     // replacing its group's previous one. The solvers are independent Z3
     // contexts, each freed in a few milliseconds: free them side by side,
-    // on one thread each up to workers_.
-    std::vector<std::function<void()>> frees;
+    // on up to workers_ lanes.
+    std::vector<Group*> live;
     for (Group& group : groups_) {
-      if (group.solver != nullptr) {
-        frees.emplace_back([&group] { group.solver.reset(); });
-      }
+      if (group.solver != nullptr) live.push_back(&group);
     }
-    const std::size_t lanes = std::min(workers_, frees.size());
-    if (lanes > 1) {
-      ThreadPool(lanes).runAll(std::move(frees));
-    } else {
-      for (const std::function<void()>& task : frees) task();
-    }
+    runParallel(live.size(), workers_,
+                [&live](std::size_t k) { live[k]->solver.reset(); });
   }
   if (thrown) {
     try {

@@ -9,8 +9,8 @@
 // The §8 optimizations:
 //   1. pruning irrelevant configuration   — SketchOptions::pruneIrrelevant
 //   2. per-destination decomposition      — AedOptions::perDestination,
-//      one MaxSMT problem per destination prefix, solved on a thread pool
-//      (one Z3 context per task)
+//      one MaxSMT problem per destination prefix, solved side by side on
+//      AedOptions::workers lanes (one Z3 context per group)
 //   3. boolean metric encoding            — EncoderOptions::booleanLp
 //
 // AED is incremental: an update adds a few policies to a network that
@@ -68,7 +68,9 @@ struct AedOptions {
   /// §8 optimization 2: decompose into one MaxSMT problem per destination
   /// prefix and solve them in parallel.
   bool perDestination = true;
-  /// Worker threads for the parallel decomposition (0 = hardware).
+  /// Lanes for the parallel decomposition's solves and teardown frees,
+  /// the calling thread included (0 = hardware concurrency; 1 = everything
+  /// on the calling thread).
   std::size_t workers = 0;
 
   /// Unit-weight soft constraints preferring every delta inactive (doubles

@@ -22,10 +22,10 @@
 // Thread-safety: a SubproblemSolver owns its own z3::context, so distinct
 // solvers are safe to drive, and to destroy, from distinct threads
 // concurrently (the parallel per-destination engine keeps one solver per
-// destination group and each worker touches only its own). A single solver
+// destination group and each task touches only its own). A single solver
 // must not be shared across threads without external ordering; the engine
-// may destroy it on another thread than the one that drove it, ordered by
-// the pool's futures.
+// may destroy it on another lane than the one that drove it, ordered after
+// its last use by the join at the end of runParallel() (util/parallel.hpp).
 #pragma once
 
 #include <memory>

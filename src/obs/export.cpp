@@ -41,7 +41,6 @@ std::string formatDouble(double v) {
 const char* kindName(MetricsRegistry::Kind kind) {
   switch (kind) {
     case MetricsRegistry::Kind::kCounter: return "counter";
-    case MetricsRegistry::Kind::kGauge: return "gauge";
     case MetricsRegistry::Kind::kHistogram: return "histogram";
   }
   return "counter";

@@ -71,11 +71,9 @@ MetricsRegistry& MetricsRegistry::global() {
   return *registry;
 }
 
-MetricsRegistry::Metric MetricsRegistry::intern(const std::string& name,
-                                                Kind kind) {
+MetricsRegistry::Metric MetricsRegistry::counter(const std::string& name) {
   const std::lock_guard<std::mutex> lock(mutex_);
   auto [it, inserted] = cells_.try_emplace(name);
-  if (inserted) it->second.kind = kind;
   return Metric(&it->second);
 }
 
@@ -106,7 +104,6 @@ std::vector<MetricsRegistry::Sample> MetricsRegistry::snapshot() const {
     Sample sample;
     sample.name = name;
     sample.value = cell.value.load(std::memory_order_relaxed);
-    sample.kind = cell.kind;
     samples.push_back(std::move(sample));
   }
   for (const auto& [name, cell] : hists_) {
@@ -125,29 +122,6 @@ std::vector<MetricsRegistry::Sample> MetricsRegistry::snapshot() const {
   std::sort(samples.begin(), samples.end(),
             [](const Sample& a, const Sample& b) { return a.name < b.name; });
   return samples;
-}
-
-void MetricsRegistry::merge(const std::vector<Sample>& samples) {
-  for (const Sample& sample : samples) {
-    if (sample.kind == Kind::kHistogram) {
-      const Histogram hist = histogram(sample.name);
-      const std::size_t n =
-          std::min<std::size_t>(sample.buckets.size(), kHistogramBuckets);
-      for (std::size_t i = 0; i < n; ++i) {
-        hist.cell_->buckets[i].fetch_add(sample.buckets[i],
-                                         std::memory_order_relaxed);
-      }
-      hist.cell_->count.fetch_add(sample.count, std::memory_order_relaxed);
-      hist.cell_->sum.fetch_add(sample.sum, std::memory_order_relaxed);
-      continue;
-    }
-    const Metric metric = intern(sample.name, sample.kind);
-    if (metric.cell_->kind == Kind::kCounter) {
-      metric.add(sample.value);
-    } else {
-      metric.set(sample.value);
-    }
-  }
 }
 
 void MetricsRegistry::reset() {
@@ -199,7 +173,7 @@ std::string MetricsRegistry::summaryTable() const {
     table += sample.name;
     table.append(width - sample.name.size() + 2, ' ');
     table += value;
-    table += sample.kind == Kind::kGauge ? "  (gauge)\n" : "\n";
+    table += "\n";
   }
   return table;
 }

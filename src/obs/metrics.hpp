@@ -1,4 +1,4 @@
-// Named counter/gauge/histogram registry (the unified observability layer,
+// Named counter/histogram registry (the unified observability layer,
 // §10, extended by the introspection layer, §12).
 //
 // The engine's quantitative health signals used to live in disconnected
@@ -7,18 +7,17 @@
 // namespace ("aed.repair_rounds", "sim.route_hits", "deploy.stages_committed")
 // and one summary table; the legacy structs stay populated for compatibility
 // and are mirrored into the registry at well-defined join points (never from
-// worker threads — workers report through their per-subproblem results and
-// the single-threaded caller publishes the merge, keeping the accounting
-// TSan-clean by construction).
+// a parallel lane — a solve reports through its group's result and the
+// calling thread publishes after the join, keeping the accounting TSan-clean
+// by construction).
 //
-// Counters are monotonic sums (merge = add); gauges are last-written values
-// (merge = overwrite); histograms are log-scaled fixed-bucket distributions
-// (merge = bucket-wise add). Mutation through a Metric/Histogram handle is a
-// handful of relaxed atomic ops — safe from any thread, including ThreadPool
-// workers (unlike the counter-mirroring convention above, histogram records
-// are per-event samples with no cross-field invariant, so concurrent
-// recording is TSan-clean by definition). The registry mutex covers only
-// name lookup and registration.
+// Counters are monotonic sums; histograms are log-scaled fixed-bucket
+// distributions. Mutation through a Metric/Histogram handle is a handful of
+// relaxed atomic ops — safe from any thread, including runParallel() lanes
+// (unlike the counter-mirroring convention above, histogram records are
+// per-event samples with no cross-field invariant, so concurrent recording
+// is TSan-clean by definition). The registry mutex covers only name lookup
+// and registration.
 //
 // Histogram bucket scheme: power-of-two buckets. Bucket i holds values in
 // [2^(i-30), 2^(i-29)); bucket 0 additionally absorbs everything at or below
@@ -42,7 +41,7 @@ namespace aed {
 
 class MetricsRegistry {
  public:
-  enum class Kind { kCounter, kGauge, kHistogram };
+  enum class Kind { kCounter, kHistogram };
 
   static constexpr std::size_t kHistogramBuckets = 64;
   /// Exclusive upper bound of bucket `i` (inclusive lower bound of bucket
@@ -53,7 +52,7 @@ class MetricsRegistry {
   /// Bucket index for a recorded value (values <= 0 land in bucket 0).
   static std::size_t bucketIndex(double value);
 
-  /// Stable handle to one counter/gauge; cheap to copy, valid for the
+  /// Stable handle to one counter; cheap to copy, valid for the
   /// registry's lifetime. Mutations are atomic and safe from any thread.
   class Metric {
    public:
@@ -62,9 +61,6 @@ class MetricsRegistry {
       if (cell_ != nullptr) cell_->value.fetch_add(delta, order());
     }
     void incr() const { add(1.0); }
-    void set(double value) const {
-      if (cell_ != nullptr) cell_->value.store(value, order());
-    }
     double value() const {
       return cell_ != nullptr ? cell_->value.load(order()) : 0.0;
     }
@@ -73,7 +69,6 @@ class MetricsRegistry {
     friend class MetricsRegistry;
     struct Cell {
       std::atomic<double> value{0.0};
-      Kind kind = Kind::kCounter;
     };
     static constexpr std::memory_order order() {
       return std::memory_order_relaxed;
@@ -114,9 +109,9 @@ class MetricsRegistry {
 
   struct Sample {
     std::string name;
-    double value = 0.0;  // counter/gauge value; histogram: the sample count
+    double value = 0.0;  // counter value; histogram: the sample count
     Kind kind = Kind::kCounter;
-    // Histogram payload (empty `buckets` for counters/gauges).
+    // Histogram payload (empty `buckets` for counters).
     std::uint64_t count = 0;
     double sum = 0.0;
     std::vector<std::uint64_t> buckets;
@@ -134,11 +129,7 @@ class MetricsRegistry {
   static MetricsRegistry& global();
 
   /// Finds or creates a counter (monotonic sum) with this name.
-  Metric counter(const std::string& name) {
-    return intern(name, Kind::kCounter);
-  }
-  /// Finds or creates a gauge (last-written value) with this name.
-  Metric gauge(const std::string& name) { return intern(name, Kind::kGauge); }
+  Metric counter(const std::string& name);
   /// Finds or creates a histogram with this name.
   Histogram histogram(const std::string& name);
 
@@ -146,7 +137,6 @@ class MetricsRegistry {
   void add(const std::string& name, double delta) {
     counter(name).add(delta);
   }
-  void set(const std::string& name, double value) { gauge(name).set(value); }
   void record(const std::string& name, double value) {
     histogram(name).record(value);
   }
@@ -157,10 +147,6 @@ class MetricsRegistry {
   /// All metrics, sorted by name.
   std::vector<Sample> snapshot() const;
 
-  /// Merges a snapshot in: counters add, gauges overwrite, histograms add
-  /// bucket-wise. A name keeps the kind it was first registered with.
-  void merge(const std::vector<Sample>& samples);
-
   /// Resets every value to 0 (registrations and handles stay valid).
   void reset();
 
@@ -170,8 +156,6 @@ class MetricsRegistry {
   std::string summaryTable() const;
 
  private:
-  Metric intern(const std::string& name, Kind kind);
-
   mutable std::mutex mutex_;
   // std::map: node-stable, so Metric/Histogram handles survive later
   // registrations.

@@ -9,11 +9,12 @@
 // chrome://tracing and Perfetto (aed_cli --trace, AED_TRACE_OUT for benches).
 //
 // Parenting. Each thread keeps the id of its innermost open span; a new Span
-// adopts it as parent. For work shipped to another thread, the submitter's
-// current span id is captured at submit time and installed on the worker via
-// Tracer::ScopedParent for the task's duration — aed::ThreadPool does this
-// for every task, so a subproblem span opened on a worker parents correctly
-// under the round span that enqueued it (asserted by tests/obs_test.cpp).
+// adopts it as parent. For work shipped to another thread, the caller's
+// current span id is captured at the call and installed on each thread via
+// Tracer::ScopedParent for the work's duration — aed::runParallel() does
+// this on every lane, so a subproblem span parents correctly under the round
+// span that forked it, whichever thread runs it (asserted by
+// tests/obs_test.cpp).
 //
 // Cost model. Tracing is off by default. A fully disabled Span (tracer off
 // AND FlightRecorder off) is two relaxed atomic loads and a few stores to a
@@ -29,7 +30,7 @@
 // one thread-local log, which takes the thread's index (TraceEvent::tid,
 // FlightRecorder::Event::tid) on first use and registers with one
 // process-wide collector. When the thread exits the log hands its traced
-// spans and its ring to the collector, so short-lived pool threads never
+// spans and its ring to the collector, so short-lived lane threads never
 // lose spans.
 #pragma once
 

@@ -52,7 +52,7 @@ void logMessage(LogLevel level, const std::string& message) {
   // a post-mortem dump carries the log tail alongside the recent spans.
   FlightRecorder::recordLog(levelName(level), message);
   // Format the whole line outside the lock, then emit it with one write:
-  // concurrent callers (ThreadPool workers logging mid-solve) serialize on
+  // concurrent callers (runParallel() lanes logging mid-solve) serialize on
   // the mutex and each line reaches stderr intact, never interleaved.
   std::string line = "[aed ";
   line += levelName(level);

@@ -21,8 +21,8 @@ void setLogLevel(LogLevel level);
 /// Writes one formatted line to stderr if `level` passes the threshold.
 /// Thread-safe: the line (prefix, message, newline) is formatted into one
 /// buffer and emitted with a single write under the logger mutex, so lines
-/// from ThreadPool workers (parallel subproblem solves, teardown frees)
-/// never interleave mid-line.
+/// from concurrent runParallel() lanes (parallel subproblem solves, teardown
+/// frees) never interleave mid-line.
 void logMessage(LogLevel level, const std::string& message);
 
 /// Redirects log lines to `sink` instead of stderr (nullptr restores the

@@ -1,7 +1,7 @@
 // Incremental re-solve engine: equivalence with the fresh-per-round path on
 // repair-round fixtures, phase-stat accounting, where the fresh-per-round
 // solvers are freed, the mergePatches positive seq floor, malformed-attribute
-// parsing, and ThreadPool::runAll exception collection.
+// parsing, and runParallel() exception collection.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -20,7 +20,7 @@
 #include "obs/trace.hpp"
 #include "simulate/simulator.hpp"
 #include "smt/session.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel.hpp"
 
 namespace aed {
 namespace {
@@ -463,38 +463,34 @@ TEST(IntAttr, ObjectiveWeightParseErrorIsStructured) {
   }
 }
 
-// ---- ThreadPool::runAll exception collection ------------------------------
+// ---- runParallel() exception collection -----------------------------------
 
 TEST(RunParallel, CollectsEveryFutureBeforeRethrowing) {
   std::atomic<int> completed{0};
-  std::vector<std::function<void()>> tasks;
-  tasks.emplace_back([] {
-    throw AedError(ErrorCode::kSubproblemFailed, "task 0 failed");
-  });
-  for (int i = 0; i < 3; ++i) {
-    tasks.emplace_back([&completed] {
+  try {
+    runParallel(4, 4, [&completed](std::size_t i) {
+      if (i == 0) {
+        throw AedError(ErrorCode::kSubproblemFailed, "task 0 failed");
+      }
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
       ++completed;
     });
-  }
-  try {
-    ThreadPool(4).runAll(std::move(tasks));
     FAIL() << "expected AedError";
   } catch (const AedError& e) {
     EXPECT_EQ(e.code(), ErrorCode::kSubproblemFailed);
   }
-  // Every sibling ran to completion and had its future collected.
+  // Every sibling ran to completion before the call rethrew.
   EXPECT_EQ(completed.load(), 3);
 }
 
 TEST(RunParallel, FirstExceptionWinsWhenSeveralThrow) {
-  std::vector<std::function<void()>> tasks;
-  tasks.emplace_back(
-      [] { throw AedError(ErrorCode::kTimeout, "first failure"); });
-  tasks.emplace_back(
-      [] { throw AedError(ErrorCode::kInternal, "second failure"); });
+  // Index 1 fails first in time, index 0 later: the lowest index still wins.
   try {
-    ThreadPool(1).runAll(std::move(tasks));  // one worker: deterministic order
+    runParallel(2, 2, [](std::size_t i) {
+      if (i == 1) throw AedError(ErrorCode::kInternal, "second failure");
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      throw AedError(ErrorCode::kTimeout, "first failure");
+    });
     FAIL() << "expected AedError";
   } catch (const AedError& e) {
     EXPECT_EQ(e.code(), ErrorCode::kTimeout);

@@ -13,7 +13,7 @@
 #include "fixtures.hpp"
 #include "simulate/simulator.hpp"
 #include "util/deadline.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel.hpp"
 
 namespace aed {
 namespace {
@@ -96,32 +96,19 @@ TEST(CancelToken, StickyStop) {
   EXPECT_TRUE(token.stopRequested());
 }
 
-// ------------------------------------------------------------- ThreadPool
+// ------------------------------------------------------------ runParallel
 
 TEST(ThreadPool, ExceptionCarryingTaskDoesNotPoisonSiblings) {
-  ThreadPool pool(4);
   std::atomic<int> completed{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 16; ++i) {
-    futures.push_back(pool.submit([i, &completed] {
-      if (i == 5) throw std::runtime_error("task 5 exploded");
-      ++completed;
-    }));
-  }
-  int thrown = 0;
-  for (auto& future : futures) {
-    try {
-      future.get();
-    } catch (const std::runtime_error&) {
-      ++thrown;
-    }
-  }
-  EXPECT_EQ(thrown, 1);
+  EXPECT_THROW(runParallel(16, 4,
+                           [&completed](std::size_t i) {
+                             if (i == 5) {
+                               throw std::runtime_error("task 5 exploded");
+                             }
+                             ++completed;
+                           }),
+               std::runtime_error);
   EXPECT_EQ(completed.load(), 15);
-
-  // The pool stays usable after carrying an exception.
-  auto after = pool.submit([] { return 42; });
-  EXPECT_EQ(after.get(), 42);
 }
 
 // --------------------------------------------------- fault-isolated solving

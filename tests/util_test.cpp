@@ -2,14 +2,17 @@
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/ipv4.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel.hpp"
 
 namespace aed {
 namespace {
@@ -230,43 +233,54 @@ TEST(Rng, RealInUnitInterval) {
   }
 }
 
-// ----------------------------------------------------------------- ThreadPool
+// ---------------------------------------------------------------- runParallel
 
 TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
   std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([&counter] { ++counter; }));
-  }
-  for (auto& f : futures) f.get();
+  runParallel(100, 4, [&counter](std::size_t) { ++counter; });
   EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(ThreadPool, ReturnsValues) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
+  std::vector<std::size_t> slots(16);
+  runParallel(slots.size(), 2, [&slots](std::size_t i) { slots[i] = 6 * i; });
+  for (std::size_t i = 0; i < slots.size(); ++i) EXPECT_EQ(slots[i], 6 * i);
 }
 
 TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(1);
-  auto f = pool.submit([]() -> int { throw AedError("boom"); });
-  EXPECT_THROW(f.get(), AedError);
+  EXPECT_THROW(runParallel(1, 1, [](std::size_t) { throw AedError("boom"); }),
+               AedError);
 }
 
 TEST(ThreadPool, AtLeastOneWorker) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.workerCount(), 1u);
-  EXPECT_EQ(pool.submit([] { return 1; }).get(), 1);
+  // Zero lanes still runs every task, all on the calling thread.
+  std::vector<std::thread::id> ranOn(5);
+  runParallel(ranOn.size(), 0, [&ranOn](std::size_t i) {
+    ranOn[i] = std::this_thread::get_id();
+  });
+  for (const std::thread::id id : ranOn) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
 }
 
 TEST(RunParallel, ExecutesEverything) {
   std::atomic<int> counter{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 20; ++i) tasks.push_back([&counter] { ++counter; });
-  ThreadPool(4).runAll(std::move(tasks));
+  runParallel(20, 4, [&counter](std::size_t) { ++counter; });
   EXPECT_EQ(counter.load(), 20);
+}
+
+TEST(RunParallel, CallerIsOneLane) {
+  // Tasks 0 and 1 wait for each other, so each of the two lanes runs one.
+  std::latch both(2);
+  std::vector<std::thread::id> ranOn(2);
+  runParallel(ranOn.size(), 2, [&](std::size_t i) {
+    both.arrive_and_wait();
+    ranOn[i] = std::this_thread::get_id();
+  });
+  EXPECT_NE(ranOn[0], ranOn[1]);
+  EXPECT_EQ((ranOn[0] == std::this_thread::get_id()) +
+                (ranOn[1] == std::this_thread::get_id()),
+            1);
 }
 
 // -------------------------------------------------------------------- require
