@@ -23,11 +23,24 @@
 // and for the head-to-head case:
 //   repairSpeedup      — fresh repairSeconds / incremental repairSeconds
 //
+// One more case gates the fixed cost every solving group pays once per
+// solver it builds (the fresh mode builds one per group per round):
+//   Incremental/sessionLifecycle — the fastest of 5 lifecycles of the
+//   session a group with softs builds: construct, one hard constraint, one
+//   unit soft, check(), free (fastestMs). It fails past 3 ms. The kind comes
+//   from SubproblemSolver::solverKind(), so building Z3's default solver
+//   there again (about 5x the kernel's lifecycle) fails it.
+//
 // Run: ./build/bench/bench_incremental
 //   (JSON for CI trend tracking: --benchmark_out=BENCH_incremental.json
 //    --benchmark_out_format=json)
 
+#include <algorithm>
+#include <limits>
+
 #include "common.hpp"
+#include "core/subsolver.hpp"
+#include "smt/session.hpp"
 
 namespace {
 
@@ -36,6 +49,8 @@ using aedbench::dcPreset;
 using aedbench::requireCorrect;
 
 constexpr int kForcedRejections = 2;
+constexpr int kLifecycleRuns = 5;
+constexpr double kLifecycleLimitSeconds = 0.003;
 
 struct Scenario {
   GeneratedNetwork net;
@@ -117,6 +132,40 @@ void speedupCase(benchmark::State& state, int routers) {
   }
 }
 
+void sessionLifecycleCase(benchmark::State& state) {
+  // Default options have the minimality softs: every AED group's shape.
+  const SmtSession::SolverKind kind =
+      SubproblemSolver::solverKind(AedOptions{}, {});
+
+  const auto lifecycle = [kind] {
+    SmtSession session(kind);
+    const z3::expr x = session.boolVar("x");
+    session.addHard(x || session.boolVar("y"));
+    session.addSoft(!x, 1, "unit");
+    return session.check().sat();
+  };
+  for (auto _ : state) {
+    // One untimed lifecycle first: a process's first Z3 context also pays
+    // for faulting in the allocator's pages, which later groups reuse.
+    if (!lifecycle()) {
+      return state.SkipWithError("the lifecycle's check was not sat");
+    }
+    double fastest = std::numeric_limits<double>::infinity();
+    for (int run = 0; run < kLifecycleRuns; ++run) {
+      const auto start = Deadline::Clock::now();
+      benchmark::DoNotOptimize(lifecycle());
+      fastest = std::min(fastest, secondsSince(start));
+    }
+    state.counters["fastestMs"] = fastest * 1e3;
+    if (fastest > kLifecycleLimitSeconds) {
+      return state.SkipWithError(
+          ("session lifecycle took " + std::to_string(fastest * 1e3) +
+           " ms, over the 3 ms budget")
+              .c_str());
+    }
+  }
+}
+
 }  // namespace
 
 void aedbench::registerCases() {
@@ -144,4 +193,8 @@ void aedbench::registerCases() {
         ->Unit(benchmark::kSecond)
         ->Iterations(1);
   }
+  benchmark::RegisterBenchmark("Incremental/sessionLifecycle",
+                               sessionLifecycleCase)
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(1);
 }

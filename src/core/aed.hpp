@@ -154,7 +154,7 @@ struct SubproblemReport {
 /// time); a SubResult holds one solve's, with simulateSeconds left at 0.
 struct PhaseBreakdown {
   double sketchSeconds = 0.0;    // delta enumeration (buildSketch)
-  double encodeSeconds = 0.0;    // constraint building + objective softs
+  double encodeSeconds = 0.0;    // session build, constraints, objectives
   double solveSeconds = 0.0;     // SmtSession::check (the bound search)
   double extractSeconds = 0.0;   // model → patch + active-delta readout
   double simulateSeconds = 0.0;  // simulator validation of the merged patch

@@ -29,6 +29,13 @@ SubproblemSolver::SubproblemSolver(const ConfigTree& tree,
       objectives_(std::move(objectives)),
       options_(options) {}
 
+SmtSession::SolverKind SubproblemSolver::solverKind(
+    const AedOptions& options, const std::vector<Objective>& objectives) {
+  return options.defaultMinimality || !objectives.empty()
+             ? SmtSession::SolverKind::kKernel
+             : SmtSession::SolverKind::kCombined;
+}
+
 SubproblemSolver::~SubproblemSolver() {
   // The span shows which thread paid for the free and under which phase.
   AED_SPAN("subsolver.free");
@@ -63,13 +70,13 @@ void SubproblemSolver::ensureEncoded(SubResult& result) {
   }
   result.phases.sketchSeconds = secondsSince(phaseStart);
 
-  session_ = std::make_unique<SmtSession>();
+  // The encode phase includes building the session and its Z3 context.
+  phaseStart = Deadline::Clock::now();
+  AED_SPAN("subsolver.encode");
+  session_ = std::make_unique<SmtSession>(solverKind(options_, objectives_));
   if (options_.randomPhaseSeed != 0) {
     session_->randomizePhase(options_.randomPhaseSeed);
   }
-
-  phaseStart = Deadline::Clock::now();
-  AED_SPAN("subsolver.encode");
   encoder_ = std::make_unique<Encoder>(*session_, tree_, topo_, *sketch_,
                                        options_.encoder);
   encoder_->encode(policies_);

@@ -1,9 +1,10 @@
 // Persistent per-subproblem MaxSMT solver (the incremental re-solve engine).
 //
 // One SubproblemSolver owns the Sketch, SmtSession (and therefore the
-// z3::context and its one plain z3::solver), and Encoder for one subproblem
-// (the whole problem, or one destination group) until the synthesis run's
-// teardown frees it. The first solve() pays the full sketch + encode cost;
+// z3::context and its one z3::solver, of the kind solverKind() picks), and
+// Encoder for one subproblem (the whole problem, or one destination group)
+// until the synthesis run's teardown frees it. The first solve() pays the
+// full sketch + encode cost (the encode phase includes building the session);
 // every repair round after that only pushes the *new* blocked-delta hard
 // clauses into the live solver and re-checks, instead of rebuilding
 // everything from scratch. Destruction frees the Z3 context inside a
@@ -88,6 +89,14 @@ class SubproblemSolver {
   SubResult solve(
       const std::vector<std::vector<std::string>>& blockedDeltaSets,
       const Deadline& deadline, bool injectUnknown = false);
+
+  /// The solver a group's session builds (smt/session.hpp): the kernel when
+  /// the group has softs, defaultMinimality or any objective (every AED
+  /// group), since each of its checks carries a cost-bound assumption; Z3's
+  /// default solver without softs (the NetComplete-like baseline), where
+  /// the one check carries none.
+  static SmtSession::SolverKind solverKind(
+      const AedOptions& options, const std::vector<Objective>& objectives);
 
   /// Completed solve() calls; 0 means the next call pays sketch + encode.
   int rounds() const { return rounds_; }

@@ -114,7 +114,9 @@ void SmtSession::randomizePhase(unsigned seed) {
     // A plain solver takes the smt and sat modules' names unqualified.
     z3::params params(ctx_);
     params.set("phase_selection", 5u);  // smt: random phase
-    params.set("phase", ctx_.str_symbol("random"));  // sat
+    if (kind_ == SolverKind::kCombined) {
+      params.set("phase", ctx_.str_symbol("random"));  // sat
+    }
     params.set("random_seed", seed);
     solver_.set(params);
   } catch (const z3::exception&) {

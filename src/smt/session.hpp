@@ -2,11 +2,20 @@
 //
 // One SmtSession owns one z3::context and one plain z3::solver. Z3 contexts
 // are not thread-safe, so the parallel per-destination engine (§8) creates
-// one session per task. The session also keeps a registry of named
-// variables so that the sketch encoder and the objective translator can
-// refer to the same delta variables by name, and a registry of weighted
-// soft constraints so callers can report which management objectives were
-// satisfied by the chosen model.
+// one session per task. The solver is one of two kinds, fixed at
+// construction (SolverKind). A session whose checks carry cost-bound
+// assumptions builds Z3's plain SMT kernel, z3::solver::simple(): a check
+// under assumptions runs only the kernel anyway, and Z3's default solver
+// would also build its whole strategic tactic and feed every assertion to
+// it, which costs several times the kernel's own construction and contends
+// on Z3's process-wide locks when lanes build sessions at once. A session
+// without softs makes one check without assumptions, which the default
+// solver answers with that tactic, so it keeps the default solver.
+//
+// The session also keeps a registry of named variables so that the sketch
+// encoder and the objective translator can refer to the same delta
+// variables by name, and a registry of weighted soft constraints so callers
+// can report which management objectives were satisfied by the chosen model.
 //
 // check() answers the MaxSMT query (the model of the hard constraints whose
 // violated softs weigh least) with the plain solver alone: it checks
@@ -59,7 +68,22 @@ namespace aed {
 
 class SmtSession {
  public:
-  SmtSession() : solver_(ctx_), hard_(ctx_) {}
+  /// Which Z3 solver the session builds (see the header).
+  enum class SolverKind {
+    /// z3::solver::simple(): the incremental SMT kernel alone. For sessions
+    /// with softs, whose checks carry cost-bound assumptions.
+    kKernel,
+    /// z3::solver(ctx): Z3's default solver, which answers a check without
+    /// assumptions with its strategic tactic. For sessions without softs.
+    kCombined,
+  };
+
+  explicit SmtSession(SolverKind kind = SolverKind::kKernel)
+      : kind_(kind),
+        solver_(kind == SolverKind::kKernel
+                    ? z3::solver(ctx_, z3::solver::simple())
+                    : z3::solver(ctx_)),
+        hard_(ctx_) {}
 
   SmtSession(const SmtSession&) = delete;
   SmtSession& operator=(const SmtSession&) = delete;
@@ -118,7 +142,8 @@ class SmtSession {
   /// clean-slate baseline: a synthesizer that does not anchor on the current
   /// configuration picks arbitrary values for unconstrained constructs;
   /// Z3's default false-bias would otherwise make the baseline look
-  /// artificially incremental.
+  /// artificially incremental. The SAT solver's phase, which the tactic of
+  /// kCombined may run, is set only there: the kernel refuses the name.
   void randomizePhase(unsigned seed);
 
   /// What check() minimizes, for an independent oracle: the hard
@@ -201,6 +226,7 @@ class SmtSession {
     SoftKind kind;
   };
 
+  const SolverKind kind_;
   z3::context ctx_;
   z3::solver solver_;
   /// The hard constraints as added: the solver also holds the cost bounds'

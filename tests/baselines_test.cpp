@@ -4,6 +4,7 @@
 #include "baselines/netcomplete.hpp"
 #include "conftree/diff.hpp"
 #include "conftree/parser.hpp"
+#include "core/subsolver.hpp"
 #include "fixtures.hpp"
 #include "gen/netgen.hpp"
 #include "gen/policygen.hpp"
@@ -108,6 +109,9 @@ TEST(NetComplete, OptionsDisableAedOptimizations) {
   EXPECT_FALSE(options.encoder.booleanLp);
   EXPECT_FALSE(options.defaultMinimality);
   EXPECT_NE(options.randomPhaseSeed, 0u);
+  // No softs: its one check carries no assumption and runs Z3's tactic.
+  EXPECT_EQ(SubproblemSolver::solverKind(options, {}),
+            SmtSession::SolverKind::kCombined);
 }
 
 }  // namespace

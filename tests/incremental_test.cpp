@@ -1,7 +1,8 @@
 // Incremental re-solve engine: equivalence with the fresh-per-round path on
-// repair-round fixtures, phase-stat accounting, where the fresh-per-round
-// solvers are freed, the mergePatches positive seq floor, malformed-attribute
-// parsing, and runParallel() exception collection.
+// repair-round fixtures, phase-stat accounting, the solver kind a group
+// builds, where the fresh-per-round solvers are freed, the mergePatches
+// positive seq floor, malformed-attribute parsing, and runParallel()
+// exception collection.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -149,6 +150,18 @@ TEST(Incremental, SubproblemSolverReusesEncodingAcrossRounds) {
   EXPECT_EQ(second.phases.encodeSeconds, 0.0);
   EXPECT_NE(second.activeDeltas, first.activeDeltas);
   EXPECT_EQ(solver.rounds(), 2);
+}
+
+// Every group with softs checks under cost-bound assumptions and so builds
+// the kernel; only a group without softs builds Z3's default solver.
+TEST(Incremental, GroupsWithSoftsBuildTheKernel) {
+  using Kind = SmtSession::SolverKind;
+  AedOptions options;
+  EXPECT_EQ(SubproblemSolver::solverKind(options, {}), Kind::kKernel);
+  options.defaultMinimality = false;
+  EXPECT_EQ(SubproblemSolver::solverKind(options, objectivesMinDevices()),
+            Kind::kKernel);
+  EXPECT_EQ(SubproblemSolver::solverKind(options, {}), Kind::kCombined);
 }
 
 // With incrementalResolve off each solve builds a fresh solver, and each

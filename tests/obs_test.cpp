@@ -5,9 +5,11 @@
 // export validity, the flight recorder (ring wraparound, dump-on-failure for
 // every exit class, concurrent writes, the retired-event cap, one tid per
 // thread shared with the tracer), solver introspection surfaced per
-// subproblem, one-lane runs on the calling thread, the disabled-mode
-// zero-allocation guarantee, logger line atomicity under thread stress, and
-// stats attribution on failed and thrown synthesis runs.
+// subproblem, one-lane runs on the calling thread, subproblem spans under
+// the round span on every lane, encode spans that start where their sketch
+// ends, the disabled-mode zero-allocation guarantee, logger line atomicity
+// under thread stress, and stats attribution on failed and thrown synthesis
+// runs.
 
 #include <gtest/gtest.h>
 
@@ -1265,25 +1267,35 @@ TEST_F(ObsTest, ParallelRepairRoundsKeepStatsConsistent) {
   EXPECT_GE(rounds, 2u);
 }
 
-// One lane is the calling thread: every solve and every teardown free runs
-// on the thread that called synthesize(), and no thread is started.
-TEST_F(ObsTest, OneWorkerSolvesAndFreesOnTheCallingThread) {
-  // Two reachability additions on a dc4 fabric with half its rack pairs
-  // blocked: each added destination is a group that builds a solver.
+/// Two reachability additions on a dc4 fabric with half its rack pairs
+/// blocked: each added destination is a group that builds a solver.
+struct Dc4Update {
+  GeneratedNetwork net;
+  PolicySet policies;
+};
+
+Dc4Update dc4TwoAdditions() {
   DcParams params;
   params.racks = 4;
   params.aggs = 2;
   params.blockedPairFraction = 0.5;
   params.seed = 5;
-  const GeneratedNetwork net = generateDatacenter(params);
-  const PolicyUpdate update = makeReachabilityUpdate(net.tree, 2, 42);
-  PolicySet policies = update.base;
-  policies.insert(policies.end(), update.added.begin(), update.added.end());
+  Dc4Update dc4{generateDatacenter(params), {}};
+  const PolicyUpdate update = makeReachabilityUpdate(dc4.net.tree, 2, 42);
+  dc4.policies = update.base;
+  dc4.policies.insert(dc4.policies.end(), update.added.begin(),
+                      update.added.end());
+  return dc4;
+}
 
+// One lane is the calling thread: every solve and every teardown free runs
+// on the thread that called synthesize(), and no thread is started.
+TEST_F(ObsTest, OneWorkerSolvesAndFreesOnTheCallingThread) {
+  const Dc4Update dc4 = dc4TwoAdditions();
   AedOptions options;
   options.workers = 1;
   Tracer::enable();
-  const AedResult result = synthesize(net.tree, policies, {}, options);
+  const AedResult result = synthesize(dc4.net.tree, dc4.policies, {}, options);
   Tracer::disable();
   ASSERT_TRUE(result.success) << result.error;
 
@@ -1305,6 +1317,68 @@ TEST_F(ObsTest, OneWorkerSolvesAndFreesOnTheCallingThread) {
   }
   EXPECT_GE(solves, 2u);
   EXPECT_GE(frees, 2u);  // two or more groups built a solver
+}
+
+TEST_F(ObsTest, SubproblemSpansParentUnderTheRoundOnEveryLane) {
+  const Dc4Update dc4 = dc4TwoAdditions();
+  AedOptions options;
+  options.workers = 2;
+  // The lane that takes group 0 sleeps in it, so the other lane solves the
+  // remaining groups: both lanes open subproblem spans.
+  options.faultInjection.kind = FaultInjection::Kind::kDelay;
+  options.faultInjection.subproblem = 0;
+  options.faultInjection.delayMs = 100;
+  Tracer::enable();
+  const AedResult result = synthesize(dc4.net.tree, dc4.policies, {}, options);
+  Tracer::disable();
+  ASSERT_TRUE(result.success) << result.error;
+
+  const std::vector<TraceEvent> events = Tracer::collect();
+  const auto index = byId(events);
+  const TraceEvent* root = findByName(events, "aed.synthesize");
+  ASSERT_NE(root, nullptr);
+  std::size_t solves = 0;
+  std::size_t elsewhere = 0;
+  for (const TraceEvent& event : events) {
+    if (std::string("aed.subproblem") != event.name) continue;
+    ++solves;
+    if (event.tid != root->tid) ++elsewhere;
+    const auto parent = index.find(event.parent);
+    ASSERT_NE(parent, index.end()) << event.detail;
+    EXPECT_EQ(std::string(parent->second.name), "aed.round") << event.detail;
+  }
+  EXPECT_GE(solves, 2u);
+  EXPECT_GE(elsewhere, 1u);  // a started lane solved a group
+}
+
+TEST_F(ObsTest, EncodeSpanStartsWhereItsSketchSiblingEnds) {
+  // Building the session is timed as encoding, so no untraced gap separates
+  // a group's sketch from its encoding.
+  const Dc4Update dc4 = dc4TwoAdditions();
+  Tracer::enable();
+  const AedResult result = synthesize(dc4.net.tree, dc4.policies, {}, {});
+  Tracer::disable();
+  ASSERT_TRUE(result.success) << result.error;
+
+  const std::vector<TraceEvent> events = Tracer::collect();
+  std::size_t encodes = 0;
+  for (const TraceEvent& encode : events) {
+    if (std::string("subsolver.encode") != encode.name) continue;
+    ++encodes;
+    const TraceEvent* sketch = nullptr;
+    for (const TraceEvent& event : events) {
+      if (std::string("subsolver.sketch") == event.name &&
+          event.parent == encode.parent && event.tid == encode.tid) {
+        sketch = &event;
+      }
+    }
+    ASSERT_NE(sketch, nullptr) << encode.detail;
+    const std::int64_t sketchEndUs = sketch->startUs + sketch->durUs;
+    EXPECT_LE(encode.startUs - sketchEndUs, 200)
+        << "sketch ends at " << sketchEndUs << " us, encode starts at "
+        << encode.startUs << " us";
+  }
+  EXPECT_GE(encodes, 2u);  // two or more groups built a solver
 }
 
 }  // namespace

@@ -197,6 +197,25 @@ TEST(SmtSession, UnsatInstanceMatchesOptimize) {
   EXPECT_EQ(optimizeCost(session), -1);
 }
 
+// Both solver kinds find the optimum, also with a randomized phase (which
+// must not hand the kernel the SAT solver's `phase`, a name it refuses).
+TEST(SmtSession, BothSolverKindsMatchOptimizeWithRandomizedPhase) {
+  for (const SmtSession::SolverKind kind :
+       {SmtSession::SolverKind::kKernel, SmtSession::SolverKind::kCombined}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SmtSession session(kind);
+      session.randomizePhase(static_cast<unsigned>(seed));
+      std::vector<z3::expr> vars;
+      Rng rng(seed);
+      buildRandomInstance(session, vars, rng);
+      const SmtSession::Result result = session.check();
+      EXPECT_EQ(sessionCost(session, result), optimizeCost(session))
+          << "kind " << static_cast<int>(kind) << " seed " << seed << ": "
+          << result.rungReason;
+    }
+  }
+}
+
 // Weights above INT_MAX in sum cannot be 32-bit pseudo-boolean coefficients:
 // the session refuses them, naming the soft.
 TEST(SmtSession, SummedSoftWeightAboveIntMaxIsInvalidInput) {
