@@ -51,7 +51,6 @@ AedOptions Scenario::options() const {
   // small enough that hundreds of scenarios per minute do not oversubscribe
   // a CI runner.
   options.workers = 2;
-  options.incrementalResolve = true;
   // A deployment fault is injected by the staged-deployment check alone.
   if (fault.kind != FaultInjection::Kind::kStageCommitFailure &&
       fault.kind != FaultInjection::Kind::kStageValidationTimeout) {

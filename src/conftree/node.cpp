@@ -197,21 +197,4 @@ std::string Node::path() const {
   return parent_->path() + "/" + signature();
 }
 
-std::string Node::pathWithinRouter() const {
-  if (kind_ == NodeKind::kRouter || parent_ == nullptr ||
-      kind_ == NodeKind::kNetwork) {
-    return "";
-  }
-  const std::string parentPath = parent_->pathWithinRouter();
-  return parentPath.empty() ? signature() : parentPath + "/" + signature();
-}
-
-const Node* Node::enclosingRouter() const {
-  const Node* node = this;
-  while (node != nullptr && node->kind() != NodeKind::kRouter) {
-    node = node->parent();
-  }
-  return node;
-}
-
 }  // namespace aed

@@ -124,14 +124,6 @@ class Node {
   /// Signature path from (but excluding) the Network root, e.g.
   /// `Router[name=B]/RoutingProcess[type=bgp,name=65000]/...`.
   std::string path() const;
-  /// Like path() but with the leading Router component dropped, so that
-  /// corresponding nodes on different routers compare equal (EQUATE, and
-  /// template-violation accounting).
-  std::string pathWithinRouter() const;
-
-  /// The enclosing Router node (or nullptr for Network/Router itself
-  /// returns itself when it is a router).
-  const Node* enclosingRouter() const;
 
  private:
   NodeKind kind_;

@@ -102,15 +102,6 @@ ConfigTree Patch::applied(const ConfigTree& tree) const {
   return copy;
 }
 
-std::set<std::string> Patch::touchedRouters() const {
-  std::set<std::string> routers;
-  for (const Edit& edit : edits_) {
-    const std::string router = routerOfPath(edit.targetPath);
-    if (!router.empty()) routers.insert(router);
-  }
-  return routers;
-}
-
 std::string Patch::describe() const {
   std::string out;
   for (const Edit& edit : edits_) {

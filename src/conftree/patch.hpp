@@ -10,7 +10,6 @@
 
 #include <functional>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -73,9 +72,6 @@ class Patch {
 
   /// Convenience: clones `tree`, applies, returns the updated copy.
   ConfigTree applied(const ConfigTree& tree) const;
-
-  /// Router names touched by at least one edit.
-  std::set<std::string> touchedRouters() const;
 
   /// Multi-line human-readable description.
   std::string describe() const;

@@ -55,14 +55,4 @@ std::size_t ConfigTree::nodeCount() const {
   return count - 1;  // exclude the root itself
 }
 
-std::size_t ConfigTree::leafCount() const {
-  std::size_t count = 0;
-  root_->visit([&count](const Node& node) {
-    if (node.children().empty() && node.kind() != NodeKind::kNetwork) {
-      ++count;
-    }
-  });
-  return count;
-}
-
 }  // namespace aed

@@ -43,10 +43,8 @@ class ConfigTree {
   /// Deep copy of the whole tree.
   ConfigTree clone() const;
 
-  /// Total node count (excluding the root) and leaf count; the sketch-size
-  /// accounting tests use these.
+  /// Total node count, excluding the root.
   std::size_t nodeCount() const;
-  std::size_t leafCount() const;
 
  private:
   std::unique_ptr<Node> root_;

@@ -38,14 +38,13 @@ SubResult failedSubResult(SubOutcome outcome, ErrorCode code,
   return result;
 }
 
-/// Infrastructure failures (timeouts, solver exceptions, fault injection,
-/// cancellation) are recorded in their subproblem's slot, so one poisoned
-/// destination never discards sibling work. Every other AedError is
-/// deterministic (malformed policies, invariant violations) and fails the
-/// run.
+/// Infrastructure failures (timeouts, solver exceptions, fault injection)
+/// are recorded in their subproblem's slot, so one poisoned destination
+/// never discards sibling work. Every other AedError is deterministic
+/// (malformed policies, invariant violations) and fails the run.
 bool isolatable(ErrorCode code) {
   return code == ErrorCode::kSubproblemFailed || code == ErrorCode::kTimeout ||
-         code == ErrorCode::kSolverUnknown || code == ErrorCode::kCancelled;
+         code == ErrorCode::kSolverUnknown;
 }
 
 // Latency/effort histograms (§12). The handles are resolved once (a
@@ -106,11 +105,10 @@ void publishPhase(MetricsRegistry& metrics, const std::string& prefix,
 }
 
 /// Mirrors the finished run's AedStats (and the absorbed SimCacheStats) into
-/// the registry. Called once per synthesize() call — success, failed,
-/// cancelled, or thrown — from SynthesisRun::finish() on the coordinating
-/// thread, after every lane has been joined: a solve only ever reports
-/// through its own group's SubResult slot, so the merge here cannot race
-/// (see DESIGN.md §10).
+/// the registry. Called once per synthesize() call — success, failed or
+/// thrown — from SynthesisRun::finish() on the coordinating thread, after
+/// every lane has been joined: a solve only ever reports through its own
+/// group's SubResult slot, so the merge here cannot race (see DESIGN.md §10).
 void publishStats(const AedResult& result) {
   MetricsRegistry& metrics = MetricsRegistry::global();
   const AedStats& stats = result.stats;
@@ -218,9 +216,6 @@ class SynthesisRun {
     result_.error = std::move(message);
     result_.errorCode = code;
     return false;
-  }
-  bool cancelled() const {
-    return options_.cancel != nullptr && options_.cancel->stopRequested();
   }
   /// The group a solve-time fault (kThrow, kDelay, kUnknown) poisons.
   bool poisoned(std::size_t i) const {
@@ -444,12 +439,6 @@ void SynthesisRun::solveOne(std::size_t i, std::uint64_t perSubproblemMs) {
     if (injected && fault.kind == FaultInjection::Kind::kDelay) {
       std::this_thread::sleep_for(std::chrono::milliseconds(fault.delayMs));
     }
-    if (cancelled()) {
-      group.latest = failedSubResult(SubOutcome::kCancelled,
-                                     ErrorCode::kCancelled,
-                                     "cancelled before solving");
-      return;
-    }
     if (answeredUnchanged(i)) {
       group.latest = unchangedResult(group);
     } else {
@@ -471,8 +460,6 @@ void SynthesisRun::solveOne(std::size_t i, std::uint64_t perSubproblemMs) {
     if (!isolatable(e.code())) throw;
     const SubOutcome outcome = e.code() == ErrorCode::kTimeout
                                    ? SubOutcome::kTimedOut
-                               : e.code() == ErrorCode::kCancelled
-                                   ? SubOutcome::kCancelled
                                    : SubOutcome::kError;
     group.latest = failedSubResult(outcome, e.code(), e.what());
   } catch (const std::exception& e) {
@@ -520,9 +507,8 @@ bool SynthesisRun::checkOutcomes() {
   }
 
   // Fault isolation: infrastructure failures (timeout, exception, solver
-  // unknown, cancellation) are reported per subproblem; the survivors'
-  // patches are still merged. Only when nothing survived is the whole run
-  // a failure.
+  // unknown) are reported per subproblem; the survivors' patches are still
+  // merged. Only when nothing survived is the whole run a failure.
   if (std::none_of(groups_.begin(), groups_.end(),
                    [](const Group& group) { return usable(group.latest); })) {
     const auto firstWith = [this](SubOutcome outcome) -> const SubResult* {
@@ -531,9 +517,6 @@ bool SynthesisRun::checkOutcomes() {
       }
       return nullptr;
     };
-    if (firstWith(SubOutcome::kCancelled) != nullptr) {
-      return fail(ErrorCode::kCancelled, "cancelled by the caller");
-    }
     if (firstWith(SubOutcome::kTimedOut) != nullptr) {
       return fail(ErrorCode::kTimeout,
                   "time budget exhausted before any subproblem was solved");
@@ -623,8 +606,8 @@ PolicySet SynthesisRun::injectedRejection(int round) const {
 
 /// Counts a repair round and blocks, in each group blamed for `violated`,
 /// that group's active delta set, marking it for re-solve. Fails the run
-/// when no repair round is left, on cancellation, when the budget is spent,
-/// or when no group can be blamed.
+/// when no repair round is left, when the budget is spent, or when no group
+/// can be blamed.
 bool SynthesisRun::blame(int round, const PolicySet& violated) {
   Span span("aed.blame");
   if (span.active()) {
@@ -637,9 +620,6 @@ bool SynthesisRun::blame(int round, const PolicySet& violated) {
                     std::to_string(violated.size()) +
                     " policies still violated (first: " + violated[0].str() +
                     ")");
-  }
-  if (cancelled()) {
-    return fail(ErrorCode::kCancelled, "cancelled during repair");
   }
   if (deadline_.expired()) {
     return fail(ErrorCode::kTimeout,
@@ -784,9 +764,8 @@ AedResult SynthesisRun::finish(const std::exception_ptr& thrown) {
                          ? (result_.degraded ? "degraded" : "done")
                          : "failed");
 
-  // Post-mortem (§12): any non-clean exit — failed, thrown, cancelled, or
-  // degraded — leaves a flight dump behind when a dump destination is
-  // configured.
+  // Post-mortem (§12): any non-clean exit — failed, thrown or degraded —
+  // leaves a flight dump behind when a dump destination is configured.
   if (!result_.success || result_.degraded) {
     FlightRecorder::DumpContext dump;
     dump.reason =
@@ -808,7 +787,6 @@ const char* subOutcomeName(SubOutcome outcome) {
     case SubOutcome::kTimedOut: return "timed_out";
     case SubOutcome::kUnsat: return "unsat";
     case SubOutcome::kError: return "error";
-    case SubOutcome::kCancelled: return "cancelled";
   }
   return "error";
 }

@@ -97,17 +97,15 @@ struct AedOptions {
   /// encoding — per destination group for the whole call, so a repair round
   /// only pushes the new blocked-delta clauses into the live solver and
   /// re-checks. When false, every repair round rebuilds the subproblem from
-  /// scratch (the pre-incremental behavior; kept for A/B benchmarking in
-  /// bench_incremental).
+  /// scratch (the pre-incremental behavior). The fresh mode is the reference
+  /// run of aed_check's incremental-equiv invariant (check/invariants.cpp)
+  /// and the A side of bench_incremental's A/B timing.
   bool incrementalResolve = true;
 
   /// Global wall-clock budget in milliseconds for the whole run, split
   /// across the queued subproblems that build a solver and wired to Z3's
   /// timeout parameter. 0 = unlimited.
   std::uint64_t timeBudgetMs = 0;
-  /// Cooperative cancellation: when set and triggered, the engine stops
-  /// between subproblems and repair iterations and reports kCancelled.
-  CancelTokenPtr cancel;
   /// Deterministic fault injection (tests only).
   FaultInjection faultInjection;
 
@@ -124,7 +122,6 @@ enum class SubOutcome {
   kTimedOut,  // wall-clock budget expired before any rung produced a model
   kUnsat,     // hard constraints unsatisfiable: the policies conflict
   kError,     // the subproblem threw or the solver answered unknown
-  kCancelled, // the run was cancelled before this subproblem was solved
 };
 
 /// Stable lowercase identifier, e.g. "timed_out".
@@ -173,7 +170,7 @@ struct AedStats {
   double sumSubproblemSeconds = 0.0;
   std::size_t subproblems = 0;
   std::size_t degradedSubproblems = 0;  // solved below the MaxSMT optimum
-  std::size_t failedSubproblems = 0;    // timed out / unsat / error / cancelled
+  std::size_t failedSubproblems = 0;    // timed out / unsat / error
   std::size_t deltaCount = 0;
   std::size_t repairRounds = 0;
 

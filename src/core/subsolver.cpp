@@ -180,14 +180,8 @@ SubResult SubproblemSolver::solve(
   }
   result.phases.extractSeconds = secondsSince(phaseStart);
 
-  // Only user objectives are reported; the per-delta minimality softs are an
-  // internal mechanism.
-  for (const std::string& label : check.satisfiedObjectives) {
-    if (label.rfind("min-change:", 0) != 0) result.satisfied.push_back(label);
-  }
-  for (const std::string& label : check.violatedObjectives) {
-    if (label.rfind("min-change:", 0) != 0) result.violated.push_back(label);
-  }
+  result.satisfied = std::move(check.satisfiedObjectives);
+  result.violated = std::move(check.violatedObjectives);
   result.seconds = secondsSince(start);
   return result;
 }

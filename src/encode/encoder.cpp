@@ -460,7 +460,7 @@ z3::expr Encoder::reach(std::size_t e, const TrafficClass& cls,
 }
 
 void Encoder::buildRoutingLayer(std::size_t e, const Ipv4Prefix& dst) {
-  const Env& env = environments_[e];
+  const Environment& env = environments_[e];
   const std::string key = layerKey(e, dst);
 
   // ---- create best-record and chosen variables first (cross references).
@@ -709,7 +709,7 @@ void Encoder::buildRoutingLayer(std::size_t e, const Ipv4Prefix& dst) {
 }
 
 void Encoder::buildForwardingLayer(std::size_t e, const TrafficClass& cls) {
-  const Env& env = environments_[e];
+  const Environment& env = environments_[e];
   const std::string key = classKey(e, cls);
 
   // dataFwd = controlFwd gated by packet filters (Appendix A, Fig. 17).
@@ -898,7 +898,7 @@ void Encoder::encode(const PolicySet& policies) {
 
   // Environment 0: everything up. One extra environment per distinct failed
   // link demanded by path-preference policies.
-  environments_.push_back(Env{"all-up", {}});
+  environments_.emplace_back();
   std::vector<std::size_t> policyEnv(policies.size(), 0);
   for (std::size_t i = 0; i < policies.size(); ++i) {
     const Policy& policy = policies[i];
@@ -912,10 +912,8 @@ void Encoder::encode(const PolicySet& policies) {
       if (!environments_[e].linkUp(down.first, down.second)) found = e;
     }
     if (found == 0) {
-      Env env;
-      env.label = "down:" + down.first + "-" + down.second;
-      env.downLinks.insert(down);
-      environments_.push_back(std::move(env));
+      environments_.push_back(
+          Environment::withDownLink(down.first, down.second));
       found = environments_.size() - 1;
     }
     policyEnv[i] = found;

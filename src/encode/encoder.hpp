@@ -92,7 +92,7 @@ class Encoder {
   struct ProcRef {
     std::string router;
     std::string type;  // "bgp" | "ospf"
-    const Node* node;  // nullptr for potential (not yet configured) process
+    const Node* node;
     auto operator<=>(const ProcRef&) const = default;
     bool operator==(const ProcRef&) const = default;
   };
@@ -155,14 +155,6 @@ class Encoder {
 
   // ---- per (environment, class) layers --------------------------------------
 
-  struct Env {
-    std::string label;
-    std::set<std::pair<std::string, std::string>> downLinks;
-    bool linkUp(const std::string& a, const std::string& b) const {
-      return downLinks.count({a, b}) == 0 && downLinks.count({b, a}) == 0;
-    }
-  };
-
   /// Builds procBest records + chosenFrom vars + controlFwd for destination
   /// class `dst` in environment `e`.
   void buildRoutingLayer(std::size_t e, const Ipv4Prefix& dst);
@@ -203,7 +195,7 @@ class Encoder {
   EncoderOptions options_;
   Simulator sim_;  // for concrete facts (local delivery, attachment)
 
-  std::vector<Env> environments_;
+  std::vector<Environment> environments_;
   std::vector<TrafficClass> classes_;
   std::vector<Ipv4Prefix> dstClasses_;
 

@@ -258,13 +258,6 @@ void Encoder::materializeDelta(const DeltaVar& delta, Patch& patch,
            {"dstPrefix", delta.cls.dst.str()}}});
       break;
     }
-    case DeltaKind::kAddProcess: {
-      patch.add(Edit{Edit::Op::kAddNode,
-                     delta.nodePath,
-                     NodeKind::kRoutingProcess,
-                     {{"type", delta.procType}, {"name", "aed"}}});
-      break;
-    }
   }
 }
 

@@ -30,7 +30,7 @@
 // recording as obs/spanFlight.
 //
 // Dump triggers: core/aed.cpp calls maybeDump() from its finalize path when
-// a run exits degraded/thrown/cancelled, apply/deploy.cpp when a stage
+// a run exits degraded/failed/thrown, apply/deploy.cpp when a stage
 // aborts, and src/check/fuzz.cpp renders a dump per failing seed so
 // aed_check can ship it next to the shrunk repro. A dump is only written
 // when a destination is configured — setDumpPath() or the AED_FLIGHT_OUT

@@ -17,7 +17,6 @@ std::string deltaKindName(DeltaKind kind) {
     case DeltaKind::kSetAdjacencyCost: return "set-adjacency-cost";
     case DeltaKind::kRemovePacketFilterRule: return "rm-pfilter-rule";
     case DeltaKind::kFlipPacketFilterRule: return "flip-pfilter-rule";
-    case DeltaKind::kAddProcess: return "add-process";
     case DeltaKind::kAddAdjacency: return "add-adjacency";
     case DeltaKind::kAddOrigination: return "add-origination";
     case DeltaKind::kAddRedistribution: return "add-redistribution";
@@ -30,7 +29,6 @@ std::string deltaKindName(DeltaKind kind) {
 
 bool isAddKind(DeltaKind kind) {
   switch (kind) {
-    case DeltaKind::kAddProcess:
     case DeltaKind::kAddAdjacency:
     case DeltaKind::kAddOrigination:
     case DeltaKind::kAddRedistribution:
@@ -45,8 +43,6 @@ bool isAddKind(DeltaKind kind) {
 
 std::string DeltaVar::virtualPath() const {
   switch (kind) {
-    case DeltaKind::kAddProcess:
-      return nodePath + "/RoutingProcess[type=" + procType + ",name=aed]";
     case DeltaKind::kAddAdjacency:
       return nodePath + "/Adjacency[peer=" + peer + "]";
     case DeltaKind::kAddOrigination:

@@ -31,7 +31,6 @@ enum class DeltaKind {
   kFlipPacketFilterRule,   // invert a packet-filter rule's permit/deny
 
   // Additions of potential nodes.
-  kAddProcess,             // enable a routing process (bgp/ospf)
   kAddAdjacency,           // add a neighbor statement towards `peer`
   kAddOrigination,         // originate `prefix` from a process
   kAddRedistribution,      // redistribute `fromProto` into a process

@@ -5,7 +5,6 @@
 
 #include "smt/session.hpp"
 #include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace aed {
 
@@ -55,43 +54,14 @@ void Sketch::add(DeltaVar delta) {
   deltas_.push_back(std::move(delta));
 }
 
-std::vector<const DeltaVar*> Sketch::deltasUnderPath(
-    const std::string& path) const {
-  std::vector<const DeltaVar*> out;
-  for (const DeltaVar& delta : deltas_) {
-    if (delta.nodePath == path ||
-        startsWith(delta.nodePath, path + "/")) {
-      out.push_back(&delta);
-    }
-  }
-  return out;
-}
-
-std::vector<const DeltaVar*> Sketch::deltasOfRouter(
-    const std::string& router) const {
-  std::vector<const DeltaVar*> out;
-  for (const DeltaVar& delta : deltas_) {
-    if (delta.router == router) out.push_back(&delta);
-  }
-  return out;
-}
-
 const DeltaVar* Sketch::findByName(const std::string& name) const {
   const auto it = byName_.find(name);
   return it == byName_.end() ? nullptr : &deltas_[it->second];
 }
 
-SketchStats Sketch::stats() const {
-  SketchStats stats;
-  stats.total = deltas_.size();
-  for (const DeltaVar& delta : deltas_) ++stats.byKind[delta.kind];
-  return stats;
-}
-
 Sketch buildSketch(const ConfigTree& tree, const Topology& topo,
                    const PolicySet& policies, const SketchOptions& options) {
   Sketch sketch;
-  sketch.options_ = options;
 
   const std::vector<Ipv4Prefix> dstClasses = destinationPrefixes(policies);
   const std::vector<TrafficClass> classes = trafficClasses(policies);

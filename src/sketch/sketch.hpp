@@ -44,26 +44,10 @@ struct SketchOptions {
   bool allowPacketFilterChanges = true;
 };
 
-struct SketchStats {
-  std::size_t total = 0;
-  std::map<DeltaKind, std::size_t> byKind;
-};
-
 class Sketch {
  public:
   const std::vector<DeltaVar>& deltas() const { return deltas_; }
-  const SketchOptions& options() const { return options_; }
-
-  /// All deltas whose nodePath lies within the subtree rooted at `path`
-  /// (string-prefix match on path components).
-  std::vector<const DeltaVar*> deltasUnderPath(const std::string& path) const;
-
-  /// All deltas belonging to `router`.
-  std::vector<const DeltaVar*> deltasOfRouter(const std::string& router) const;
-
   const DeltaVar* findByName(const std::string& name) const;
-
-  SketchStats stats() const;
 
  private:
   friend Sketch buildSketch(const ConfigTree&, const Topology&,
@@ -72,7 +56,6 @@ class Sketch {
 
   std::vector<DeltaVar> deltas_;
   std::map<std::string, std::size_t> byName_;
-  SketchOptions options_;
 };
 
 Sketch buildSketch(const ConfigTree& tree, const Topology& topo,

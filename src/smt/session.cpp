@@ -81,18 +81,10 @@ z3::expr SmtSession::intVar(const std::string& name) {
   return var;
 }
 
-bool SmtSession::hasVar(const std::string& name) const {
-  return vars_.count(name) != 0;
-}
-
 z3::expr SmtSession::var(const std::string& name) const {
   const auto it = vars_.find(name);
   require(it != vars_.end(), "unknown SMT variable: " + name);
   return it->second;
-}
-
-z3::expr SmtSession::freshBool(const std::string& stem) {
-  return boolVar(stem + "!" + std::to_string(freshCounter_++));
 }
 
 std::size_t SmtSession::addSoft(const z3::expr& constraint, unsigned weight,
@@ -150,6 +142,7 @@ bool SmtSession::applyBudget() {
 
 void SmtSession::reportObjectives(Result& result) const {
   for (const Soft& soft : softs_) {
+    if (soft.kind != SoftKind::kUser) continue;
     (model_->eval(soft.expr, true).is_true() ? result.satisfiedObjectives
                                              : result.violatedObjectives)
         .push_back(soft.label);

@@ -94,13 +94,8 @@ class SmtSession {
   z3::expr boolVar(const std::string& name);
   /// Creates (or returns the previously created) named integer variable.
   z3::expr intVar(const std::string& name);
-  /// True if a variable with this name was created.
-  bool hasVar(const std::string& name) const;
   /// Looks up a previously created variable; throws if unknown.
   z3::expr var(const std::string& name) const;
-
-  /// Fresh anonymous variable for encoder internals.
-  z3::expr freshBool(const std::string& stem);
 
   // ---- constants ----------------------------------------------------------
 
@@ -177,7 +172,8 @@ class SmtSession {
     /// kSolverUnknown. An "unknown" must never be treated as a proof of
     /// unsatisfiability.
     ErrorCode code = ErrorCode::kNone;
-    /// Labels of soft constraints satisfied / violated by the model.
+    /// Labels of the user softs satisfied / violated by the model; the
+    /// per-delta minimality softs are an internal mechanism and not listed.
     std::vector<std::string> satisfiedObjectives;
     std::vector<std::string> violatedObjectives;
     /// Z3 effort counters summed across the checks of this check() call.
@@ -216,7 +212,7 @@ class SmtSession {
   Bound minimize(Search& search, const Cost& cost, unsigned long long lo);
   /// Applies the remaining budget as a Z3 timeout; false if already expired.
   bool applyBudget();
-  /// Fills satisfied/violated objective labels from the current model.
+  /// Fills the user softs' satisfied/violated labels from the current model.
   void reportObjectives(Result& result) const;
 
   struct Soft {
@@ -245,7 +241,6 @@ class SmtSession {
   SolverStats effort_;  // Z3's counters so far (they add up over checks)
   Deadline deadline_;
   int injectUnknown_ = 0;
-  int freshCounter_ = 0;
 };
 
 /// Mangles a list of name parts into a deterministic variable name, e.g.

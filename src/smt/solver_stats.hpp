@@ -17,10 +17,9 @@ namespace aed {
 /// the optimum at the first bound, the proved optimum, or one of the
 /// anytime degradation rungs.
 enum class SolveRung {
-  kNone,          // no check ran: the subproblem threw or was cancelled
-                  // first, or the input already satisfies its policies and
-                  // the empty patch was given without a solver
-                  // (core/aed.hpp)
+  kNone,          // no check ran: the subproblem threw first, or the input
+                  // already satisfies its policies and the empty patch was
+                  // given without a solver (core/aed.hpp)
   kWarmStart,     // the first bound, the previous optimum, was satisfiable
   kFull,          // the optimum over user + minimality softs was proved
   kNoMinimality,  // degraded: stopped after the user-objective optimum
@@ -52,7 +51,10 @@ struct SolverStats {
   std::uint64_t conflicts = 0;
   std::uint64_t decisions = 0;
   std::uint64_t restarts = 0;
-  std::uint64_t vars = 0;        // boolean choice variables in the sketch
+  // Every named variable the session created, bool and int: the delta,
+  // route-record, forwarding, reach and distance variables (cost-bound
+  // literals excluded).
+  std::uint64_t vars = 0;
   std::uint64_t assertions = 0;  // hard + soft assertions encoded
   std::uint64_t checks = 0;      // solver check() invocations (bound checks)
 

@@ -70,10 +70,6 @@ Topology Topology::fromConfigs(const ConfigTree& tree) {
   return topo;
 }
 
-bool Topology::hasRouter(const std::string& name) const {
-  return std::binary_search(routers_.begin(), routers_.end(), name);
-}
-
 bool Topology::connected(const std::string& a, const std::string& b) const {
   return linkIndex_.count({a, b}) != 0;
 }

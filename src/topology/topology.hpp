@@ -43,7 +43,6 @@ class Topology {
   const std::vector<std::string>& routerNames() const { return routers_; }
   const std::vector<Link>& links() const { return links_; }
 
-  bool hasRouter(const std::string& name) const;
   bool connected(const std::string& a, const std::string& b) const;
   /// Neighbor router names of `router`, sorted.
   std::vector<std::string> neighbors(const std::string& router) const;

@@ -5,18 +5,11 @@
 // where the remaining budget becomes Z3's `timeout` parameter. Deadlines are
 // value types: copy freely, split a global budget across subproblems with
 // remainingMillis() arithmetic.
-//
-// A CancelToken is a shared stop flag for cooperative cancellation: the
-// engine checks it between repair iterations and before launching each
-// subproblem, so an interactive caller can abandon a run without killing the
-// process or leaking in-flight solver work.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 
 namespace aed {
 
@@ -70,19 +63,5 @@ class Deadline {
 inline double secondsSince(Deadline::Clock::time_point start) {
   return std::chrono::duration<double>(Deadline::Clock::now() - start).count();
 }
-
-/// Shared cooperative stop flag. Thread-safe; setting it is sticky.
-class CancelToken {
- public:
-  void requestStop() { stop_.store(true, std::memory_order_relaxed); }
-  bool stopRequested() const {
-    return stop_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<bool> stop_{false};
-};
-
-using CancelTokenPtr = std::shared_ptr<CancelToken>;
 
 }  // namespace aed

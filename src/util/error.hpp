@@ -21,8 +21,6 @@ enum class ErrorCode {
   /// A candidate patch kept failing simulator validation after the maximum
   /// number of repair rounds.
   kValidationFailed,
-  /// The caller cancelled the run via AedOptions::cancel.
-  kCancelled,
   /// Malformed configurations, invalid objective expressions, bad options.
   kInvalidInput,
   /// A config-tree attribute or expression token that must be numeric is
@@ -49,7 +47,6 @@ inline const char* errorCodeName(ErrorCode code) {
     case ErrorCode::kTimeout: return "timeout";
     case ErrorCode::kSolverUnknown: return "solver-unknown";
     case ErrorCode::kValidationFailed: return "validation-failed";
-    case ErrorCode::kCancelled: return "cancelled";
     case ErrorCode::kInvalidInput: return "invalid-input";
     case ErrorCode::kParseError: return "parse-error";
     case ErrorCode::kSubproblemFailed: return "subproblem-failed";

@@ -78,10 +78,6 @@ TEST(Node, SignatureAndPath) {
   EXPECT_EQ(rule.path(),
             "Router[name=B]/RoutingProcess[type=bgp,name=65002]/"
             "RouteFilter[name=rf_a]/RouteFilterRule[seq=10]");
-  EXPECT_EQ(rule.pathWithinRouter(),
-            "RoutingProcess[type=bgp,name=65002]/RouteFilter[name=rf_a]/"
-            "RouteFilterRule[seq=10]");
-  EXPECT_EQ(rule.enclosingRouter(), &router);
 }
 
 TEST(NodeKindNames, RoundTrip) {
@@ -129,7 +125,6 @@ TEST(ConfigTree, Counts) {
   proc.addChild(NodeKind::kAdjacency);
   proc.addChild(NodeKind::kAdjacency);
   EXPECT_EQ(tree.nodeCount(), 4u);
-  EXPECT_EQ(tree.leafCount(), 2u);
 }
 
 // -------------------------------------------------------------------- Parser
@@ -346,7 +341,6 @@ TEST(Patch, TouchedRoutersAndDescribe) {
                  NodeKind::kNetwork, {}});
   patch.add(Edit{Edit::Op::kAddNode, "Router[name=C]",
                  NodeKind::kPacketFilter, {{"name", "y"}}});
-  EXPECT_EQ(patch.touchedRouters(), (std::set<std::string>{"B", "C"}));
   EXPECT_NE(patch.describe().find("remove"), std::string::npos);
   EXPECT_NE(patch.describe().find("add PacketFilter"), std::string::npos);
 }

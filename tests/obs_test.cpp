@@ -23,7 +23,6 @@
 #include <fstream>
 #include <latch>
 #include <map>
-#include <memory>
 #include <new>
 #include <optional>
 #include <set>
@@ -757,27 +756,6 @@ std::string consumeDump(const std::string& path) {
   return buffer.str();
 }
 
-TEST_F(ObsTest, FlightDumpWrittenOnCancelledRun) {
-  const std::string path = "obs_test_cancel.flight.json";
-  FlightRecorder::setDumpPath(path);
-  AedOptions options;
-  options.cancel = std::make_shared<CancelToken>();
-  options.cancel->requestStop();
-  const AedResult result =
-      synthesize(parseNetworkConfig(figure1ConfigText()),
-                 figure1AllPolicies(), {}, options);
-  ASSERT_FALSE(result.success);
-  const std::string dump = consumeDump(path);
-  ASSERT_FALSE(dump.empty());
-  JsonChecker checker(dump);
-  EXPECT_TRUE(checker.valid()) << dump;
-  EXPECT_NE(dump.find("\"reason\": \"synthesize-failed\""),
-            std::string::npos);
-  EXPECT_NE(dump.find(errorCodeName(ErrorCode::kCancelled)),
-            std::string::npos);
-  EXPECT_NE(dump.find("\"subproblems\""), std::string::npos);
-}
-
 TEST_F(ObsTest, FlightDumpWrittenOnThrownRun) {
   const std::string path = "obs_test_thrown.flight.json";
   FlightRecorder::setDumpPath(path);
@@ -1168,18 +1146,19 @@ TEST_F(ObsTest, SynthesizeEmitsANestedSpanTreeCoveringTheRun) {
 
 TEST_F(ObsTest, FailedRunsStillPopulateStatsAndMetrics) {
   const ConfigTree tree = parseNetworkConfig(figure1ConfigText());
-  const PolicySet policies = figure1AllPolicies();
+  // A deterministic failure: P1 blocks 3/16 -> 1/16, and this policy asks
+  // for the same class to be reachable.
+  PolicySet policies = figure1AllPolicies();
+  policies.push_back(
+      Policy::reachability(aed::testing::cls("3.0.0.0/16", "1.0.0.0/16")));
 
   const double runsBefore = MetricsRegistry::global().value("aed.runs");
   const double failedBefore =
       MetricsRegistry::global().value("aed.runs_failed");
 
-  AedOptions options;
-  options.cancel = std::make_shared<CancelToken>();
-  options.cancel->requestStop();  // deterministic failure before any solve
-  const AedResult result = synthesize(tree, policies, {}, options);
+  const AedResult result = synthesize(tree, policies);
   ASSERT_FALSE(result.success);
-  EXPECT_EQ(result.errorCode, ErrorCode::kCancelled);
+  EXPECT_EQ(result.errorCode, ErrorCode::kUnsat);
 
   // The degraded/failed exit is attributable: wall clock and per-subproblem
   // outcomes are populated even though no patch was produced.

@@ -1,12 +1,10 @@
-// Resilience layer: deadlines, anytime degradation, fault-isolated parallel
-// solving, and cooperative cancellation. Uses AedOptions::faultInjection to
-// deterministically poison one subproblem and proves the siblings survive.
+// Resilience layer: deadlines, anytime degradation and fault-isolated
+// parallel solving. Uses AedOptions::faultInjection to deterministically
+// poison one subproblem and proves the siblings survive.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <thread>
 
 #include "conftree/parser.hpp"
 #include "core/aed.hpp"
@@ -85,15 +83,6 @@ TEST(Deadline, MinPicksEarlier) {
   EXPECT_LE(far.min(near).remainingMillis(), near.remainingMillis());
   EXPECT_FALSE(Deadline::unlimited().min(near).isUnlimited());
   EXPECT_FALSE(near.min(Deadline::unlimited()).isUnlimited());
-}
-
-TEST(CancelToken, StickyStop) {
-  CancelToken token;
-  EXPECT_FALSE(token.stopRequested());
-  token.requestStop();
-  EXPECT_TRUE(token.stopRequested());
-  token.requestStop();
-  EXPECT_TRUE(token.stopRequested());
 }
 
 // ------------------------------------------------------------ runParallel
@@ -226,53 +215,6 @@ TEST(Resilience, GenerousBudgetSolvesNormally) {
   EXPECT_TRUE(sim.violations(policies).empty());
 }
 
-// ------------------------------------------------------------- cancellation
-
-TEST(Resilience, PreCancelledRunStopsBeforeSolving) {
-  const ConfigTree tree = parseNetworkConfig(figure1ConfigText());
-  const PolicySet policies = figure1AllPolicies();
-  AedOptions options;
-  options.cancel = std::make_shared<CancelToken>();
-  options.cancel->requestStop();
-  const AedResult result = synthesize(tree, policies, {}, options);
-  EXPECT_FALSE(result.success);
-  EXPECT_EQ(result.errorCode, ErrorCode::kCancelled);
-  EXPECT_EQ(countOutcome(result, SubOutcome::kCancelled),
-            result.subproblems.size());
-  // No solver work was done.
-  EXPECT_EQ(result.stats.sumSubproblemSeconds, 0.0);
-}
-
-TEST(Resilience, CancellationMidRunIsCooperative) {
-  const ConfigTree tree = parseNetworkConfig(figure1ConfigText());
-  const PolicySet policies = figure1AllPolicies();
-  AedOptions options;
-  options.cancel = std::make_shared<CancelToken>();
-  // Delay the first subproblem long enough for the canceller to fire while
-  // the batch is in flight; later subproblems observe the flag.
-  options.faultInjection.kind = FaultInjection::Kind::kDelay;
-  options.faultInjection.subproblem = 0;
-  options.faultInjection.delayMs = 200;
-  options.workers = 1;  // serialize so the delay precedes sibling solves
-
-  std::thread canceller([&options] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    options.cancel->requestStop();
-  });
-  const AedResult result = synthesize(tree, policies, {}, options);
-  canceller.join();
-
-  // Cancellation is cooperative: the run either stopped with kCancelled
-  // (nothing usable yet) or returned the work that finished before the flag
-  // was observed, reporting the rest as cancelled.
-  if (result.success) {
-    EXPECT_TRUE(result.degraded);
-    EXPECT_GE(countOutcome(result, SubOutcome::kCancelled), 1u);
-  } else {
-    EXPECT_EQ(result.errorCode, ErrorCode::kCancelled);
-  }
-}
-
 // --------------------------------------------------------- degradation order
 
 TEST(Resilience, LadderPrefersUserObjectivesOverMinimality) {
@@ -345,10 +287,8 @@ TEST(Resilience, OutcomeNamesAreStable) {
   EXPECT_STREQ(subOutcomeName(SubOutcome::kTimedOut), "timed_out");
   EXPECT_STREQ(subOutcomeName(SubOutcome::kUnsat), "unsat");
   EXPECT_STREQ(subOutcomeName(SubOutcome::kError), "error");
-  EXPECT_STREQ(subOutcomeName(SubOutcome::kCancelled), "cancelled");
   EXPECT_STREQ(errorCodeName(ErrorCode::kNone), "ok");
   EXPECT_STREQ(errorCodeName(ErrorCode::kTimeout), "timeout");
-  EXPECT_STREQ(errorCodeName(ErrorCode::kCancelled), "cancelled");
 }
 
 }  // namespace

@@ -111,19 +111,6 @@ TEST_F(Figure1Sketch, OptionTogglesSuppressFamilies) {
   }
 }
 
-TEST_F(Figure1Sketch, LookupHelpers) {
-  const Sketch sketch = build({aed::testing::figure1P3()});
-  const auto ofB = sketch.deltasOfRouter("B");
-  EXPECT_FALSE(ofB.empty());
-  for (const DeltaVar* delta : ofB) EXPECT_EQ(delta->router, "B");
-
-  const auto underFilter =
-      sketch.deltasUnderPath("Router[name=B]/PacketFilter[name=pf_b]");
-  EXPECT_FALSE(underFilter.empty());
-  const auto stats = sketch.stats();
-  EXPECT_EQ(stats.total, sketch.deltas().size());
-}
-
 TEST_F(Figure1Sketch, VirtualPathsForAdditions) {
   const Sketch sketch = build({aed::testing::figure1P3()});
   const DeltaVar* addStatic =

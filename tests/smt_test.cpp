@@ -14,17 +14,8 @@ TEST(SmtSession, VariablesAreMemoized) {
   const z3::expr a1 = session.boolVar("a");
   const z3::expr a2 = session.boolVar("a");
   EXPECT_TRUE(z3::eq(a1, a2));
-  EXPECT_TRUE(session.hasVar("a"));
-  EXPECT_FALSE(session.hasVar("b"));
   EXPECT_TRUE(z3::eq(session.var("a"), a1));
   EXPECT_THROW(session.var("b"), AedError);
-}
-
-TEST(SmtSession, FreshVarsAreDistinct) {
-  SmtSession session;
-  const z3::expr f1 = session.freshBool("tmp");
-  const z3::expr f2 = session.freshBool("tmp");
-  EXPECT_FALSE(z3::eq(f1, f2));
 }
 
 TEST(SmtSession, HardConstraintsSolve) {

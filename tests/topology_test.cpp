@@ -23,8 +23,6 @@ class TopologyTest : public ::testing::Test {
 TEST_F(TopologyTest, RoutersSorted) {
   EXPECT_EQ(topo_.routerNames(),
             (std::vector<std::string>{"A", "B", "C", "D"}));
-  EXPECT_TRUE(topo_.hasRouter("C"));
-  EXPECT_FALSE(topo_.hasRouter("Z"));
 }
 
 TEST_F(TopologyTest, LinksDerivedFromSharedSubnets) {
