@@ -29,9 +29,9 @@ struct FuzzOptions {
   double budgetSeconds = 0.0;
   InvariantMask invariants = kAllInvariants;
   /// The further-solve invariants (incremental-equiv, resynth-noop,
-  /// optimum-equal) run only on every Nth scenario of the sweep (1 = every
-  /// scenario, 0 = never), so smoke sweeps stay within budget while nightly
-  /// runs still cover them.
+  /// optimum-equal, frozen-align) run only on every Nth scenario of the
+  /// sweep (1 = every scenario, 0 = never), so smoke sweeps stay within
+  /// budget while nightly runs still cover them.
   std::uint64_t expensiveEvery = 4;
   ScenarioProfile profile;
   /// Intentional fault injected into every scenario (aed_check --inject):

@@ -11,6 +11,7 @@
 #include "conftree/journal.hpp"
 #include "conftree/printer.hpp"
 #include "core/subsolver.hpp"
+#include "encode/encoder.hpp"
 #include "objectives/objective.hpp"
 #include "simulate/engine.hpp"
 #include "simulate/simulator.hpp"
@@ -36,6 +37,7 @@ constexpr InvariantInfo kInvariantTable[] = {
     {Invariant::kPolicyOrder, "policy-order"},
     {Invariant::kRouterOrder, "router-order"},
     {Invariant::kOptimumEqual, "optimum-equal"},
+    {Invariant::kFrozenAlign, "frozen-align"},
 };
 
 std::vector<std::string> policyStrings(const PolicySet& policies) {
@@ -142,6 +144,9 @@ class Checker {
     checkBaseSimulation();
     if (want(Invariant::kOptimumEqual)) {
       guarded(Invariant::kOptimumEqual, [&] { checkOptimumEqual(); });
+    }
+    if (want(Invariant::kFrozenAlign)) {
+      guarded(Invariant::kFrozenAlign, [&] { checkFrozenAlign(); });
     }
     obtainPatch();
     checkPatchInvariants();
@@ -312,6 +317,53 @@ class Checker {
     if (skipped) {
       out_.checked &= ~mask(Invariant::kOptimumEqual);
       out_.skipped |= mask(Invariant::kOptimumEqual);
+    }
+  }
+
+  /// Encodes every destination group of the input, partitioned and scoped
+  /// as synthesize() does it, freezes every delta to inactive and checks:
+  /// the model is then the network as configured, so it must be
+  /// satisfiable exactly when the serial Simulator finds none of the
+  /// group's policies violated. A check Z3 cannot decide is skipped with
+  /// its reason, and then the invariant does not count as passed.
+  void checkFrozenAlign() {
+    AedOptions options = scenario_.options();
+    const auto groups = groupByDestination(scenario_.policies);
+    if (groups.size() > 1) options.sketch.destinationScoped = true;
+    const Topology topo = Topology::fromConfigs(scenario_.tree);
+    const Simulator serial(scenario_.tree);
+    bool skipped = false;
+    for (const auto& [dst, group] : groups) {
+      const Sketch sketch =
+          buildSketch(scenario_.tree, topo, group, options.sketch);
+      SmtSession session;
+      Encoder encoder(session, scenario_.tree, topo, sketch, options.encoder);
+      encoder.encode(group);
+      for (const DeltaVar& delta : sketch.deltas()) {
+        session.addHard(!encoder.deltaActive(delta));
+      }
+      const SmtSession::Result frozen = session.check();
+      if (frozen.rung == SolveRung::kGaveUp) {
+        out_.skipReasons.push_back("frozen-align: destination " + dst.str() +
+                                   ": " + frozen.rungReason);
+        skipped = true;
+        continue;
+      }
+      const PolicySet violated = serial.violations(group);
+      if (frozen.sat() != violated.empty()) {
+        fail(Invariant::kFrozenAlign, frozen.sat() ? "accepts" : "rejects",
+             "destination " + dst.str() + ": the frozen encoding is " +
+                 (frozen.sat() ? "sat" : "unsat") +
+                 " and the simulator finds " +
+                 std::to_string(violated.size()) + " of " +
+                 std::to_string(group.size()) +
+                 " policies violated: " + summarize(policyStrings(violated)));
+        return;
+      }
+    }
+    if (skipped) {
+      out_.checked &= ~mask(Invariant::kFrozenAlign);
+      out_.skipped |= mask(Invariant::kFrozenAlign);
     }
   }
 

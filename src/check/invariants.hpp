@@ -27,6 +27,10 @@
 //                    min-devices, reaches the optimal cost z3::optimize
 //                    finds over the same hard assertions and weighted softs
 //                    (equal cost, not an equal model)
+//   frozen-align     every destination group of the input, encoded with
+//                    every delta frozen to inactive, is satisfiable exactly
+//                    when the serial Simulator finds none of its policies
+//                    violated: the encoding models the network as configured
 //
 // Metamorphic invariants (input transformations that must not change
 // verdicts):
@@ -62,6 +66,7 @@ enum class Invariant : unsigned {
   kPolicyOrder = 1u << 6,
   kRouterOrder = 1u << 7,
   kOptimumEqual = 1u << 8,
+  kFrozenAlign = 1u << 9,
 };
 
 using InvariantMask = unsigned;
@@ -76,15 +81,16 @@ constexpr InvariantMask kAllInvariants =
     mask(Invariant::kJournalRollback) | mask(Invariant::kStagedVsOneShot) |
     mask(Invariant::kIncrementalEquiv) | mask(Invariant::kResynthNoOp) |
     mask(Invariant::kPolicyOrder) | mask(Invariant::kRouterOrder) |
-    mask(Invariant::kOptimumEqual);
+    mask(Invariant::kOptimumEqual) | mask(Invariant::kFrozenAlign);
 
 /// Invariants costing at most one synthesis run. kIncrementalEquiv,
-/// kResynthNoOp and kOptimumEqual each pay further solves; the fuzz driver
-/// runs them on a deterministic subset of seeds so smoke sweeps stay fast.
+/// kResynthNoOp, kOptimumEqual and kFrozenAlign each pay further solves;
+/// the fuzz driver runs them on a deterministic subset of seeds so smoke
+/// sweeps stay fast.
 constexpr InvariantMask kCheapInvariants =
     kAllInvariants &
     ~(mask(Invariant::kIncrementalEquiv) | mask(Invariant::kResynthNoOp) |
-      mask(Invariant::kOptimumEqual));
+      mask(Invariant::kOptimumEqual) | mask(Invariant::kFrozenAlign));
 
 /// Stable kebab-case identifier, e.g. "journal-rollback".
 const char* invariantName(Invariant inv);

@@ -235,6 +235,14 @@ Encoder::FilterAction Encoder::routeFilterAction(const std::string& router,
   z3::expr allow = session_.boolVal(filter == nullptr);
   z3::expr lp = session_.intVal(kDefaultLp);
   z3::expr med = session_.intVal(kDefaultMed);
+  // slot := ite(cond, value, slot), except that an ite whose two branches
+  // are one term is that term (a rule that keeps the default lp, say).
+  const auto overlay = [this](z3::expr& slot, const z3::expr& cond,
+                              const z3::expr& value) {
+    if (!z3::eq(value, slot)) {
+      session_.reassign(slot, z3::ite(cond, value, slot));
+    }
+  };
 
   if (filter != nullptr) {
     auto rules = filter->childrenOfKind(NodeKind::kRouteFilterRule);
@@ -270,9 +278,9 @@ Encoder::FilterAction Encoder::routeFilterAction(const std::string& router,
                              : session_.intVal(medBase);
       const z3::expr present =
           rm != nullptr ? !deltaActive(*rm) : session_.boolVal(true);
-      session_.reassign(allow, z3::ite(present, ruleAllow, allow));
-      session_.reassign(lp, z3::ite(present, ruleLp, lp));
-      session_.reassign(med, z3::ite(present, ruleMed, med));
+      overlay(allow, present, ruleAllow);
+      overlay(lp, present, ruleLp);
+      overlay(med, present, ruleMed);
     }
   }
 
@@ -293,9 +301,9 @@ Encoder::FilterAction Encoder::routeFilterAction(const std::string& router,
     z3::expr addMed = type == "bgp"
                           ? medExpr(add->name + "_med", kDefaultMed)
                           : session_.intVal(kDefaultMed);
-    session_.reassign(allow, z3::ite(addVar, addAllow, allow));
-    session_.reassign(lp, z3::ite(addVar, addLp, lp));
-    session_.reassign(med, z3::ite(addVar, addMed, med));
+    overlay(allow, addVar, addAllow);
+    overlay(lp, addVar, addLp);
+    overlay(med, addVar, addMed);
   }
   return FilterAction{allow, lp, med};
 }
@@ -390,12 +398,15 @@ z3::expr Encoder::redistEnabled(const ProcRef& proc, const std::string& from) {
 }
 
 std::vector<Encoder::StaticCandidate> Encoder::staticCandidates(
-    const std::string& router, const Ipv4Prefix& dst) {
+    const Environment& env, const std::string& router,
+    const Ipv4Prefix& dst) {
   std::vector<StaticCandidate> candidates;
   const Node* routerNode = tree_.router(router);
   if (routerNode == nullptr) return candidates;
-  // Existing static routes covering dst (nexthop resolved like the
-  // simulator does).
+  // Existing static routes covering dst whose next hop resolves over an up
+  // link, like the simulator's: the router uses the first present one, so
+  // a later route is in use only while every earlier one is removed.
+  std::optional<z3::expr> earlierPresent;
   for (const Node* proc :
        routerNode->childrenOfKind(NodeKind::kRoutingProcess)) {
     if (proc->attr("type") != "static") continue;
@@ -406,16 +417,26 @@ std::vector<Encoder::StaticCandidate> Encoder::staticCandidates(
       for (const std::string& neighbor : topo_.neighbors(router)) {
         const auto peerAddr = topo_.addressOn(neighbor, router);
         if (!peerAddr || *peerAddr != *nexthop) continue;
+        if (!env.linkUp(router, neighbor)) continue;
         const DeltaVar* rm = sketch_.findByName(
             mangle({"rm", router, "static", "Orig", prefix->str()}));
-        candidates.push_back(StaticCandidate{
-            neighbor,
-            rm == nullptr ? session_.boolVal(true) : !deltaActive(*rm)});
+        const z3::expr present =
+            rm == nullptr ? session_.boolVal(true) : !deltaActive(*rm);
+        if (!earlierPresent) {
+          candidates.push_back(StaticCandidate{neighbor, present});
+          earlierPresent = present;
+        } else {
+          candidates.push_back(
+              StaticCandidate{neighbor, present && !*earlierPresent});
+          session_.reassign(*earlierPresent, *earlierPresent || present);
+        }
       }
     }
   }
-  // Potential static routes.
+  // Potential static routes, exclusive with each other and with present
+  // existing ones (encode()).
   for (const std::string& neighbor : topo_.neighbors(router)) {
+    if (!env.linkUp(router, neighbor)) continue;
     const DeltaVar* add = sketch_.findByName(
         mangle({"add", router, "static", dst.str(), "via", neighbor}));
     if (add != nullptr) {
@@ -467,7 +488,6 @@ void Encoder::buildRoutingLayer(std::size_t e, const Ipv4Prefix& dst) {
   const int routerCount = static_cast<int>(topo_.routerNames().size());
   for (const ProcRef& proc : procs_) {
     session_.boolVar(mangle({"bestV", proc.router, proc.type, key}));
-    session_.intVar(mangle({"bestLp", proc.router, proc.type, key}));
     // Bounded: path costs cannot exceed the router count in any stable
     // state (cost increases by one per hop); tight bounds keep the MaxSMT
     // search tractable.
@@ -485,12 +505,8 @@ void Encoder::buildRoutingLayer(std::size_t e, const Ipv4Prefix& dst) {
   // ---- per-process selection constraints.
   for (const ProcRef& proc : procs_) {
     const z3::expr valid = bestValid(e, dst, proc.router, proc.type);
-    const z3::expr bestLp =
-        session_.var(mangle({"bestLp", proc.router, proc.type, key}));
     const z3::expr bestCost =
         session_.var(mangle({"bestCost", proc.router, proc.type, key}));
-    const z3::expr bestMed =
-        session_.intVar(mangle({"bestMed", proc.router, proc.type, key}));
     const z3::expr chosenOrig =
         session_.var(mangle({"chO", proc.router, proc.type, key}));
 
@@ -518,8 +534,7 @@ void Encoder::buildRoutingLayer(std::size_t e, const Ipv4Prefix& dst) {
         } else if (from == "static") {
           z3::expr any = session_.boolVal(false);
           for (const StaticCandidate& cand :
-               staticCandidates(proc.router, dst)) {
-            if (!env.linkUp(proc.router, cand.via)) continue;
+               staticCandidates(env, proc.router, dst)) {
             session_.reassign(any, any || cand.active);
           }
           sourceValid = any;
@@ -599,12 +614,37 @@ void Encoder::buildRoutingLayer(std::size_t e, const Ipv4Prefix& dst) {
     }
     session_.addHard(valid == anyValid);
 
+    // A metric that every candidate carries as one numeral compares equal
+    // everywhere: it gets no best-record field and no preference terms.
+    const auto fixed = [&candidates](z3::expr Candidate::*field) {
+      const z3::expr& first = candidates.front().*field;
+      return first.is_numeral() &&
+             std::all_of(candidates.begin(), candidates.end(),
+                         [&](const Candidate& cand) {
+                           return z3::eq(cand.*field, first);
+                         });
+    };
+    const bool isBgp = proc.type == "bgp";
+    const bool compareLp = isBgp && !fixed(&Candidate::lp);
+    const bool compareMed = isBgp && !fixed(&Candidate::med);
+
     // chosen_i -> candidate valid, fields copied.
+    const auto bestField = [&](const char* stem) {
+      return session_.intVar(mangle({stem, proc.router, proc.type, key}));
+    };
+    const std::optional<z3::expr> bestLp =
+        compareLp ? std::optional(bestField("bestLp")) : std::nullopt;
+    const std::optional<z3::expr> bestMed =
+        compareMed ? std::optional(bestField("bestMed")) : std::nullopt;
     for (const Candidate& cand : candidates) {
       session_.addHard(z3::implies(cand.chosen, cand.valid));
-      session_.addHard(z3::implies(cand.chosen, bestLp == cand.lp));
+      if (bestLp) {
+        session_.addHard(z3::implies(cand.chosen, *bestLp == cand.lp));
+      }
       session_.addHard(z3::implies(cand.chosen, bestCost == cand.cost));
-      session_.addHard(z3::implies(cand.chosen, bestMed == cand.med));
+      if (bestMed) {
+        session_.addHard(z3::implies(cand.chosen, *bestMed == cand.med));
+      }
     }
     // valid -> exactly one chosen (at-most-one pairwise + at-least-one).
     z3::expr anyChosen = session_.boolVal(false);
@@ -620,39 +660,25 @@ void Encoder::buildRoutingLayer(std::size_t e, const Ipv4Prefix& dst) {
     // Preference: the chosen candidate is at least as good as every valid
     // candidate, and strictly better than all *earlier* valid candidates
     // (deterministic tie-break identical to the simulator: origination
-    // first, then neighbors in name order).
-    const bool isBgp = proc.type == "bgp";
-    // BGP: highest lp, then lowest path cost, then lowest med (§2 order).
-    const auto betterEq = [&](const Candidate& a, const Candidate& b) {
-      if (isBgp) {
-        return a.lp > b.lp ||
-               (a.lp == b.lp &&
-                (a.cost < b.cost ||
-                 (a.cost == b.cost && a.med <= b.med)));
-      }
-      return a.cost <= b.cost;
-    };
-    const auto strictlyBetter = [&](const Candidate& a, const Candidate& b) {
-      if (isBgp) {
-        return a.lp > b.lp ||
-               (a.lp == b.lp &&
-                (a.cost < b.cost ||
-                 (a.cost == b.cost && a.med < b.med)));
-      }
-      return a.cost < b.cost;
+    // first, then neighbors in name order). BGP: highest lp, then lowest
+    // path cost, then lowest med (§2 order); OSPF: lowest cost.
+    const auto prefers = [&](const Candidate& a, const Candidate& b,
+                             bool strict) {
+      const auto last = [strict](const z3::expr& x, const z3::expr& y) {
+        return strict ? x < y : x <= y;
+      };
+      const z3::expr byCost =
+          compareMed ? a.cost < b.cost ||
+                           (a.cost == b.cost && last(a.med, b.med))
+                     : last(a.cost, b.cost);
+      return compareLp ? a.lp > b.lp || (a.lp == b.lp && byCost) : byCost;
     };
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       for (std::size_t j = 0; j < candidates.size(); ++j) {
         if (i == j) continue;
-        if (j < i) {
-          session_.addHard(
-              z3::implies(candidates[i].chosen && candidates[j].valid,
-                          strictlyBetter(candidates[i], candidates[j])));
-        } else {
-          session_.addHard(
-              z3::implies(candidates[i].chosen && candidates[j].valid,
-                          betterEq(candidates[i], candidates[j])));
-        }
+        session_.addHard(
+            z3::implies(candidates[i].chosen && candidates[j].valid,
+                        prefers(candidates[i], candidates[j], j < i)));
       }
     }
   }
@@ -663,8 +689,7 @@ void Encoder::buildRoutingLayer(std::size_t e, const Ipv4Prefix& dst) {
     // staticValid / staticVia in this environment.
     z3::expr staticValid = session_.boolVal(false);
     std::map<std::string, z3::expr> staticVia;
-    for (const StaticCandidate& cand : staticCandidates(router, dst)) {
-      if (!env.linkUp(router, cand.via)) continue;
+    for (const StaticCandidate& cand : staticCandidates(env, router, dst)) {
       session_.reassign(staticValid, staticValid || cand.active);
       const auto it = staticVia.find(cand.via);
       if (it == staticVia.end()) {
@@ -728,12 +753,21 @@ void Encoder::buildForwardingLayer(std::size_t e, const TrafficClass& cls) {
     }
   }
 
-  // reach with well-foundedness via distance variables.
+  // reach, made well-founded by one distance ranking per (environment,
+  // destination) that every class to the destination shares. It is exact:
+  // dataFwd is controlFwd gated by packet filters, and controlFwd has at
+  // most one outgoing edge per router, so every class reaches along the
+  // destination's one next-hop function, and its hop count to delivery
+  // ranks them all at once.
   const int routerCount = static_cast<int>(topo_.routerNames().size());
+  const std::string rankKey = layerKey(e, cls.dst);
+  const bool newRanking = rankings_.insert(rankKey).second;
   for (const std::string& router : topo_.routerNames()) {
     session_.boolVar(mangle({"reach", router, key}));
-    const z3::expr dist = session_.intVar(mangle({"dist", router, key}));
-    session_.addHard(dist >= 0 && dist <= session_.intVal(routerCount));
+    if (newRanking) {
+      const z3::expr dist = session_.intVar(mangle({"dist", router, rankKey}));
+      session_.addHard(dist >= 0 && dist <= session_.intVal(routerCount));
+    }
   }
   for (const std::string& router : topo_.routerNames()) {
     const z3::expr r = reach(e, cls, router);
@@ -743,11 +777,12 @@ void Encoder::buildForwardingLayer(std::size_t e, const TrafficClass& cls) {
     }
     z3::expr support = session_.boolVal(false);
     z3::expr ranked = session_.boolVal(false);
-    const z3::expr dist = session_.var(mangle({"dist", router, key}));
+    const z3::expr dist = session_.var(mangle({"dist", router, rankKey}));
     for (const std::string& neighbor : topo_.neighbors(router)) {
       const z3::expr hop = dataFwd(e, cls, router, neighbor);
       const z3::expr nr = reach(e, cls, neighbor);
-      const z3::expr ndist = session_.var(mangle({"dist", neighbor, key}));
+      const z3::expr ndist =
+          session_.var(mangle({"dist", neighbor, rankKey}));
       session_.reassign(support, support || (hop && nr));
       session_.reassign(ranked, ranked || (hop && nr && dist > ndist));
     }

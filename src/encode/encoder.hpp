@@ -11,11 +11,14 @@
 //  * per (environment, destination class): symbolic route advertisements
 //    between adjacent processes, best-route selection per process (highest
 //    lp, lowest cost, deterministic name tie-break — identical to the
-//    simulator), router-level selection by administrative distance
-//    (connected < static < bgp < ospf), controlFwd per directed link;
+//    simulator; a metric every candidate carries as one numeral is left
+//    out), router-level selection by administrative distance
+//    (connected < static < bgp < ospf, the first usable static route
+//    winning), controlFwd per directed link, and one distance ranking;
 //  * per (environment, traffic class): dataFwd (controlFwd gated by packet
-//    filters), and well-founded reach/onPath predicates (distance variables
-//    rule out cyclic self-support);
+//    filters) and reach, made well-founded by the destination's ranking,
+//    and per source onPath with its own ranking (distance variables rule
+//    out cyclic self-support);
 //  * policies become hard constraints over reach/onPath/dataFwd.
 //
 // Environments model link failures for path-preference policies: environment
@@ -30,6 +33,7 @@
 
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -145,12 +149,13 @@ class Encoder {
   z3::expr origEnabled(const ProcRef& proc, const Ipv4Prefix& dst);
   z3::expr redistEnabled(const ProcRef& proc, const std::string& from);
 
-  // Static route usability for (router, dst) in an environment.
+  // Static routes for (router, dst) whose next hop is up in an environment.
   struct StaticCandidate {
     std::string via;
-    z3::expr active;  // delta expression enabling this candidate
+    z3::expr active;  // delta expression under which this route is in use
   };
-  std::vector<StaticCandidate> staticCandidates(const std::string& router,
+  std::vector<StaticCandidate> staticCandidates(const Environment& env,
+                                                const std::string& router,
                                                 const Ipv4Prefix& dst);
 
   // ---- per (environment, class) layers --------------------------------------
@@ -158,7 +163,8 @@ class Encoder {
   /// Builds procBest records + chosenFrom vars + controlFwd for destination
   /// class `dst` in environment `e`.
   void buildRoutingLayer(std::size_t e, const Ipv4Prefix& dst);
-  /// Builds dataFwd + reach for traffic class `cls` in environment `e`.
+  /// Builds dataFwd + reach for traffic class `cls` in environment `e`, and
+  /// the ranking of (e, cls.dst) for its first class.
   void buildForwardingLayer(std::size_t e, const TrafficClass& cls);
   /// Builds (lazily) onPath variables from source router `g` for class
   /// `cls` in environment `e`; returns the onPath var map keyed by router.
@@ -225,6 +231,8 @@ class Encoder {
 
   /// onPath layers: key "env|cls|g" -> router -> var.
   std::map<std::string, std::map<std::string, z3::expr>> onPathCache_;
+  /// (environment, destination) layers whose distance ranking exists.
+  std::set<std::string> rankings_;
 
   bool encoded_ = false;
 };

@@ -62,6 +62,8 @@ TEST(InvariantNamesTest, RoundTrip) {
     EXPECT_EQ(*back, inv);
   }
   EXPECT_FALSE(invariantFromName("no-such-invariant").has_value());
+  EXPECT_EQ(invariantFromName("frozen-align"), Invariant::kFrozenAlign);
+  EXPECT_EQ(kCheapInvariants & mask(Invariant::kFrozenAlign), 0u);
 }
 
 TEST(InvariantNamesTest, MaskStrings) {

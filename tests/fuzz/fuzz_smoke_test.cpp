@@ -34,6 +34,7 @@ TEST(FuzzSmokeTest, SmallSweepIsClean) {
   EXPECT_EQ(sum, report.invariantChecks);
   // The expensive invariants ran on the every-6th subset only.
   EXPECT_EQ(report.checksByInvariant.at("incremental-equiv"), 2u);
+  EXPECT_EQ(report.checksByInvariant.at("frozen-align"), 2u);
   EXPECT_EQ(report.checksByInvariant.at("journal-rollback"), 12u);
 }
 
